@@ -51,7 +51,7 @@ print(f"windows spanning a label change: {spanning}")
 # Window labelling policies differ exactly on those spanning windows.
 # ---------------------------------------------------------------------------
 mixed = [0] * 120 + [1] * 80
-for policy in ("majority", "last_sample", "strict_uniform"):
+for policy in ("majority", "last_sample"):
     label, transition = assign_window_label(mixed, policy)
     print(f"policy {policy:>14}: label={label} transition={transition}")
 

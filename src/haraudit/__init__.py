@@ -88,9 +88,7 @@ from .windowing import (
     apply_normalizer,
     assign_window_label,
     fit_normalizer,
-    invert_normalizer,
     slice_corpus,
-    slice_windows,
 )
 
 __version__ = "0.1.0"

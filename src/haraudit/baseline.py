@@ -17,9 +17,6 @@ import numpy as np
 class TrainConfig:
     step_size: float = 0.1
     epochs: int = 200
-    #: Recorded for provenance; training is deterministic (zero init,
-    #: full-batch updates), so the seed does not influence the fit.
-    seed: int = 0
 
 
 @dataclass

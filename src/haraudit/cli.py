@@ -22,23 +22,25 @@ from . import confusion as conf
 from . import ifc as ifc_mod
 from . import mask as mask_mod
 from . import svgplot
+from ._io import write_json
 from .baseline import TrainConfig
-from .pipeline import audit_records, baseline_prediction_records
-from .predictions import (
-    MERGE_POLICIES,
-    best_hyperparams,
-    filter_to_configs,
-    merge_runs,
-    model_metrics,
-    read_records,
-    write_records,
+from .pipeline import (
+    audit_records,
+    baseline_prediction_records,
+    choose_configs,
+    overlap_summary,
 )
+from .predictions import MERGE_POLICIES, model_metrics, read_records, write_records
 from .recordings import corpus_num_classes, parse_canonical, write_canonical
 from .splits import group_k_fold, read_plan, write_plan
 from .synth import default_scenario, generate_corpus, load_scenario, save_scenario
 from .windowing import WindowConfig, slice_corpus
 
 OUT_ENV = "HAR_AUDIT_OUT"
+WINDOW_COLUMNS = [
+    "window_id", "start_sample", "end_sample", "label",
+    "group_key", "recording_index", "transition",
+]
 
 
 class CommandError(Exception):
@@ -77,13 +79,7 @@ class RunDir:
             digest = hashlib.sha256(path.read_bytes()).hexdigest()
             manifest["artifacts"][path.name] = digest
         manifest["artifacts"] = dict(sorted(manifest["artifacts"].items()))
-        manifest_path.write_text(
-            json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-        )
-
-
-def _write_json(path: Path, payload) -> None:
-    path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+        write_json(manifest, manifest_path)
 
 
 def _load_config_file(path: str | None) -> dict:
@@ -126,11 +122,7 @@ def _read_windows_csv(path: Path):
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader)
-        expected = [
-            "window_id", "start_sample", "end_sample", "label",
-            "group_key", "recording_index", "transition",
-        ]
-        if header != expected:
+        if header != WINDOW_COLUMNS:
             raise CommandError(f"{path} header mismatch: {header}")
         bounds, labels, groups, rec_idx = [], [], [], []
         for row in reader:
@@ -166,17 +158,37 @@ def _rebuild_dataset(run: RunDir):
     )
 
 
-def _load_ifc_flags(run: RunDir) -> np.ndarray:
+def _load_ifc_flags(run: RunDir, num_windows: int) -> np.ndarray:
+    """Per-window IFC flags; they must cover every row of windows.csv."""
     path = run.need("ifc_windows.csv")
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         next(reader)
         flags = [bool(int(row[4])) for row in reader]
+    if len(flags) != num_windows:
+        raise CommandError(
+            f"{path} holds {len(flags)} windows but windows.csv holds "
+            f"{num_windows}; rerun ifc"
+        )
     return np.asarray(flags, dtype=bool)
 
 
-def _load_records(run: RunDir):
-    path = run.need("predictions.jsonl")
+def _ifc_merge_policy(args, cfg: dict, run: RunDir) -> str:
+    """The merge policy ifc ran under; --merge-policy may only repeat it."""
+    path = run.need("ifc_summary.json")
+    policy = _read_meta(path)["merge_policy"]
+    asked = _opt(args, cfg, "merge_policy", None)
+    if asked is not None and asked != policy:
+        raise CommandError(
+            f"--merge-policy {asked} disagrees with {path}, written under "
+            f"{policy}; rerun ifc to change the policy"
+        )
+    return policy
+
+
+def _load_records(run: RunDir, path: Path | None = None):
+    """Read and validate a prediction log, by default the run's own."""
+    path = path or run.need("predictions.jsonl")
     bounds, labels, _, _ = _read_windows_csv(run.need("windows.csv"))
     meta = _read_meta(run.need("windows_meta.json"))
     records = read_records(
@@ -187,15 +199,18 @@ def _load_records(run: RunDir):
     return records, bounds, labels, meta
 
 
+def _fuse_flagged(records, flags: np.ndarray):
+    """Fused probabilities of the chosen configs over the flagged windows."""
+    _, filtered = choose_configs(records)
+    return conf.fuse_probabilities(filtered, [int(w) for w in np.flatnonzero(flags)])
+
+
 def _fused_for_mask(run: RunDir, flags: np.ndarray):
     """Reuse fused.jsonl when the confusion stage ran, else recompute."""
     fused_path = run.out / "fused.jsonl"
     if fused_path.exists():
         return conf.read_fused_jsonl(fused_path)
-    records, _, _, _ = _load_records(run)
-    chosen = best_hyperparams(records)
-    filtered = filter_to_configs(records, chosen)
-    return conf.fuse_probabilities(filtered, [int(w) for w in np.flatnonzero(flags)])
+    return _fuse_flagged(_load_records(run)[0], flags)
 
 
 # ----------------------------------------------------------------- commands
@@ -210,8 +225,7 @@ def cmd_ingest(args, cfg: dict, run: RunDir) -> None:
     recordings, repaired = parse_canonical(source, sample_rate=sample_rate)
     num_classes = corpus_num_classes(recordings)
     write_canonical(recordings, run.file("recordings.csv"))
-    _write_json(
-        run.file("ingest.json"),
+    write_json(
         {
             "num_recordings": len(recordings),
             "num_samples": int(sum(r.num_samples for r in recordings)),
@@ -219,6 +233,7 @@ def cmd_ingest(args, cfg: dict, run: RunDir) -> None:
             "repaired_cells": repaired,
             "sample_rate": sample_rate,
         },
+        run.file("ingest.json"),
     )
 
 
@@ -234,8 +249,7 @@ def cmd_synth(args, cfg: dict, run: RunDir) -> None:
     recordings, annotations = generate_corpus(spec, num_subjects=subjects)
     save_scenario(spec, run.file("scenario.json"))
     write_canonical(recordings, run.file("recordings.csv"))
-    _write_json(
-        run.file("injections.json"),
+    write_json(
         [
             {
                 "subject": rec.subject_id,
@@ -246,6 +260,7 @@ def cmd_synth(args, cfg: dict, run: RunDir) -> None:
             for rec, spans in zip(recordings, annotations)
             for span in spans
         ],
+        run.file("injections.json"),
     )
 
 
@@ -262,12 +277,7 @@ def cmd_windows(args, cfg: dict, run: RunDir) -> None:
     dataset = slice_corpus(recordings, config, group_by=group_by)
     with open(run.file("windows.csv"), "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(
-            [
-                "window_id", "start_sample", "end_sample", "label",
-                "group_key", "recording_index", "transition",
-            ]
-        )
+        writer.writerow(WINDOW_COLUMNS)
         for w in dataset.windows:
             writer.writerow(
                 [
@@ -275,8 +285,7 @@ def cmd_windows(args, cfg: dict, run: RunDir) -> None:
                     w.group_key, w.recording_index, int(w.transition),
                 ]
             )
-    _write_json(
-        run.file("windows_meta.json"),
+    write_json(
         {
             "num_windows": dataset.num_windows,
             "num_classes": dataset.num_classes,
@@ -288,6 +297,7 @@ def cmd_windows(args, cfg: dict, run: RunDir) -> None:
             "sample_rate": sample_rate,
             "recording_spans": [list(span) for span in dataset.recording_spans],
         },
+        run.file("windows_meta.json"),
     )
 
 
@@ -307,7 +317,6 @@ def cmd_train_baseline(args, cfg: dict, run: RunDir) -> None:
     config = TrainConfig(
         step_size=float(_opt(args, cfg, "step_size", 0.1)),
         epochs=int(_opt(args, cfg, "epochs", 200)),
-        seed=int(_opt(args, cfg, "seed", 0)),
     )
     records = baseline_prediction_records(
         dataset,
@@ -325,44 +334,30 @@ def cmd_import_logs(args, cfg: dict, run: RunDir) -> None:
         raise CommandError("import-logs needs --logs <jsonl>")
     if not Path(logs).exists():
         raise CommandError(f"prediction log {logs} does not exist")
-    _, labels, _, _ = _read_windows_csv(run.need("windows.csv"))
-    meta = _read_meta(run.need("windows_meta.json"))
-    records = read_records(
-        logs, valid_window_ids=range(len(labels)), num_classes=meta["num_classes"]
-    )
+    records, _, _, _ = _load_records(run, Path(logs))
     write_records(records, run.file("predictions.jsonl"))
 
 
 def cmd_ifc(args, cfg: dict, run: RunDir) -> None:
     records, bounds, labels, _ = _load_records(run)
     policy = _opt(args, cfg, "merge_policy", "majority")
-    chosen = best_hyperparams(records)
-    filtered = filter_to_configs(records, chosen)
-    consolidated = merge_runs(filtered, policy=policy)
-    matrix = ifc_mod.build_matrix(consolidated)
-    summary = ifc_mod.compute_ifc(matrix, merge_policy=policy)
-    order = summary.window_ids
-    ifc_mod.write_ifc_windows_csv(
-        summary, bounds[order], labels[order], run.file("ifc_windows.csv")
-    )
+    _, filtered = choose_configs(records)
+    summary = overlap_summary(filtered, len(labels), policy)
+    ifc_mod.write_ifc_windows_csv(summary, bounds, labels, run.file("ifc_windows.csv"))
     ifc_mod.write_ifc_summary_json(summary, run.file("ifc_summary.json"))
 
 
 def cmd_histogram(args, cfg: dict, run: RunDir) -> None:
-    flags = _load_ifc_flags(run)
     _, _, _, rec_idx = _read_windows_csv(run.need("windows.csv"))
-    hist = ifc_mod.run_lengths(flags, rec_idx[: flags.size])
+    flags = _load_ifc_flags(run, rec_idx.size)
+    hist = ifc_mod.run_lengths(flags, rec_idx)
     ifc_mod.write_histogram_csv(hist, run.file("ifc_histogram.csv"))
 
 
 def cmd_confusion(args, cfg: dict, run: RunDir) -> None:
     records, _, labels, meta = _load_records(run)
-    flags = _load_ifc_flags(run)
-    chosen = best_hyperparams(records)
-    filtered = filter_to_configs(records, chosen)
-    fused = conf.fuse_probabilities(
-        filtered, [int(w) for w in np.flatnonzero(flags)]
-    )
+    flags = _load_ifc_flags(run, labels.size)
+    fused = _fuse_flagged(records, flags)
     table = conf.confusion_table(flags, labels, num_classes=meta["num_classes"])
     edges = conf.chord_edges(fused)
     names = [f"class_{c}" for c in range(meta["num_classes"])]
@@ -372,10 +367,10 @@ def cmd_confusion(args, cfg: dict, run: RunDir) -> None:
 
 
 def cmd_mask(args, cfg: dict, run: RunDir) -> None:
-    flags = _load_ifc_flags(run)
+    policy = _ifc_merge_policy(args, cfg, run)
     bounds, _, _, _ = _read_windows_csv(run.need("windows.csv"))
+    flags = _load_ifc_flags(run, len(bounds))
     meta = _read_meta(run.need("windows_meta.json"))
-    policy = _opt(args, cfg, "merge_policy", "majority")
     fused = _fused_for_mask(run, flags)
     mask = mask_mod.build_mask(
         flags, fused, bounds, meta["total_samples"], policy=policy
@@ -386,7 +381,8 @@ def cmd_mask(args, cfg: dict, run: RunDir) -> None:
 
 
 def cmd_plot(args, cfg: dict, run: RunDir) -> None:
-    flags = _load_ifc_flags(run)
+    _, _, _, rec_idx = _read_windows_csv(run.need("windows.csv"))
+    flags = _load_ifc_flags(run, rec_idx.size)
     dataset = _rebuild_dataset(run)
     if dataset.num_windows != flags.size:
         raise CommandError("window table and overlap flags are out of step")
@@ -405,8 +401,7 @@ def cmd_plot(args, cfg: dict, run: RunDir) -> None:
     run.file("condensed.svg").write_text(
         svgplot.condensed_view_svg(means, flags), encoding="utf-8"
     )
-    _, _, _, rec_idx = _read_windows_csv(run.need("windows.csv"))
-    hist = ifc_mod.run_lengths(flags, rec_idx[: flags.size])
+    hist = ifc_mod.run_lengths(flags, rec_idx)
     run.file("histogram.svg").write_text(
         svgplot.histogram_svg(hist.bins), encoding="utf-8"
     )
@@ -427,17 +422,19 @@ def cmd_plot(args, cfg: dict, run: RunDir) -> None:
 
 
 def cmd_report(args, cfg: dict, run: RunDir) -> None:
+    policy = _ifc_merge_policy(args, cfg, run)
     records, bounds, labels, meta = _load_records(run)
-    policy = _opt(args, cfg, "merge_policy", "majority")
+    chosen, filtered = choose_configs(records)
     result = audit_records(
-        records,
+        filtered,
         bounds,
         labels,
         meta["total_samples"],
         num_classes=meta["num_classes"],
         merge_policy=policy,
+        chosen=chosen,
     )
-    metrics = model_metrics(filter_to_configs(records, result.chosen_configs))
+    metrics = model_metrics(filtered)
     payload = {
         "dataset_id": records[0].dataset_id,
         "merge_policy": policy,
@@ -475,30 +472,7 @@ def cmd_report(args, cfg: dict, run: RunDir) -> None:
             for (d, m, c), v in sorted(metrics.items())
         },
     }
-    validate_report(payload)
-    _write_json(run.file("report.json"), payload)
-
-
-def validate_report(payload: dict) -> None:
-    """Structural check of a report bundle; raises on schema mismatch."""
-    required = {
-        "dataset_id": str,
-        "merge_policy": str,
-        "num_windows": int,
-        "overlap": dict,
-        "mask": dict,
-        "confusion": list,
-        "model_metrics": dict,
-    }
-    for key, kind in required.items():
-        if key not in payload or not isinstance(payload[key], kind):
-            raise CommandError(f"report schema mismatch at {key!r}")
-    for key in ("single_contributions", "common_ground", "ifc"):
-        if key not in payload["overlap"]:
-            raise CommandError(f"report schema mismatch at overlap.{key}")
-    for key in ("clean_pct", "minor_pct", "major_pct"):
-        if key not in payload["mask"]:
-            raise CommandError(f"report schema mismatch at mask.{key}")
+    write_json(payload, run.file("report.json"))
 
 
 COMMANDS = {
@@ -547,8 +521,7 @@ def build_parser() -> argparse.ArgumentParser:
         ("--max-k", dict(intf, dest="max_k")))
     add("train-baseline", "train the reference classifier per fold",
         ("--runs", dict(intf)), ("--step-size", dict(floatf, dest="step_size")),
-        ("--epochs", dict(intf)), ("--seed", dict(intf)),
-        ("--dataset-id", {"dest": "dataset_id"}))
+        ("--epochs", dict(intf)), ("--dataset-id", {"dest": "dataset_id"}))
     policyf = {"dest": "merge_policy", "choices": list(MERGE_POLICIES)}
     add("import-logs", "validate and import an external prediction log",
         ("--logs", {}))

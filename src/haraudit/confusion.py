@@ -11,11 +11,11 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
 
+from ._io import open_text, write_json
 from .predictions import PredictionRecord
 
 PCT_SUM_TOL = 1e-9
@@ -185,22 +185,19 @@ def chord_edges(fused: Sequence[FusedDistribution]) -> list[ChordEdge]:
 
 def write_confusion_csv(rows: Sequence[ClassConfusionRow], dest) -> None:
     """Table export: class_id,name,dist_pct,rel_pct,abs_pct (absent cells empty)."""
-    if isinstance(dest, (str, Path)):
-        with open(dest, "w", encoding="utf-8", newline="") as fh:
-            write_confusion_csv(rows, fh)
-            return
-    writer = csv.writer(dest, lineterminator="\n")
-    writer.writerow(["class_id", "name", "dist_pct", "rel_pct", "abs_pct"])
-    for row in rows:
-        writer.writerow(
-            [
-                row.class_id,
-                row.name,
-                repr(row.distribution_pct),
-                "" if row.relative_pct is None else repr(row.relative_pct),
-                "" if row.absolute_pct is None else repr(row.absolute_pct),
-            ]
-        )
+    with open_text(dest, "w") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["class_id", "name", "dist_pct", "rel_pct", "abs_pct"])
+        for row in rows:
+            writer.writerow(
+                [
+                    row.class_id,
+                    row.name,
+                    repr(row.distribution_pct),
+                    "" if row.relative_pct is None else repr(row.relative_pct),
+                    "" if row.absolute_pct is None else repr(row.absolute_pct),
+                ]
+            )
 
 
 def write_chord_json(
@@ -213,53 +210,42 @@ def write_chord_json(
             for e in edges
         ],
     }
-    if isinstance(dest, (str, Path)):
-        with open(dest, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2)
-            fh.write("\n")
-    else:
-        json.dump(payload, dest, indent=2)
-        dest.write("\n")
+    write_json(payload, dest)
 
 
 def write_fused_jsonl(fused: Sequence[FusedDistribution], dest) -> None:
     """Persist fused distributions so downstream stages can reuse them."""
-    if isinstance(dest, (str, Path)):
-        with open(dest, "w", encoding="utf-8") as fh:
-            write_fused_jsonl(fused, fh)
-            return
-    for f in fused:
-        dest.write(
-            json.dumps(
-                {
-                    "window": f.window_id,
-                    "label": f.true_label,
-                    "confused": f.confused_class,
-                    "agrees_with_truth": f.fused_agrees_with_truth,
-                    "mean_probs": [float(p) for p in f.mean_probs],
-                }
+    with open_text(dest, "w") as fh:
+        for f in fused:
+            fh.write(
+                json.dumps(
+                    {
+                        "window": f.window_id,
+                        "label": f.true_label,
+                        "confused": f.confused_class,
+                        "agrees_with_truth": f.fused_agrees_with_truth,
+                        "mean_probs": [float(p) for p in f.mean_probs],
+                    }
+                )
             )
-        )
-        dest.write("\n")
+            fh.write("\n")
 
 
 def read_fused_jsonl(src) -> list[FusedDistribution]:
-    if isinstance(src, (str, Path)):
-        with open(src, "r", encoding="utf-8") as fh:
-            return read_fused_jsonl(fh)
     fused = []
-    for line in src:
-        line = line.strip()
-        if not line:
-            continue
-        obj = json.loads(line)
-        fused.append(
-            FusedDistribution(
-                window_id=int(obj["window"]),
-                mean_probs=np.asarray(obj["mean_probs"], dtype=float),
-                confused_class=int(obj["confused"]),
-                true_label=int(obj["label"]),
-                fused_agrees_with_truth=bool(obj["agrees_with_truth"]),
+    with open_text(src) as fh:
+        for line in fh:
+            line = line.strip()
+            if not line:
+                continue
+            obj = json.loads(line)
+            fused.append(
+                FusedDistribution(
+                    window_id=int(obj["window"]),
+                    mean_probs=np.asarray(obj["mean_probs"], dtype=float),
+                    confused_class=int(obj["confused"]),
+                    true_label=int(obj["label"]),
+                    fused_agrees_with_truth=bool(obj["agrees_with_truth"]),
+                )
             )
-        )
     return fused

@@ -9,13 +9,12 @@ three percentages therefore close to 100.
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
+from ._io import open_text, write_json
 from .predictions import ConsolidatedCorrectness
 
 CLOSURE_TOL = 1e-9
@@ -41,10 +40,6 @@ class CorrectnessMatrix:
                 f"matrix shape {self.values.shape} does not match "
                 f"{len(self.model_ids)} models x {self.window_ids.size} windows"
             )
-
-    @property
-    def num_models(self) -> int:
-        return len(self.model_ids)
 
     @property
     def num_windows(self) -> int:
@@ -217,22 +212,19 @@ def write_ifc_windows_csv(
     dest,
 ) -> None:
     """Window-level export: window_id,start_sample,end_sample,true_label,ifc_flag."""
-    if isinstance(dest, (str, Path)):
-        with open(dest, "w", encoding="utf-8", newline="") as fh:
-            write_ifc_windows_csv(summary, window_bounds, labels, fh)
-            return
-    writer = csv.writer(dest, lineterminator="\n")
-    writer.writerow(["window_id", "start_sample", "end_sample", "true_label", "ifc_flag"])
-    for i, window_id in enumerate(summary.window_ids):
-        writer.writerow(
-            [
-                int(window_id),
-                int(window_bounds[i, 0]),
-                int(window_bounds[i, 1]),
-                int(labels[i]),
-                int(summary.ifc_flags[i]),
-            ]
-        )
+    with open_text(dest, "w") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["window_id", "start_sample", "end_sample", "true_label", "ifc_flag"])
+        for i, window_id in enumerate(summary.window_ids):
+            writer.writerow(
+                [
+                    int(window_id),
+                    int(window_bounds[i, 0]),
+                    int(window_bounds[i, 1]),
+                    int(labels[i]),
+                    int(summary.ifc_flags[i]),
+                ]
+            )
 
 
 def write_ifc_summary_json(summary: IfcSummary, dest) -> None:
@@ -245,22 +237,13 @@ def write_ifc_summary_json(summary: IfcSummary, dest) -> None:
         "num_windows": int(summary.window_ids.size),
         "merge_policy": summary.merge_policy,
     }
-    if isinstance(dest, (str, Path)):
-        with open(dest, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2)
-            fh.write("\n")
-    else:
-        json.dump(payload, dest, indent=2)
-        dest.write("\n")
+    write_json(payload, dest)
 
 
 def write_histogram_csv(hist: RunLengthHistogram, dest) -> None:
     """Histogram export: bin_lower,bin_upper,count."""
-    if isinstance(dest, (str, Path)):
-        with open(dest, "w", encoding="utf-8", newline="") as fh:
-            write_histogram_csv(hist, fh)
-            return
-    writer = csv.writer(dest, lineterminator="\n")
-    writer.writerow(["bin_lower", "bin_upper", "count"])
-    for lower, upper, count in hist.bins:
-        writer.writerow([lower, upper, count])
+    with open_text(dest, "w") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["bin_lower", "bin_upper", "count"])
+        for lower, upper, count in hist.bins:
+            writer.writerow([lower, upper, count])

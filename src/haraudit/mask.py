@@ -10,13 +10,12 @@ mass and the failure reads as uncertainty (minor). Everything else is clean.
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
+from ._io import open_text, write_json
 from .confusion import FusedDistribution
 
 CLEAN, MINOR, MAJOR = 0, 1, 2
@@ -96,64 +95,48 @@ def build_mask(
 
 def write_window_mask_csv(mask: MaskSequence, window_bounds: np.ndarray, dest) -> None:
     """Window export: window_id,start_sample,end_sample,category."""
-    if isinstance(dest, (str, Path)):
-        with open(dest, "w", encoding="utf-8", newline="") as fh:
-            write_window_mask_csv(mask, window_bounds, fh)
-            return
-    writer = csv.writer(dest, lineterminator="\n")
-    writer.writerow(["window_id", "start_sample", "end_sample", "category"])
-    for w, category in enumerate(mask.window_mask):
-        writer.writerow(
-            [w, int(window_bounds[w, 0]), int(window_bounds[w, 1]), int(category)]
-        )
+    with open_text(dest, "w") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["window_id", "start_sample", "end_sample", "category"])
+        for w, category in enumerate(mask.window_mask):
+            writer.writerow(
+                [w, int(window_bounds[w, 0]), int(window_bounds[w, 1]), int(category)]
+            )
 
 
 def write_sample_mask_csv(mask: MaskSequence, dest) -> None:
     """Sample export: sample_index,category."""
-    if isinstance(dest, (str, Path)):
-        with open(dest, "w", encoding="utf-8", newline="") as fh:
-            write_sample_mask_csv(mask, fh)
-            return
-    writer = csv.writer(dest, lineterminator="\n")
-    writer.writerow(["sample_index", "category"])
-    for s, category in enumerate(mask.sample_mask):
-        writer.writerow([s, int(category)])
+    with open_text(dest, "w") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["sample_index", "category"])
+        for s, category in enumerate(mask.sample_mask):
+            writer.writerow([s, int(category)])
 
 
 def write_mask_summary_json(mask: MaskSequence, dest) -> None:
     payload = dict(mask.distribution)
     payload["policy"] = mask.policy
-    if isinstance(dest, (str, Path)):
-        with open(dest, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2)
-            fh.write("\n")
-    else:
-        json.dump(payload, dest, indent=2)
-        dest.write("\n")
+    write_json(payload, dest)
 
 
 def read_window_mask_csv(src) -> tuple[np.ndarray, np.ndarray]:
     """Read back (categories, bounds) from a window mask export."""
-    if isinstance(src, (str, Path)):
-        with open(src, "r", encoding="utf-8", newline="") as fh:
-            return read_window_mask_csv(fh)
-    reader = csv.reader(src)
-    header = next(reader)
-    if header != ["window_id", "start_sample", "end_sample", "category"]:
-        raise ValueError(f"unexpected window mask header {header}")
-    categories, bounds = [], []
-    for row in reader:
-        categories.append(int(row[3]))
-        bounds.append((int(row[1]), int(row[2])))
+    with open_text(src) as fh:
+        reader = csv.reader(fh)
+        header = next(reader)
+        if header != ["window_id", "start_sample", "end_sample", "category"]:
+            raise ValueError(f"unexpected window mask header {header}")
+        categories, bounds = [], []
+        for row in reader:
+            categories.append(int(row[3]))
+            bounds.append((int(row[1]), int(row[2])))
     return np.asarray(categories, dtype=np.int8), np.asarray(bounds, dtype=int)
 
 
 def read_sample_mask_csv(src) -> np.ndarray:
-    if isinstance(src, (str, Path)):
-        with open(src, "r", encoding="utf-8", newline="") as fh:
-            return read_sample_mask_csv(fh)
-    reader = csv.reader(src)
-    header = next(reader)
-    if header != ["sample_index", "category"]:
-        raise ValueError(f"unexpected sample mask header {header}")
-    return np.asarray([int(row[1]) for row in reader], dtype=np.int8)
+    with open_text(src) as fh:
+        reader = csv.reader(fh)
+        header = next(reader)
+        if header != ["sample_index", "category"]:
+            raise ValueError(f"unexpected sample mask header {header}")
+        return np.asarray([int(row[1]) for row in reader], dtype=np.int8)

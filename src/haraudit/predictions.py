@@ -12,10 +12,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
+
+from ._io import open_text
 
 SIMPLEX_TOL = 1e-6
 MERGE_POLICIES = ("any", "majority", "all")
@@ -96,55 +97,50 @@ def read_records(
     num_classes: int | None = None,
 ) -> list[PredictionRecord]:
     """Read and validate a JSONL prediction log."""
-    if isinstance(src, (str, Path)):
-        with open(src, "r", encoding="utf-8") as fh:
-            return read_records(fh, valid_window_ids, num_classes)
     records = []
-    for i, line in enumerate(src):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            obj = json.loads(line)
-            rec = PredictionRecord(
-                dataset_id=str(obj["dataset"]),
-                model_id=str(obj["model"]),
-                config_id=str(obj["config"]),
-                run_id=int(obj["run"]),
-                fold_id=int(obj["fold"]),
-                window_id=int(obj["window"]),
-                true_label=int(obj["label"]),
-                probs=tuple(float(p) for p in obj["probs"]),
-            )
-        except (KeyError, ValueError, TypeError) as exc:
-            raise RecordError(f"malformed record: {exc}", i) from None
-        records.append(rec)
+    with open_text(src) as fh:
+        for i, line in enumerate(fh):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                obj = json.loads(line)
+                rec = PredictionRecord(
+                    dataset_id=str(obj["dataset"]),
+                    model_id=str(obj["model"]),
+                    config_id=str(obj["config"]),
+                    run_id=int(obj["run"]),
+                    fold_id=int(obj["fold"]),
+                    window_id=int(obj["window"]),
+                    true_label=int(obj["label"]),
+                    probs=tuple(float(p) for p in obj["probs"]),
+                )
+            except (KeyError, ValueError, TypeError) as exc:
+                raise RecordError(f"malformed record: {exc}", i) from None
+            records.append(rec)
     validate_records(records, valid_window_ids, num_classes)
     return records
 
 
 def write_records(records: Sequence[PredictionRecord], dest) -> None:
     """Write records as JSONL; float text is exact (shortest round-trip)."""
-    if isinstance(dest, (str, Path)):
-        with open(dest, "w", encoding="utf-8") as fh:
-            write_records(records, fh)
-            return
-    for rec in records:
-        dest.write(
-            json.dumps(
-                {
-                    "dataset": rec.dataset_id,
-                    "model": rec.model_id,
-                    "config": rec.config_id,
-                    "run": rec.run_id,
-                    "fold": rec.fold_id,
-                    "window": rec.window_id,
-                    "label": rec.true_label,
-                    "probs": list(rec.probs),
-                }
+    with open_text(dest, "w") as fh:
+        for rec in records:
+            fh.write(
+                json.dumps(
+                    {
+                        "dataset": rec.dataset_id,
+                        "model": rec.model_id,
+                        "config": rec.config_id,
+                        "run": rec.run_id,
+                        "fold": rec.fold_id,
+                        "window": rec.window_id,
+                        "label": rec.true_label,
+                        "probs": list(rec.probs),
+                    }
+                )
             )
-        )
-        dest.write("\n")
+            fh.write("\n")
 
 
 def best_hyperparams(

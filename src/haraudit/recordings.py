@@ -9,11 +9,11 @@ are repaired by forward-fill then backward-fill within each recording.
 from __future__ import annotations
 
 import csv
-import io
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
+
+from ._io import open_text
 
 REQUIRED_COLUMNS = ("subject_id", "session_id", "label")
 
@@ -98,68 +98,61 @@ def parse_canonical(
 ) -> tuple[list[SensorRecording], int]:
     """Parse a canonical recording CSV into recordings grouped by (subject, session).
 
-    ``source`` may be a path or a text/binary stream. Returns the recordings in
+    ``source`` may be a path or a text stream. Returns the recordings in
     order of first appearance plus the total count of repaired (filled) cells.
 
     Raises CanonicalFormatError for an empty file, a malformed header, a
     non-integer label, or a channel cell that is neither numeric nor empty.
     """
-    if isinstance(source, (str, Path)):
-        with open(source, "r", encoding="utf-8", newline="") as fh:
-            return parse_canonical(fh, sample_rate=sample_rate)
-    if isinstance(source, (bytes, bytearray)):
-        return parse_canonical(io.StringIO(source.decode("utf-8")), sample_rate=sample_rate)
-    if hasattr(source, "read") and isinstance(source.read(0), bytes):
-        source = io.TextIOWrapper(source, encoding="utf-8")
-
-    reader = csv.reader(source)
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise CanonicalFormatError("empty file") from None
-    header = [h.strip() for h in header]
-    if tuple(header[:3]) != REQUIRED_COLUMNS or len(header) < 4:
-        raise CanonicalFormatError(
-            "header must be subject_id,session_id,label,<channel...>", line=1
-        )
-    channel_names = header[3:]
-    n_channels = len(channel_names)
-
-    # key -> (labels, rows of channel values)
-    groups: dict[tuple[str, str], tuple[list[int], list[list[float]]]] = {}
-    n_rows = 0
-    for lineno, row in enumerate(reader, start=2):
-        if not row:
-            continue
-        if len(row) != len(header):
-            raise CanonicalFormatError(
-                f"expected {len(header)} cells, found {len(row)}", line=lineno
-            )
-        subject, session, label_cell = row[0], row[1], row[2]
+    with open_text(source) as fh:
+        reader = csv.reader(fh)
         try:
-            label = int(label_cell)
-        except ValueError:
+            header = next(reader)
+        except StopIteration:
+            raise CanonicalFormatError("empty file") from None
+        header = [h.strip() for h in header]
+        if tuple(header[:3]) != REQUIRED_COLUMNS or len(header) < 4:
             raise CanonicalFormatError(
-                f"label {label_cell!r} is not an integer", line=lineno
-            ) from None
-        if label < 0:
-            raise CanonicalFormatError(f"label {label} is negative", line=lineno)
-        values = []
-        for name, cell in zip(channel_names, row[3:]):
-            cell = cell.strip()
-            if cell == "":
-                values.append(np.nan)
+                "header must be subject_id,session_id,label,<channel...>", line=1
+            )
+        channel_names = header[3:]
+        n_channels = len(channel_names)
+
+        # key -> (labels, rows of channel values)
+        groups: dict[tuple[str, str], tuple[list[int], list[list[float]]]] = {}
+        n_rows = 0
+        for lineno, row in enumerate(reader, start=2):
+            if not row:
                 continue
+            if len(row) != len(header):
+                raise CanonicalFormatError(
+                    f"expected {len(header)} cells, found {len(row)}", line=lineno
+                )
+            subject, session, label_cell = row[0], row[1], row[2]
             try:
-                values.append(float(cell))
+                label = int(label_cell)
             except ValueError:
                 raise CanonicalFormatError(
-                    f"channel {name!r} cell {cell!r} is not numeric", line=lineno
+                    f"label {label_cell!r} is not an integer", line=lineno
                 ) from None
-        labels, rows = groups.setdefault((subject, session), ([], []))
-        labels.append(label)
-        rows.append(values)
-        n_rows += 1
+            if label < 0:
+                raise CanonicalFormatError(f"label {label} is negative", line=lineno)
+            values = []
+            for name, cell in zip(channel_names, row[3:]):
+                cell = cell.strip()
+                if cell == "":
+                    values.append(np.nan)
+                    continue
+                try:
+                    values.append(float(cell))
+                except ValueError:
+                    raise CanonicalFormatError(
+                        f"channel {name!r} cell {cell!r} is not numeric", line=lineno
+                    ) from None
+            labels, rows = groups.setdefault((subject, session), ([], []))
+            labels.append(label)
+            rows.append(values)
+            n_rows += 1
     if n_rows == 0:
         raise CanonicalFormatError("file contains a header but no samples")
 
@@ -191,24 +184,21 @@ def parse_canonical(
 
 def write_canonical(recordings: list[SensorRecording], dest) -> None:
     """Write recordings back to canonical CSV (floats as shortest round-trip text)."""
-    if isinstance(dest, (str, Path)):
-        with open(dest, "w", encoding="utf-8", newline="") as fh:
-            write_canonical(recordings, fh)
-            return
     if not recordings:
         raise ValueError("nothing to write")
     names = recordings[0].channel_names
     for rec in recordings:
         if rec.channel_names != names:
             raise ValueError("all recordings must share one channel layout")
-    writer = csv.writer(dest, lineterminator="\n")
-    writer.writerow(list(REQUIRED_COLUMNS) + names)
-    for rec in recordings:
-        for i in range(rec.num_samples):
-            writer.writerow(
-                [rec.subject_id, rec.session_id, int(rec.labels[i])]
-                + [repr(float(v)) for v in rec.channels[i]]
-            )
+    with open_text(dest, "w") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(list(REQUIRED_COLUMNS) + names)
+        for rec in recordings:
+            for i in range(rec.num_samples):
+                writer.writerow(
+                    [rec.subject_id, rec.session_id, int(rec.labels[i])]
+                    + [repr(float(v)) for v in rec.channels[i]]
+                )
 
 
 def corpus_num_classes(recordings: list[SensorRecording]) -> int:

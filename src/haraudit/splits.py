@@ -4,9 +4,9 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Mapping, Sequence
 
+from ._io import open_text, write_json
 from .windowing import WindowedDataset
 
 MAX_FOLDS_DEFAULT = 10
@@ -40,9 +40,6 @@ class FoldPlan:
                 seen_windows.add(w)
         if self.k != len(self.folds):
             raise ValueError("k does not match the number of folds")
-
-    def test_windows(self, fold_id: int) -> tuple[int, ...]:
-        return self.folds[fold_id].test_window_ids
 
     def train_windows(self, fold_id: int, num_windows: int) -> list[int]:
         held_out = set(self.folds[fold_id].test_window_ids)
@@ -121,21 +118,12 @@ def write_plan(plan: FoldPlan, dest) -> None:
             for f in plan.folds
         ],
     }
-    if isinstance(dest, (str, Path)):
-        with open(dest, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2)
-            fh.write("\n")
-    else:
-        json.dump(payload, dest, indent=2)
-        dest.write("\n")
+    write_json(payload, dest)
 
 
 def read_plan(src) -> FoldPlan:
-    if isinstance(src, (str, Path)):
-        with open(src, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
-    else:
-        payload = json.load(src)
+    with open_text(src) as fh:
+        payload = json.load(fh)
     folds = [
         Fold(
             fold_id=int(f["fold_id"]),

@@ -17,10 +17,10 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, replace
-from pathlib import Path
 
 import numpy as np
 
+from ._io import open_text, write_json
 from .recordings import SensorRecording
 
 INJECTION_KINDS = ("composite_overlap", "transient_irregularity", "transition_shift")
@@ -213,21 +213,12 @@ def save_scenario(spec: ScenarioSpec, dest) -> None:
         ],
         "seed": spec.seed,
     }
-    if isinstance(dest, (str, Path)):
-        with open(dest, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2)
-            fh.write("\n")
-    else:
-        json.dump(payload, dest, indent=2)
-        dest.write("\n")
+    write_json(payload, dest)
 
 
 def load_scenario(src) -> ScenarioSpec:
-    if isinstance(src, (str, Path)):
-        with open(src, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
-    else:
-        payload = json.load(src)
+    with open_text(src) as fh:
+        payload = json.load(fh)
     return ScenarioSpec(
         num_classes=int(payload["num_classes"]),
         num_channels=int(payload["num_channels"]),

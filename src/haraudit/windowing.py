@@ -10,7 +10,7 @@ import numpy as np
 
 from .recordings import SensorRecording, corpus_num_classes
 
-LABEL_POLICIES = ("majority", "last_sample", "strict_uniform")
+LABEL_POLICIES = ("majority", "last_sample")
 GROUP_UNITS = ("subject", "subject_session")
 GROUP_KEY_SEPARATOR = "::"
 
@@ -72,7 +72,6 @@ class WindowedDataset:
     num_classes: int
     config: WindowConfig
     recording_spans: list[tuple[int, int]] = field(default_factory=list)
-    norm_stats: ChannelStats | None = None
 
     @property
     def num_windows(self) -> int:
@@ -90,14 +89,6 @@ class WindowedDataset:
     def labels(self) -> np.ndarray:
         return np.array([w.label for w in self.windows], dtype=int)
 
-    @property
-    def group_keys(self) -> list[str]:
-        return [w.group_key for w in self.windows]
-
-    @property
-    def recording_indices(self) -> np.ndarray:
-        return np.array([w.recording_index for w in self.windows], dtype=int)
-
     def window_bounds(self) -> np.ndarray:
         """[num_windows, 2] array of global (start, end) sample indices."""
         return np.array([(w.start_sample, w.end_sample) for w in self.windows], dtype=int)
@@ -108,9 +99,8 @@ def assign_window_label(labels: Sequence[int], policy: str) -> tuple[int, bool]:
 
     Returns ``(label, transition)`` where ``transition`` is true when the
     window spans more than one class. ``majority`` picks the most frequent
-    class with ties broken by the lowest id, ``last_sample`` takes the final
-    sample, and ``strict_uniform`` behaves like majority but is the policy
-    under which the transition flag is contractual.
+    class with ties broken by the lowest id, and ``last_sample`` takes the
+    final sample. The transition flag does not depend on the policy.
     """
     labels = np.asarray(labels, dtype=int)
     if labels.size == 0:
@@ -200,18 +190,6 @@ def slice_corpus(
     )
 
 
-def slice_windows(
-    rec: SensorRecording,
-    config: WindowConfig,
-    group_by: str = "subject",
-    num_classes: int | None = None,
-) -> WindowedDataset:
-    """Slice a single recording; see slice_corpus for the multi-recording form."""
-    if num_classes is None:
-        num_classes = int(rec.labels.max()) + 1 if rec.num_samples else 1
-    return slice_corpus([rec], config, group_by=group_by, num_classes=num_classes)
-
-
 def fit_normalizer(
     dataset: WindowedDataset, window_ids: Sequence[int] | None = None
 ) -> ChannelStats:
@@ -235,11 +213,4 @@ def fit_normalizer(
 
 def apply_normalizer(dataset: WindowedDataset, stats: ChannelStats) -> WindowedDataset:
     """Return a new dataset with channels transformed to (x - mean) / std."""
-    return replace(
-        dataset, blocks=(dataset.blocks - stats.mean) / stats.std, norm_stats=stats
-    )
-
-
-def invert_normalizer(dataset: WindowedDataset, stats: ChannelStats) -> WindowedDataset:
-    """Undo apply_normalizer with the same statistics."""
-    return replace(dataset, blocks=dataset.blocks * stats.std + stats.mean, norm_stats=None)
+    return replace(dataset, blocks=(dataset.blocks - stats.mean) / stats.std)

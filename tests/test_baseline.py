@@ -10,7 +10,7 @@ from haraudit.baseline import (
     train_baseline,
 )
 from haraudit.synth import ScenarioSpec, generate
-from haraudit.windowing import WindowConfig, slice_windows
+from haraudit.windowing import WindowConfig, slice_corpus
 
 
 class TestFeatures:
@@ -86,7 +86,7 @@ class TestTraining:
         rec, _ = generate(spec)
         # stride == segment length divisor so no window spans a class change;
         # the classes are then linearly separable in feature space
-        ds = slice_windows(rec, WindowConfig(200, 200), num_classes=2)
+        ds = slice_corpus([rec], WindowConfig(200, 200), num_classes=2)
         features = extract_feature_matrix(ds.blocks)
         labels = ds.labels
         return features, labels

@@ -144,32 +144,36 @@ class TestErrors:
         assert not (out / "windows_meta.json").exists()
 
 
+def import_one_hot_log(tmp_path, out, covered, models=("m1",)):
+    """Import a log in which every model is correct on the windows in ``covered``."""
+    meta = json.loads((out / "windows_meta.json").read_text())
+    labels = [
+        int(row.split(",")[3])
+        for row in (out / "windows.csv").read_text().strip().splitlines()[1:]
+    ]
+    records = []
+    for model in models:
+        for w in covered:
+            probs = [0.0] * meta["num_classes"]
+            probs[labels[w]] = 1.0
+            records.append(
+                PredictionRecord(
+                    dataset_id="ext", model_id=model, config_id="c0", run_id=0,
+                    fold_id=0, window_id=w, true_label=labels[w], probs=tuple(probs),
+                )
+            )
+    logs = tmp_path / "logs.jsonl"
+    write_records(records, logs)
+    assert run(out, ["import-logs", "--logs", str(logs)]) == 0
+
+
 class TestImportedLogs:
     def test_report_on_all_correct_logs(self, tmp_path, capsys):
         out = tmp_path / "run"
         assert run(out, ["synth", "--subjects", "2"]) == 0
         assert run(out, ["windows"]) == 0
-        meta = json.loads((out / "windows_meta.json").read_text())
-        n, c = meta["num_windows"], meta["num_classes"]
-        labels = [
-            int(row.split(",")[3])
-            for row in (out / "windows.csv").read_text().strip().splitlines()[1:]
-        ]
-        records = []
-        for model in ("m1", "m2"):
-            for w in range(n):
-                probs = [0.0] * c
-                probs[labels[w]] = 1.0
-                records.append(
-                    PredictionRecord(
-                        dataset_id="ext", model_id=model, config_id="c0",
-                        run_id=0, fold_id=0, window_id=w,
-                        true_label=labels[w], probs=tuple(probs),
-                    )
-                )
-        logs = tmp_path / "logs.jsonl"
-        write_records(records, logs)
-        assert run(out, ["import-logs", "--logs", str(logs)]) == 0
+        n = json.loads((out / "windows_meta.json").read_text())["num_windows"]
+        import_one_hot_log(tmp_path, out, range(n), models=("m1", "m2"))
         assert run(out, ["ifc"]) == 0
         assert run(out, ["report"]) == 0
         report = json.loads((out / "report.json").read_text())
@@ -177,3 +181,62 @@ class TestImportedLogs:
         assert report["mask"]["clean_pct"] == 100.0
         summary = json.loads((out / "ifc_summary.json").read_text())
         assert summary["ifc"] == 0.0 and summary["common_ground"] == 100.0
+
+
+class TestOneAuditCore:
+    def test_mask_and_report_follow_the_policy_ifc_used(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        for argv in (
+            ["synth"], ["windows"], ["split"], ["train-baseline", "--runs", "2"],
+            ["ifc", "--merge-policy", "all"], ["confusion"],
+            ["ifc", "--merge-policy", "any"], ["mask"], ["report"],
+        ):
+            assert run(out, argv) == 0, argv
+        policies = [
+            json.loads((out / name).read_text())[key]
+            for name, key in (
+                ("ifc_summary.json", "merge_policy"),
+                ("mask_summary.json", "policy"),
+                ("report.json", "merge_policy"),
+            )
+        ]
+        assert policies == ["any", "any", "any"]
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        assert run(out, ["mask", "--merge-policy", "all"]) == 1
+        assert "disagrees" in capsys.readouterr().err
+        assert run(out, ["report", "--merge-policy", "majority"]) == 1
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+    def test_sparse_log_fails_at_ifc(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert run(out, ["synth"]) == 0
+        assert run(out, ["windows"]) == 0
+        total = json.loads((out / "windows_meta.json").read_text())["num_windows"]
+        covered = total // 2
+        import_one_hot_log(tmp_path, out, range(covered))
+        capsys.readouterr()
+        assert run(out, ["ifc"]) == 1
+        assert (
+            f"log covers {covered} windows but the dataset defines {total} dense "
+            "window ids" in capsys.readouterr().err
+        )
+        assert not (out / "ifc_windows.csv").exists()
+        assert not (out / "ifc_summary.json").exists()
+        assert run(out, ["report"]) == 1
+        assert "ifc_summary.json" in capsys.readouterr().err
+
+    def test_short_flag_table_is_rejected(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert run(out, ["synth", "--subjects", "2"]) == 0
+        assert run(out, ["windows"]) == 0
+        total = json.loads((out / "windows_meta.json").read_text())["num_windows"]
+        import_one_hot_log(tmp_path, out, range(total))
+        assert run(out, ["ifc"]) == 0
+        flags = out / "ifc_windows.csv"
+        rows = flags.read_text().splitlines(keepends=True)
+        flags.write_text("".join(rows[: 1 + total // 2]))
+        capsys.readouterr()
+        for command, artifact in (("histogram", "ifc_histogram.csv"), ("plot", "condensed.csv")):
+            assert run(out, [command]) == 1
+            assert f"holds {total // 2} windows" in capsys.readouterr().err
+            assert not (out / artifact).exists()
