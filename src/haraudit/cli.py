@@ -3,7 +3,15 @@ overlap, confusion, histogram, mask, plots, and a bundled report.
 
 Every command reads its declared inputs from the run directory (or explicit
 paths), writes its artifacts there, and records their SHA-256 hashes in
-manifest.json. Partial outputs are removed when a command fails.
+manifest.json. A command writes to temporary names and moves them into place
+only when it succeeds, so a failed command leaves the run directory as it
+found it.
+
+``ifc`` runs the whole audit once (``pipeline.audit_records``) and persists it
+as ifc_windows.csv, ifc_summary.json and fused.jsonl. ``confusion``,
+``histogram``, ``mask`` and ``report`` are views of those files, ``plot`` also
+draws the exports of ``histogram`` and ``confusion``, and re-running ``ifc``
+removes every view it made stale.
 """
 
 from __future__ import annotations
@@ -24,12 +32,7 @@ from . import mask as mask_mod
 from . import svgplot
 from ._io import write_json
 from .baseline import TrainConfig
-from .pipeline import (
-    audit_records,
-    baseline_prediction_records,
-    choose_configs,
-    overlap_summary,
-)
+from .pipeline import audit_records, baseline_prediction_records, choose_configs
 from .predictions import MERGE_POLICIES, model_metrics, read_records, write_records
 from .recordings import corpus_num_classes, parse_canonical, write_canonical
 from .splits import group_k_fold, read_plan, write_plan
@@ -41,6 +44,12 @@ WINDOW_COLUMNS = [
     "window_id", "start_sample", "end_sample", "label",
     "group_key", "recording_index", "transition",
 ]
+# Everything the commands that read ifc's outputs write; a new ifc run makes it stale.
+IFC_VIEWS = (
+    "confusion_table.csv", "chord.json", "ifc_histogram.csv", "mask_windows.csv",
+    "mask_samples.csv", "mask_summary.json", "condensed.csv", "condensed.svg",
+    "histogram.svg", "chord.svg", "report.json",
+)
 
 
 class CommandError(Exception):
@@ -48,15 +57,17 @@ class CommandError(Exception):
 
 
 class RunDir:
-    """Tracks artifacts a command writes so failures leave no partial files."""
+    """Stages a command's artifacts so that only a success changes the run directory."""
 
     def __init__(self, out: Path):
         self.out = out
-        self.written: list[Path] = []
+        self.staged: dict[str, Path] = {}
+        self.stale: tuple[str, ...] = ()
 
     def file(self, name: str) -> Path:
-        path = self.out / name
-        self.written.append(path)
+        """A temporary path that becomes artifact ``name`` on commit."""
+        path = self.out / f".{name}.partial"
+        self.staged[name] = path
         return path
 
     def need(self, name: str) -> Path:
@@ -65,21 +76,27 @@ class RunDir:
             raise CommandError(f"missing input {path}; run the producing command first")
         return path
 
-    def cleanup(self) -> None:
-        for path in self.written:
-            if path.exists():
-                path.unlink()
+    def discard(self) -> None:
+        for path in self.staged.values():
+            path.unlink(missing_ok=True)
 
-    def update_manifest(self) -> None:
+    def commit(self) -> None:
+        """Remove stale artifacts, then move the staged ones and the manifest into place."""
         manifest_path = self.out / "manifest.json"
         manifest = {"artifacts": {}}
         if manifest_path.exists():
             manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-        for path in self.written:
-            digest = hashlib.sha256(path.read_bytes()).hexdigest()
-            manifest["artifacts"][path.name] = digest
-        manifest["artifacts"] = dict(sorted(manifest["artifacts"].items()))
-        write_json(manifest, manifest_path)
+        artifacts = manifest["artifacts"]
+        for name, path in self.staged.items():
+            artifacts[name] = hashlib.sha256(path.read_bytes()).hexdigest()
+        for name in self.stale:
+            artifacts.pop(name, None)
+        manifest["artifacts"] = dict(sorted(artifacts.items()))
+        write_json(manifest, self.file("manifest.json"))
+        for name in self.stale:
+            (self.out / name).unlink(missing_ok=True)
+        for name, path in self.staged.items():
+            os.replace(path, self.out / name)
 
 
 def _load_config_file(path: str | None) -> dict:
@@ -173,17 +190,25 @@ def _load_ifc_flags(run: RunDir, num_windows: int) -> np.ndarray:
     return np.asarray(flags, dtype=bool)
 
 
-def _ifc_merge_policy(args, cfg: dict, run: RunDir) -> str:
-    """The merge policy ifc ran under; --merge-policy may only repeat it."""
+def _ifc_summary(args, cfg: dict, run: RunDir) -> dict:
+    """ifc_summary.json; --merge-policy may only repeat the policy ifc ran under."""
     path = run.need("ifc_summary.json")
-    policy = _read_meta(path)["merge_policy"]
+    summary = _read_meta(path)
+    policy = summary["merge_policy"]
     asked = _opt(args, cfg, "merge_policy", None)
     if asked is not None and asked != policy:
         raise CommandError(
             f"--merge-policy {asked} disagrees with {path}, written under "
             f"{policy}; rerun ifc to change the policy"
         )
-    return policy
+    return summary
+
+
+def _ifc_view(run: RunDir):
+    """Window bounds, labels, windows_meta.json and the flags ifc wrote for them."""
+    bounds, labels, _, _ = _read_windows_csv(run.need("windows.csv"))
+    meta = _read_meta(run.need("windows_meta.json"))
+    return bounds, labels, meta, _load_ifc_flags(run, labels.size)
 
 
 def _load_records(run: RunDir, path: Path | None = None):
@@ -197,20 +222,6 @@ def _load_records(run: RunDir, path: Path | None = None):
     if not records:
         raise CommandError(f"{path} holds no prediction records")
     return records, bounds, labels, meta
-
-
-def _fuse_flagged(records, flags: np.ndarray):
-    """Fused probabilities of the chosen configs over the flagged windows."""
-    _, filtered = choose_configs(records)
-    return conf.fuse_probabilities(filtered, [int(w) for w in np.flatnonzero(flags)])
-
-
-def _fused_for_mask(run: RunDir, flags: np.ndarray):
-    """Reuse fused.jsonl when the confusion stage ran, else recompute."""
-    fused_path = run.out / "fused.jsonl"
-    if fused_path.exists():
-        return conf.read_fused_jsonl(fused_path)
-    return _fuse_flagged(_load_records(run)[0], flags)
 
 
 # ----------------------------------------------------------------- commands
@@ -339,12 +350,16 @@ def cmd_import_logs(args, cfg: dict, run: RunDir) -> None:
 
 
 def cmd_ifc(args, cfg: dict, run: RunDir) -> None:
-    records, bounds, labels, _ = _load_records(run)
+    records, bounds, labels, meta = _load_records(run)
     policy = _opt(args, cfg, "merge_policy", "majority")
-    _, filtered = choose_configs(records)
-    summary = overlap_summary(filtered, len(labels), policy)
-    ifc_mod.write_ifc_windows_csv(summary, bounds, labels, run.file("ifc_windows.csv"))
-    ifc_mod.write_ifc_summary_json(summary, run.file("ifc_summary.json"))
+    result = audit_records(
+        records, bounds, labels, meta["total_samples"],
+        num_classes=meta["num_classes"], merge_policy=policy,
+    )
+    ifc_mod.write_ifc_windows_csv(result.ifc, bounds, labels, run.file("ifc_windows.csv"))
+    ifc_mod.write_ifc_summary_json(result.ifc, run.file("ifc_summary.json"))
+    conf.write_fused_jsonl(result.fused, run.file("fused.jsonl"))
+    run.stale = IFC_VIEWS
 
 
 def cmd_histogram(args, cfg: dict, run: RunDir) -> None:
@@ -355,34 +370,29 @@ def cmd_histogram(args, cfg: dict, run: RunDir) -> None:
 
 
 def cmd_confusion(args, cfg: dict, run: RunDir) -> None:
-    records, _, labels, meta = _load_records(run)
-    flags = _load_ifc_flags(run, labels.size)
-    fused = _fuse_flagged(records, flags)
+    _, labels, meta, flags = _ifc_view(run)
     table = conf.confusion_table(flags, labels, num_classes=meta["num_classes"])
-    edges = conf.chord_edges(fused)
+    edges = conf.chord_edges(conf.read_fused_jsonl(run.need("fused.jsonl")))
     names = [f"class_{c}" for c in range(meta["num_classes"])]
-    conf.write_fused_jsonl(fused, run.file("fused.jsonl"))
     conf.write_confusion_csv(table, run.file("confusion_table.csv"))
     conf.write_chord_json(edges, names, run.file("chord.json"))
 
 
 def cmd_mask(args, cfg: dict, run: RunDir) -> None:
-    policy = _ifc_merge_policy(args, cfg, run)
-    bounds, _, _, _ = _read_windows_csv(run.need("windows.csv"))
-    flags = _load_ifc_flags(run, len(bounds))
-    meta = _read_meta(run.need("windows_meta.json"))
-    fused = _fused_for_mask(run, flags)
-    mask = mask_mod.build_mask(
-        flags, fused, bounds, meta["total_samples"], policy=policy
-    )
+    policy = _ifc_summary(args, cfg, run)["merge_policy"]
+    bounds, _, meta, flags = _ifc_view(run)
+    fused = conf.read_fused_jsonl(run.need("fused.jsonl"))
+    mask = mask_mod.build_mask(flags, fused, bounds, meta["total_samples"], policy=policy)
     mask_mod.write_window_mask_csv(mask, bounds, run.file("mask_windows.csv"))
     mask_mod.write_sample_mask_csv(mask, run.file("mask_samples.csv"))
     mask_mod.write_mask_summary_json(mask, run.file("mask_summary.json"))
 
 
 def cmd_plot(args, cfg: dict, run: RunDir) -> None:
-    _, _, _, rec_idx = _read_windows_csv(run.need("windows.csv"))
-    flags = _load_ifc_flags(run, rec_idx.size)
+    _, _, _, flags = _ifc_view(run)
+    with open(run.need("ifc_histogram.csv"), "r", encoding="utf-8", newline="") as fh:
+        bins = [tuple(int(v) for v in row) for row in list(csv.reader(fh))[1:]]
+    chord = _read_meta(run.need("chord.json"))
     dataset = _rebuild_dataset(run)
     if dataset.num_windows != flags.size:
         raise CommandError("window table and overlap flags are out of step")
@@ -401,40 +411,24 @@ def cmd_plot(args, cfg: dict, run: RunDir) -> None:
     run.file("condensed.svg").write_text(
         svgplot.condensed_view_svg(means, flags), encoding="utf-8"
     )
-    hist = ifc_mod.run_lengths(flags, rec_idx)
-    run.file("histogram.svg").write_text(
-        svgplot.histogram_svg(hist.bins), encoding="utf-8"
-    )
-    fused = _fused_for_mask(run, flags)
-    edges = conf.chord_edges(fused)
-    names = [f"class_{c}" for c in range(dataset.num_classes)]
+    run.file("histogram.svg").write_text(svgplot.histogram_svg(bins), encoding="utf-8")
     run.file("chord.svg").write_text(
         svgplot.chord_svg(
-            [(e.true_class, e.confused_class, e.weight) for e in edges], names
+            [(e["from"], e["to"], e["weight"]) for e in chord["edges"]], chord["classes"]
         ),
         encoding="utf-8",
     )
-    # A figure is never the only record of its data.
-    if not (run.out / "ifc_histogram.csv").exists():
-        ifc_mod.write_histogram_csv(hist, run.file("ifc_histogram.csv"))
-    if not (run.out / "chord.json").exists():
-        conf.write_chord_json(edges, names, run.file("chord.json"))
 
 
 def cmd_report(args, cfg: dict, run: RunDir) -> None:
-    policy = _ifc_merge_policy(args, cfg, run)
-    records, bounds, labels, meta = _load_records(run)
-    chosen, filtered = choose_configs(records)
-    result = audit_records(
-        filtered,
-        bounds,
-        labels,
-        meta["total_samples"],
-        num_classes=meta["num_classes"],
-        merge_policy=policy,
-        chosen=chosen,
-    )
-    metrics = model_metrics(filtered)
+    summary = _ifc_summary(args, cfg, run)
+    policy = summary["merge_policy"]
+    bounds, labels, meta, flags = _ifc_view(run)
+    fused = conf.read_fused_jsonl(run.need("fused.jsonl"))
+    mask = mask_mod.build_mask(flags, fused, bounds, meta["total_samples"], policy=policy)
+    table = conf.confusion_table(flags, labels, num_classes=meta["num_classes"])
+    records = _load_records(run)[0]
+    metrics = model_metrics(choose_configs(records)[1])
     payload = {
         "dataset_id": records[0].dataset_id,
         "merge_policy": policy,
@@ -444,13 +438,9 @@ def cmd_report(args, cfg: dict, run: RunDir) -> None:
         # window is necessarily major.
         "two_class_major_only": int(meta["num_classes"]) == 2,
         "overlap": {
-            "single_contributions": {
-                m: v for m, v in sorted(result.ifc.single_contribution.items())
-            },
-            "common_ground": result.ifc.common_ground,
-            "ifc": result.ifc.ifc,
+            key: summary[key] for key in ("single_contributions", "common_ground", "ifc")
         },
-        "mask": result.mask.distribution,
+        "mask": mask.distribution,
         "confusion": [
             {
                 "class_id": row.class_id,
@@ -459,7 +449,7 @@ def cmd_report(args, cfg: dict, run: RunDir) -> None:
                 "rel_pct": row.relative_pct,
                 "abs_pct": row.absolute_pct,
             }
-            for row in result.table
+            for row in table
         ],
         "model_metrics": {
             f"{d}/{m}/{c}": {
@@ -525,13 +515,13 @@ def build_parser() -> argparse.ArgumentParser:
     policyf = {"dest": "merge_policy", "choices": list(MERGE_POLICIES)}
     add("import-logs", "validate and import an external prediction log",
         ("--logs", {}))
-    add("ifc", "compute the intersect of false classifications",
+    add("ifc", "run the audit: IFC flags, overlap and fused distributions",
         ("--merge-policy", policyf))
-    add("confusion", "fuse probabilities and tabulate confusion")
+    add("confusion", "tabulate confusion from the fused distributions")
     add("histogram", "bin the run lengths of flagged windows")
     add("mask", "emit the trinary clean/minor/major mask",
         ("--merge-policy", policyf))
-    add("plot", "emit SVG views plus their data exports")
+    add("plot", "draw SVG views of the window means and audit exports")
     add("report", "bundle overlap, mask, and confusion summaries",
         ("--merge-policy", policyf))
     return parser
@@ -548,9 +538,9 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     try:
         COMMANDS[args.command](args, cfg, run)
-        run.update_manifest()
+        run.commit()
     except Exception as exc:
-        run.cleanup()
+        run.discard()
         print(f"haraudit {args.command}: {exc}", file=sys.stderr)
         return 1
     return 0

@@ -98,25 +98,6 @@ def choose_configs(
     return chosen, filter_to_configs(records, chosen)
 
 
-def overlap_summary(
-    filtered: Sequence[PredictionRecord], num_windows: int, merge_policy: str
-) -> IfcSummary:
-    """Overlap stage: merge runs, build the correctness matrix, compute IFC.
-
-    ``filtered`` holds one config per model (see choose_configs). The log
-    must cover exactly the dense window ids 0..num_windows-1.
-    """
-    matrix = build_matrix(merge_runs(filtered, policy=merge_policy))
-    if matrix.num_windows != num_windows or not np.array_equal(
-        matrix.window_ids, np.arange(num_windows)
-    ):
-        raise ValueError(
-            f"log covers {matrix.num_windows} windows but the dataset defines "
-            f"{num_windows} dense window ids"
-        )
-    return compute_ifc(matrix, merge_policy=merge_policy)
-
-
 def audit_records(
     records: Sequence[PredictionRecord],
     window_bounds: np.ndarray,
@@ -124,20 +105,26 @@ def audit_records(
     total_samples: int,
     num_classes: int | None = None,
     merge_policy: str = "majority",
-    chosen: dict[tuple[str, str], str] | None = None,
 ) -> AuditResult:
     """Run the full audit over a prediction log.
 
     Windows in the log must be positions 0..W-1 matching ``window_bounds``
     and ``labels``. Picks the best config per model, merges runs under
     ``merge_policy``, computes the overlap summary, fuses probabilities of
-    the flagged windows, and builds confusion plus mask outputs. Pass the
-    configs ``choose_configs`` already picked as ``chosen``, with the records
-    it kept as ``records``, to skip the config choice.
+    the flagged windows, and builds confusion plus mask outputs. The CLI's
+    ``ifc`` command runs this once and persists the overlap summary and the
+    fused distributions; the other audit commands are views of those files.
     """
-    if chosen is None:
-        chosen, records = choose_configs(records)
-    summary = overlap_summary(records, len(labels), merge_policy)
+    chosen, records = choose_configs(records)
+    matrix = build_matrix(merge_runs(records, policy=merge_policy))
+    if matrix.num_windows != len(labels) or not np.array_equal(
+        matrix.window_ids, np.arange(len(labels))
+    ):
+        raise ValueError(
+            f"log covers {matrix.num_windows} windows but the dataset defines "
+            f"{len(labels)} dense window ids"
+        )
+    summary = compute_ifc(matrix, merge_policy=merge_policy)
     flagged_ids = [int(w) for w in summary.window_ids[summary.ifc_flags]]
     fused = fuse_probabilities(records, flagged_ids)
     table = confusion_table(summary.ifc_flags, labels, num_classes=num_classes)

@@ -1,9 +1,10 @@
 import hashlib
 import json
+import shutil
 
 import pytest
 
-from haraudit.cli import main
+from haraudit.cli import IFC_VIEWS, main
 from haraudit.predictions import PredictionRecord, write_records
 
 PIPELINE = [
@@ -144,8 +145,9 @@ class TestErrors:
         assert not (out / "windows_meta.json").exists()
 
 
-def import_one_hot_log(tmp_path, out, covered, models=("m1",)):
-    """Import a log in which every model is correct on the windows in ``covered``."""
+def import_one_hot_log(tmp_path, out, covered, models=("m1",), misses=((),)):
+    """Import a one-hot log over the windows in ``covered``: one run per entry of
+    ``misses``, in which every model is correct except on that entry's windows."""
     meta = json.loads((out / "windows_meta.json").read_text())
     labels = [
         int(row.split(",")[3])
@@ -153,15 +155,17 @@ def import_one_hot_log(tmp_path, out, covered, models=("m1",)):
     ]
     records = []
     for model in models:
-        for w in covered:
-            probs = [0.0] * meta["num_classes"]
-            probs[labels[w]] = 1.0
-            records.append(
-                PredictionRecord(
-                    dataset_id="ext", model_id=model, config_id="c0", run_id=0,
-                    fold_id=0, window_id=w, true_label=labels[w], probs=tuple(probs),
+        for run_id, missed in enumerate(misses):
+            for w in covered:
+                probs = [0.0] * meta["num_classes"]
+                probs[(labels[w] + (w in missed)) % meta["num_classes"]] = 1.0
+                records.append(
+                    PredictionRecord(
+                        dataset_id="ext", model_id=model, config_id="c0",
+                        run_id=run_id, fold_id=0, window_id=w,
+                        true_label=labels[w], probs=tuple(probs),
+                    )
                 )
-            )
     logs = tmp_path / "logs.jsonl"
     write_records(records, logs)
     assert run(out, ["import-logs", "--logs", str(logs)]) == 0
@@ -240,3 +244,76 @@ class TestOneAuditCore:
             assert run(out, [command]) == 1
             assert f"holds {total // 2} windows" in capsys.readouterr().err
             assert not (out / artifact).exists()
+
+
+def snapshot(out):
+    return {p.name: p.read_bytes() for p in out.iterdir()}
+
+
+def manifest_names(out):
+    return set(json.loads((out / "manifest.json").read_text())["artifacts"])
+
+
+class TestAuditRunsOnceAtIfc:
+    def test_rerun_ifc_removes_the_views_it_made_stale(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert run(out, ["synth", "--subjects", "2"]) == 0
+        assert run(out, ["windows"]) == 0
+        n = json.loads((out / "windows_meta.json").read_text())["num_windows"]
+        import_one_hot_log(tmp_path, out, range(n), misses=((), range(0, n, 3)))
+        for argv in (["ifc", "--merge-policy", "any"], ["confusion"],
+                     ["ifc", "--merge-policy", "all"]):
+            assert run(out, argv) == 0, argv
+        assert run(out, ["mask"]) == 0
+        assert json.loads((out / "mask_summary.json").read_text())["policy"] == "all"
+        assert not (out / "chord.json").exists()
+        assert "chord.json" not in manifest_names(out)
+        capsys.readouterr()
+        assert run(out, ["plot"]) == 1
+        assert "ifc_histogram.csv" in capsys.readouterr().err
+        assert not (out / "condensed.csv").exists()
+        assert run(out, ["confusion"]) == 0
+        assert run(out, ["histogram"]) == 0
+        assert run(out, ["plot"]) == 0
+        assert json.loads((out / "chord.json").read_text())["edges"]
+
+    def test_rerun_ifc_keeps_only_its_inputs_and_outputs(self, tmp_path, full_run):
+        out = tmp_path / "run"
+        shutil.copytree(full_run, out)
+        assert run(out, ["ifc"]) == 0
+        assert set(snapshot(out)) == {
+            "scenario.json", "recordings.csv", "injections.json", "windows.csv",
+            "windows_meta.json", "splits.json", "predictions.jsonl",
+            "ifc_windows.csv", "ifc_summary.json", "fused.jsonl", "manifest.json",
+        }
+        assert manifest_names(out) == set(snapshot(out)) - {"manifest.json"}
+        assert not set(IFC_VIEWS) & set(snapshot(out))
+
+    def test_failed_ifc_leaves_the_run_directory_as_it_was(
+        self, tmp_path, full_run, monkeypatch
+    ):
+        out = tmp_path / "run"
+        shutil.copytree(full_run, out)
+        assert run(out, ["ifc"]) == 0
+        before = snapshot(out)
+
+        def fail(*args, **kwargs):
+            raise OSError("disk full")
+
+        monkeypatch.setattr("haraudit.ifc.write_ifc_summary_json", fail)
+        assert run(out, ["ifc", "--merge-policy", "all"]) == 1
+        assert snapshot(out) == before
+
+    def test_views_need_no_prediction_log(self, tmp_path, full_run):
+        out = tmp_path / "run"
+        shutil.copytree(full_run, out)
+        assert run(out, ["ifc"]) == 0
+        (out / "predictions.jsonl").rename(tmp_path / "predictions.jsonl")
+        for argv in (["confusion"], ["histogram"], ["mask"], ["plot"]):
+            assert run(out, argv) == 0, argv
+        written = set(snapshot(out)) - {"manifest.json"}
+        assert written == set(snapshot(full_run)) - {
+            "manifest.json", "predictions.jsonl", "report.json"
+        }
+        for name in written:
+            assert (out / name).read_bytes() == (full_run / name).read_bytes(), name

@@ -1,9 +1,7 @@
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
-from haraudit.pipeline import audit_records, baseline_prediction_records, choose_configs
+from haraudit.pipeline import audit_records, baseline_prediction_records
 from haraudit.predictions import PredictionRecord
 from haraudit.splits import plan_folds
 from haraudit.synth import Injection, ScenarioSpec, generate_corpus
@@ -84,25 +82,6 @@ def test_all_correct_log_audits_to_zero_ifc():
     assert result.ifc.common_ground == 100.0
     assert result.mask.distribution["clean_pct"] == 100.0
     assert result.fused == [] and result.edges == []
-
-
-def test_configs_chosen_beforehand_give_the_same_audit():
-    n = 30
-    bounds = np.array([[i * 100, i * 100 + 200] for i in range(n)])
-    labels = np.array([w % 3 for w in range(n)])
-    good = all_correct_records(n)
-    wrong = [replace(r, config_id="w", probs=r.probs[1:] + r.probs[:1]) for r in good]
-    chosen, kept = choose_configs(wrong + good)
-    assert kept == good
-    full = audit_records(wrong + good, bounds, labels, n * 100 + 100, num_classes=3)
-    pre = audit_records(
-        kept, bounds, labels, n * 100 + 100, num_classes=3, chosen=chosen
-    )
-    assert pre.chosen_configs == full.chosen_configs == chosen
-    assert set(chosen.values()) == {"c"}
-    assert pre.ifc.ifc == full.ifc.ifc == 0.0
-    assert pre.table == full.table
-    assert pre.mask.distribution == full.mask.distribution
 
 
 def test_partial_window_coverage_rejected():

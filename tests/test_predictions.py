@@ -213,9 +213,47 @@ class TestMergeRuns:
         assert merge_runs(records).by_model == merge_runs(shuffled).by_model
 
 
+def weighted_f1_oracle(y_true, y_pred, num_classes):
+    """Weighted F1 from a confusion matrix: per-class precision and recall,
+    F1 = 2PR/(P+R) (0 where P+R is 0), averaged with support as the weight."""
+    cm = np.zeros((num_classes, num_classes))
+    np.add.at(cm, (np.asarray(y_true), np.asarray(y_pred)), 1)
+    tp, predicted, support = np.diag(cm), cm.sum(axis=0), cm.sum(axis=1)
+    zeros = np.zeros(num_classes)
+    precision = np.divide(tp, predicted, out=zeros.copy(), where=predicted > 0)
+    recall = np.divide(tp, support, out=zeros.copy(), where=support > 0)
+    pr = precision + recall
+    f1 = np.divide(2 * precision * recall, pr, out=zeros.copy(), where=pr > 0)
+    return float((f1 * support).sum() / support.sum())
+
+
+# The y_true and y_pred rows test_weighted_f1_matches_sklearn draws.
+SEEDED = np.random.default_rng(9).integers(0, 4, size=(2, 200))
+
+
 class TestMetrics:
     def test_accuracy(self):
         assert accuracy([0, 1, 2, 2], [0, 1, 1, 2]) == 0.75
+
+    @pytest.mark.parametrize(
+        "y_true, y_pred, num_classes, expected",
+        [
+            (SEEDED[0], SEEDED[1], 4, None),
+            # Class 1 has support but no predictions: its F1 is 0.
+            ([0, 0, 1, 1], [0, 0, 0, 0], 2, 0.5 * 2 / 3),
+            # Class 2 is predicted but has no support: its weight is 0.
+            ([0, 0, 1, 1], [0, 2, 1, 1], 3, 0.5 * 2 / 3 + 0.5),
+            ([0, 1, 2, 2], [0, 1, 2, 2], 3, 1.0),
+        ],
+        ids=["seeded", "unpredicted_class", "unsupported_class", "all_correct"],
+    )
+    def test_weighted_f1_matches_confusion_matrix_oracle(
+        self, y_true, y_pred, num_classes, expected
+    ):
+        ours = weighted_f1(y_true, y_pred, num_classes)
+        assert abs(ours - weighted_f1_oracle(y_true, y_pred, num_classes)) < 1e-12
+        if expected is not None:
+            assert abs(ours - expected) < 1e-12
 
     def test_weighted_f1_matches_sklearn(self):
         sklearn_metrics = pytest.importorskip("sklearn.metrics")
