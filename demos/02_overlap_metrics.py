@@ -9,8 +9,9 @@ import numpy as np
 
 from haraudit import (
     CorrectnessMatrix,
+    FusedDistribution,
+    build_mask,
     compute_ifc,
-    merge_flags_to_samples,
     run_lengths,
 )
 
@@ -59,11 +60,15 @@ big = CorrectnessMatrix(
 print(f"\nreconstructed 10k-window ensemble -> ifc {compute_ifc(big).ifc:.2f}%")
 
 # ---------------------------------------------------------------------------
-# Window flags merge onto the sample axis by disjunction over overlaps.
+# Window flags reach the sample axis through the mask: each sample takes the
+# most severe category of the windows covering it, so a sample is flagged
+# when any covering window is.
 # ---------------------------------------------------------------------------
 bounds = np.array([[0, 200], [100, 300], [200, 400], [300, 500]])
 flags = np.array([False, True, False, False])
-samples = merge_flags_to_samples(flags, bounds, 500)
+fused = [FusedDistribution(window_id=1, mean_probs=np.array([0.7, 0.2, 0.1]),
+                           confused_class=0, true_label=2)]
+samples = build_mask(flags, fused, bounds, 500).sample_mask > 0
 print(f"\nflagged samples: [{samples.argmax()}, {len(samples) - samples[::-1].argmax()})")
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
-"""Prediction-log walkthrough: validating probability records, picking the
-best hyperparameter config per model, and merging correctness across runs.
+"""Prediction-log walkthrough: a log as a columnar table, validating its
+probability records, picking the best hyperparameter config per model, and
+merging correctness across runs.
 
 This is the ingestion side used when the probabilities come from externally
 trained models rather than the built-in reference classifier.
@@ -12,7 +13,7 @@ import io
 import numpy as np
 
 from haraudit import (
-    PredictionRecord,
+    PredictionTable,
     best_hyperparams,
     filter_to_configs,
     merge_runs,
@@ -30,21 +31,17 @@ rng = np.random.default_rng(4)
 # ---------------------------------------------------------------------------
 QUALITY = {("cnn", "bs064_lr0.01"): 0.9, ("cnn", "bs256_lr0.1"): 0.7,
            ("gru", "bs064_lr0.01"): 0.6, ("gru", "bs256_lr0.1"): 0.8}
-records = []
-for (model, config), quality in QUALITY.items():
-    for run in range(3):
-        for window in range(60):
-            label = window % 3
-            correct = rng.random() < quality
-            probs = np.full(3, 0.1)
-            probs[label if correct else (label + 1) % 3] = 0.8
-            records.append(
-                PredictionRecord(
-                    dataset_id="demo", model_id=model, config_id=config,
-                    run_id=run, fold_id=window % 4, window_id=window,
-                    true_label=label, probs=tuple(probs),
-                )
-            )
+# One row per (model, config, run, window), in that nesting order.
+keys = [(m, c, r, w) for (m, c) in QUALITY for r in range(3) for w in range(60)]
+model, config, run, window = (np.array(column) for column in zip(*keys))
+label = window % 3
+correct = rng.random(len(keys)) < np.array([QUALITY[m, c] for m, c, _, _ in keys])
+probs = np.full((len(keys), 3), 0.1)
+probs[np.arange(len(keys)), np.where(correct, label, (label + 1) % 3)] = 0.8
+records = PredictionTable(
+    dataset=np.full(len(keys), "demo"), model=model, config=config, run=run,
+    fold=window % 4, window=window, label=label, probs=probs,
+)
 
 # ---------------------------------------------------------------------------
 # The JSONL round trip is exact; validation rejects malformed records.
@@ -52,7 +49,9 @@ for (model, config), quality in QUALITY.items():
 buf = io.StringIO()
 write_records(records, buf)
 buf.seek(0)
-assert read_records(buf) == records
+back = read_records(buf)
+assert all(np.array_equal(getattr(back, name), getattr(records, name))
+           for name in ("model", "config", "run", "window", "label", "probs"))
 print(f"{len(records)} records round-tripped losslessly")
 
 bad = io.StringIO(
@@ -80,9 +79,7 @@ for key, m in sorted(model_metrics(filtered).items()):
 # Run merging: a window only counts as correct for a model per the policy.
 # ---------------------------------------------------------------------------
 for policy in ("any", "majority", "all"):
-    merged = merge_runs(filtered, policy=policy)
-    shares = {
-        model: 100 * sum(v.values()) / len(v) for model, v in sorted(merged.by_model.items())
-    }
-    line = "  ".join(f"{m}: {s:.1f}%" for m, s in shares.items())
+    matrix = merge_runs(filtered, policy=policy)
+    shares = 100 * matrix.values.mean(axis=1)
+    line = "  ".join(f"{m}: {s:.1f}%" for m, s in zip(matrix.model_ids, shares))
     print(f"windows correct under {policy:>8}: {line}")

@@ -6,9 +6,10 @@ The package is organized around a small pipeline:
 
 1. ``recordings``/``windowing``/``splits`` ingest canonical sensor CSVs,
    slice labelled sliding windows, and plan grouped cross-validation folds.
-2. ``predictions`` ingests per-window class-probability logs (from real
-   models or the built-in ``baseline``/``synth`` pair) and consolidates
-   correctness across training runs.
+2. ``predictions`` reads per-window class-probability logs (from real
+   models or the built-in ``baseline``/``synth`` pair) into a columnar
+   ``PredictionTable``, picks each model's config and merges its runs into a
+   correctness matrix.
 3. ``ifc`` measures the intersect of false classifications plus each model's
    single contribution and the ensemble's common ground.
 4. ``confusion`` fuses the flagged windows' probabilities into confusion
@@ -22,7 +23,6 @@ from .baseline import (
     BaselineModel,
     TrainConfig,
     extract_feature_matrix,
-    extract_features,
     loss_and_gradients,
     predict_proba,
     train_baseline,
@@ -40,26 +40,20 @@ from .ifc import (
     IfcSummary,
     RunLengthHistogram,
     Segment,
-    build_matrix,
     common_ground,
     compute_ifc,
-    merge_flags_to_samples,
     run_lengths,
     single_contributions,
 )
 from .mask import CLEAN, MAJOR, MINOR, MaskSequence, build_mask, categorize
 from .pipeline import AuditResult, audit_records, baseline_prediction_records
 from .predictions import (
-    ConsolidatedCorrectness,
-    PredictionRecord,
-    accuracy,
+    PredictionTable,
     best_hyperparams,
     filter_to_configs,
-    is_correct,
     merge_runs,
     model_metrics,
     read_records,
-    weighted_f1,
     write_records,
 )
 from .recordings import (

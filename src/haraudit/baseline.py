@@ -30,20 +30,9 @@ class BaselineModel:
         return self.weights.shape[0]
 
 
-def extract_features(block: np.ndarray) -> np.ndarray:
-    """Per-channel mean and std of one [size, channels] window, concatenated
-    in channel order: [mean_0, std_0, mean_1, std_1, ...]."""
-    block = np.asarray(block, dtype=float)
-    if block.ndim != 2:
-        raise ValueError("window block must be [size, channels]")
-    feats = np.empty(2 * block.shape[1])
-    feats[0::2] = block.mean(axis=0)
-    feats[1::2] = block.std(axis=0)
-    return feats
-
-
 def extract_feature_matrix(blocks: np.ndarray) -> np.ndarray:
-    """Vectorized extract_features over [num_windows, size, channels]."""
+    """Per-channel mean and std of each [size, channels] window, concatenated
+    in channel order: [mean_0, std_0, mean_1, std_1, ...] per row."""
     blocks = np.asarray(blocks, dtype=float)
     if blocks.ndim != 3:
         raise ValueError("blocks must be [num_windows, size, channels]")

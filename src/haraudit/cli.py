@@ -219,7 +219,7 @@ def _load_records(run: RunDir, path: Path | None = None):
     records = read_records(
         path, valid_window_ids=range(len(labels)), num_classes=meta["num_classes"]
     )
-    if not records:
+    if not len(records):
         raise CommandError(f"{path} holds no prediction records")
     return records, bounds, labels, meta
 
@@ -430,7 +430,7 @@ def cmd_report(args, cfg: dict, run: RunDir) -> None:
     records = _load_records(run)[0]
     metrics = model_metrics(choose_configs(records)[1])
     payload = {
-        "dataset_id": records[0].dataset_id,
+        "dataset_id": records.dataset[0].item(),
         "merge_policy": policy,
         "num_windows": int(len(labels)),
         "num_classes": int(meta["num_classes"]),

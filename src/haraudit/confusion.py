@@ -1,8 +1,9 @@
 """Confusion structure of unclassifiable windows.
 
 For windows no model classifies correctly, the per-model probability vectors
-are fused by an unweighted mean over every (model, run) record; the confused
-class is the argmax of the fused vector. Class-level rates and chord-diagram
+are fused by an unweighted mean over every (model, config, run) row of the
+prediction table, summed in that order; the confused class is the argmax of
+the fused vector. Class-level rates and chord-diagram
 edge data are derived from those fusions.
 """
 
@@ -16,7 +17,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from ._io import open_text, write_json
-from .predictions import PredictionRecord
+from .predictions import PredictionTable
 
 PCT_SUM_TOL = 1e-9
 
@@ -61,43 +62,41 @@ class ChordEdge:
 
 
 def fuse_probabilities(
-    records: Sequence[PredictionRecord], flagged_window_ids: Iterable[int]
+    table: PredictionTable, flagged_window_ids: Iterable[int]
 ) -> list[FusedDistribution]:
     """Fuse records of flagged windows into one mean distribution per window.
 
     Every flagged window must carry at least one record from every model
-    present in ``records``. Argmax ties resolve to the lowest class id; when
+    present in ``table``. Argmax ties resolve to the lowest class id; when
     the argmax equals the true label the window keeps its flag and the
     runner-up class is reported instead.
     """
-    flagged = set(int(w) for w in flagged_window_ids)
-    all_models = sorted({rec.model_id for rec in records})
-    per_window: dict[int, list[PredictionRecord]] = {}
-    for rec in records:
-        if rec.window_id in flagged:
-            per_window.setdefault(rec.window_id, []).append(rec)
+    flagged = np.unique(np.fromiter(flagged_window_ids, dtype=np.int64))
+    all_models = np.unique(table.model)
+    rows = np.flatnonzero(np.isin(table.window, flagged))
+    # Sort by window, then in a canonical order within the window, so each
+    # mean is bit-for-bit independent of record order.
+    rows = rows[np.lexsort(
+        (table.run[rows], table.config[rows], table.model[rows], table.window[rows])
+    )]
+    per_window = np.split(rows, np.searchsorted(table.window[rows], flagged[1:]))
 
     fused = []
-    for window_id in sorted(flagged):
-        recs = per_window.get(window_id)
-        if not recs:
+    for window_id, here in zip(flagged.tolist(), per_window):
+        if not here.size:
             raise ValueError(f"flagged window {window_id} has no records")
-        models_here = {r.model_id for r in recs}
-        missing = sorted(set(all_models) - models_here)
+        missing = np.setdiff1d(all_models, table.model[here]).tolist()
         if missing:
             raise ValueError(
                 f"flagged window {window_id} lacks records from models {missing}"
             )
-        labels = {r.true_label for r in recs}
+        labels = np.unique(table.label[here]).tolist()
         if len(labels) != 1:
             raise ValueError(
-                f"window {window_id} carries conflicting true labels {sorted(labels)}"
+                f"window {window_id} carries conflicting true labels {labels}"
             )
-        true_label = labels.pop()
-        # Sum in a canonical order so the mean is bit-for-bit independent of
-        # record order.
-        recs.sort(key=lambda r: (r.model_id, r.config_id, r.run_id))
-        mean_probs = np.mean([np.asarray(r.probs, dtype=float) for r in recs], axis=0)
+        true_label = labels[0]
+        mean_probs = np.mean(table.probs[here], axis=0)
         top = int(np.argmax(mean_probs))
         agrees = top == true_label
         if agrees:

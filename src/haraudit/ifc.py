@@ -3,7 +3,8 @@
 Every window falls into exactly one bucket: correctly classified by no model
 (the intersect of false classifications, IFC), by exactly one model (that
 model's single contribution), or by at least two models (common ground). The
-three percentages therefore close to 100.
+three percentages therefore close to 100. The [models x windows] correctness
+matrix they are computed from comes from ``predictions.merge_runs``.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ from typing import Sequence
 import numpy as np
 
 from ._io import open_text, write_json
-from .predictions import ConsolidatedCorrectness
 
 CLOSURE_TOL = 1e-9
 
@@ -72,31 +72,6 @@ class RunLengthHistogram:
     bins: list[tuple[int, int, int]] = field(default_factory=list)
 
 
-def build_matrix(consolidated: ConsolidatedCorrectness) -> CorrectnessMatrix:
-    """Assemble the correctness matrix; every model must cover every window."""
-    if not consolidated.by_model:
-        raise ValueError("no models to build a matrix from")
-    model_ids = tuple(sorted(consolidated.by_model))
-    all_windows: set[int] = set()
-    for verdicts in consolidated.by_model.values():
-        all_windows.update(verdicts)
-    window_ids = np.array(sorted(all_windows), dtype=int)
-    if window_ids.size == 0:
-        raise ValueError("no windows to build a matrix from")
-    values = np.zeros((len(model_ids), window_ids.size), dtype=bool)
-    for m, model in enumerate(model_ids):
-        verdicts = consolidated.by_model[model]
-        missing = all_windows - set(verdicts)
-        if missing:
-            raise ValueError(
-                f"model {model!r} lacks correctness for windows "
-                f"{sorted(missing)[:10]}{'...' if len(missing) > 10 else ''}"
-            )
-        for w, window_id in enumerate(window_ids):
-            values[m, w] = verdicts[int(window_id)]
-    return CorrectnessMatrix(model_ids=model_ids, window_ids=window_ids, values=values)
-
-
 def single_contributions(matrix: CorrectnessMatrix) -> dict[str, float]:
     """Percent of windows each model alone classifies correctly."""
     counts = matrix.values.sum(axis=0)
@@ -140,27 +115,6 @@ def compute_ifc(
         window_ids=matrix.window_ids.copy(),
         merge_policy=merge_policy,
     )
-
-
-def merge_flags_to_samples(
-    ifc_flags: np.ndarray,
-    window_bounds: np.ndarray,
-    total_samples: int,
-) -> np.ndarray:
-    """Project window flags onto samples: a sample is flagged when any
-    covering window is flagged; samples under no window stay false.
-
-    ``window_bounds`` is [num_windows, 2] with global (start, end) indices
-    aligned with ``ifc_flags``.
-    """
-    ifc_flags = np.asarray(ifc_flags, dtype=bool)
-    window_bounds = np.asarray(window_bounds, dtype=int)
-    if window_bounds.shape != (ifc_flags.size, 2):
-        raise ValueError("window_bounds must align with ifc_flags")
-    out = np.zeros(total_samples, dtype=bool)
-    for start, end in window_bounds[ifc_flags]:
-        out[start:end] = True
-    return out
 
 
 def _length_bin(length: int) -> int:

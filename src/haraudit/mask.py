@@ -118,25 +118,3 @@ def write_mask_summary_json(mask: MaskSequence, dest) -> None:
     payload["policy"] = mask.policy
     write_json(payload, dest)
 
-
-def read_window_mask_csv(src) -> tuple[np.ndarray, np.ndarray]:
-    """Read back (categories, bounds) from a window mask export."""
-    with open_text(src) as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header != ["window_id", "start_sample", "end_sample", "category"]:
-            raise ValueError(f"unexpected window mask header {header}")
-        categories, bounds = [], []
-        for row in reader:
-            categories.append(int(row[3]))
-            bounds.append((int(row[1]), int(row[2])))
-    return np.asarray(categories, dtype=np.int8), np.asarray(bounds, dtype=int)
-
-
-def read_sample_mask_csv(src) -> np.ndarray:
-    with open_text(src) as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header != ["sample_index", "category"]:
-            raise ValueError(f"unexpected sample mask header {header}")
-        return np.asarray([int(row[1]) for row in reader], dtype=np.int8)

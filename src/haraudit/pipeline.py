@@ -16,14 +16,9 @@ from .confusion import (
     confusion_table,
     fuse_probabilities,
 )
-from .ifc import IfcSummary, build_matrix, compute_ifc
+from .ifc import IfcSummary, compute_ifc
 from .mask import MaskSequence, build_mask
-from .predictions import (
-    PredictionRecord,
-    best_hyperparams,
-    filter_to_configs,
-    merge_runs,
-)
+from .predictions import PredictionTable, best_hyperparams, filter_to_configs, merge_runs
 from .splits import FoldPlan
 from .windowing import WindowedDataset, apply_normalizer, fit_normalizer
 
@@ -35,7 +30,7 @@ def baseline_prediction_records(
     model_id: str = "baseline",
     runs: int = 1,
     config: TrainConfig = TrainConfig(),
-) -> list[PredictionRecord]:
+) -> PredictionTable:
     """Train the reference classifier per fold and emit out-of-fold records.
 
     For each fold the normalizer is fit on the training windows only, then
@@ -43,17 +38,18 @@ def baseline_prediction_records(
     deterministic, so all runs carry identical probabilities; they exist to
     exercise the run-merging interfaces.
     """
-    config_id = f"gd_lr{config.step_size}_ep{config.epochs}"
     labels = dataset.labels
-    records: list[PredictionRecord] = []
+    # One (run, fold, window ids, probs) block per fold and run, in record order.
+    blocks = []
     for fold in plan.folds:
         test_ids = np.asarray(fold.test_window_ids, dtype=int)
         train_ids = np.asarray(
             plan.train_windows(fold.fold_id, dataset.num_windows), dtype=int
         )
         stats = fit_normalizer(dataset, train_ids)
-        normalized = apply_normalizer(dataset, stats)
-        features = extract_feature_matrix(normalized.blocks)
+        # No name holds the normalized copy, so each fold's copy is freed
+        # before the next fold makes its own.
+        features = extract_feature_matrix(apply_normalizer(dataset, stats).blocks)
         model = train_baseline(
             features[train_ids],
             labels[train_ids],
@@ -62,20 +58,19 @@ def baseline_prediction_records(
         )
         probs = predict_proba(model, features[test_ids])
         for run in range(runs):
-            for row, window_id in enumerate(test_ids):
-                records.append(
-                    PredictionRecord(
-                        dataset_id=dataset_id,
-                        model_id=model_id,
-                        config_id=config_id,
-                        run_id=run,
-                        fold_id=fold.fold_id,
-                        window_id=int(window_id),
-                        true_label=int(labels[window_id]),
-                        probs=tuple(float(p) for p in probs[row]),
-                    )
-                )
-    return records
+            blocks.append((np.full(test_ids.size, run), np.full(test_ids.size, fold.fold_id),
+                           test_ids, probs))
+    run, fold_id, window, probs = (np.concatenate(column) for column in zip(*blocks))
+    return PredictionTable(
+        dataset=np.full(window.size, dataset_id),
+        model=np.full(window.size, model_id),
+        config=np.full(window.size, f"gd_lr{config.step_size}_ep{config.epochs}"),
+        run=run,
+        fold=fold_id,
+        window=window,
+        label=labels[window],
+        probs=probs,
+    )
 
 
 @dataclass
@@ -91,15 +86,15 @@ class AuditResult:
 
 
 def choose_configs(
-    records: Sequence[PredictionRecord],
-) -> tuple[dict[tuple[str, str], str], list[PredictionRecord]]:
+    records: PredictionTable,
+) -> tuple[dict[tuple[str, str], str], PredictionTable]:
     """Config-choice stage: the best config per model and the records it keeps."""
     chosen = best_hyperparams(records)
     return chosen, filter_to_configs(records, chosen)
 
 
 def audit_records(
-    records: Sequence[PredictionRecord],
+    records: PredictionTable,
     window_bounds: np.ndarray,
     labels: Sequence[int],
     total_samples: int,
@@ -115,8 +110,8 @@ def audit_records(
     ``ifc`` command runs this once and persists the overlap summary and the
     fused distributions; the other audit commands are views of those files.
     """
-    chosen, records = choose_configs(records)
-    matrix = build_matrix(merge_runs(records, policy=merge_policy))
+    chosen, kept = choose_configs(records)
+    matrix = merge_runs(kept, policy=merge_policy)
     if matrix.num_windows != len(labels) or not np.array_equal(
         matrix.window_ids, np.arange(len(labels))
     ):
@@ -126,7 +121,7 @@ def audit_records(
         )
     summary = compute_ifc(matrix, merge_policy=merge_policy)
     flagged_ids = [int(w) for w in summary.window_ids[summary.ifc_flags]]
-    fused = fuse_probabilities(records, flagged_ids)
+    fused = fuse_probabilities(kept, flagged_ids)
     table = confusion_table(summary.ifc_flags, labels, num_classes=num_classes)
     edges = chord_edges(fused)
     mask = build_mask(

@@ -1,4 +1,4 @@
-"""Per-window class-probability records: ingestion, validation, consolidation.
+"""Per-window class-probability logs: ingestion, validation, consolidation.
 
 One record is one model's probability vector for one window in one training
 run, taken from the fold where that window was held out. The JSONL wire
@@ -6,20 +6,30 @@ format is one object per line:
 
     {"dataset": "...", "model": "...", "config": "...", "run": 0,
      "fold": 0, "window": 123, "label": 4, "probs": [...]}
+
+In memory a log is a ``PredictionTable``: one array per wire field, row i
+holding record i. A log holds one class count. Config choice, run merging and
+metrics work on whole columns and loop in Python only over (dataset, model,
+config) groups.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from array import array
+from dataclasses import dataclass, fields
+from typing import Iterable
 
 import numpy as np
 
 from ._io import open_text
+from .ifc import CorrectnessMatrix
 
 SIMPLEX_TOL = 1e-6
 MERGE_POLICIES = ("any", "majority", "all")
+TEXT_FIELDS = ("dataset", "model", "config")
+INT_FIELDS = ("run", "fold", "window", "label")
+KEY_FIELDS = ("dataset", "model", "config", "run", "window")
 
 
 class RecordError(ValueError):
@@ -32,252 +42,261 @@ class RecordError(ValueError):
         self.index = index
 
 
-@dataclass(frozen=True)
-class PredictionRecord:
-    dataset_id: str
-    model_id: str
-    config_id: str
-    run_id: int
-    fold_id: int
-    window_id: int
-    true_label: int
-    probs: tuple[float, ...]
+@dataclass(eq=False)  # arrays have no single truth value; tables compare by identity
+class PredictionTable:
+    """A prediction log as columns; ``probs`` is [records, classes] float64."""
+
+    dataset: np.ndarray
+    model: np.ndarray
+    config: np.ndarray
+    run: np.ndarray
+    fold: np.ndarray
+    window: np.ndarray
+    label: np.ndarray
+    probs: np.ndarray
+
+    def __len__(self) -> int:
+        return int(self.label.size)
 
     @property
-    def key(self) -> tuple[str, str, str, int, int]:
-        return (self.dataset_id, self.model_id, self.config_id, self.run_id, self.window_id)
+    def correct(self) -> np.ndarray:
+        """Argmax correctness per record; probability ties resolve to the lowest class."""
+        return self.probs.argmax(axis=1) == self.label
+
+    def take(self, rows) -> PredictionTable:
+        """The records at ``rows`` (indices or a boolean mask) as a new table."""
+        return PredictionTable(**{f.name: getattr(self, f.name)[rows] for f in fields(self)})
 
 
-def is_correct(record: PredictionRecord) -> bool:
-    """Argmax correctness; probability ties resolve to the lowest class index."""
-    return int(np.argmax(record.probs)) == record.true_label
+def _group(*columns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Number the distinct row combinations of ``columns`` in sorted key order.
+
+    Returns each row's group number and the first row of every group.
+    """
+    code = np.zeros(len(columns[0]), dtype=np.int64)
+    for column in columns:
+        values, inverse = np.unique(column, return_inverse=True)
+        _, first, code = np.unique(
+            code * len(values) + inverse, return_index=True, return_inverse=True
+        )
+    return code, first
+
+
+def _config_groups(table: PredictionTable):
+    """(dataset, model, config) groups: row group numbers, first rows, and keys."""
+    group, first = _group(table.dataset, table.model, table.config)
+    keys = list(zip(*(getattr(table, name)[first].tolist() for name in TEXT_FIELDS)))
+    return group, first, keys
 
 
 def validate_records(
-    records: Sequence[PredictionRecord],
-    valid_window_ids: Iterable[int] | None = None,
-    num_classes: int | None = None,
+    table: PredictionTable, valid_window_ids: Iterable[int] | None = None
 ) -> None:
-    """Check simplex, class-count, uniqueness, and window-id constraints.
+    """Check simplex, label-range, uniqueness, and window-id constraints.
 
-    Raises RecordError naming the first offending record. ``valid_window_ids``
-    enables the unknown-window check; ``num_classes`` pins the expected
-    probability length (otherwise each dataset's first record sets it).
+    Raises RecordError naming the first offending record, with the first of
+    those checks it fails. ``valid_window_ids`` enables the unknown-window
+    check. The class count is checked while reading, since a table holds one.
     """
-    valid = set(valid_window_ids) if valid_window_ids is not None else None
-    expected_len: dict[str, int] = {}
-    seen: set[tuple[str, str, str, int, int]] = set()
-    for i, rec in enumerate(records):
-        probs = np.asarray(rec.probs, dtype=float)
-        if probs.ndim != 1 or probs.size < 2:
-            raise RecordError("probs must hold at least two classes", i)
-        if (probs < 0).any():
-            raise RecordError("negative probability", i)
-        if abs(float(probs.sum()) - 1.0) > SIMPLEX_TOL:
-            raise RecordError(f"probabilities sum to {probs.sum():.8f}, not 1", i)
-        want = num_classes if num_classes is not None else expected_len.setdefault(
-            rec.dataset_id, probs.size
-        )
-        if probs.size != want:
-            raise RecordError(f"expected {want} classes, found {probs.size}", i)
-        if not 0 <= rec.true_label < probs.size:
-            raise RecordError(f"label {rec.true_label} outside class range", i)
-        if rec.key in seen:
-            raise RecordError(
-                f"duplicate (model, config, run, window) key {rec.key}", i
-            )
-        seen.add(rec.key)
-        if valid is not None and rec.window_id not in valid:
-            raise RecordError(f"unknown window_id {rec.window_id}", i)
+    sums = table.probs.sum(axis=1)
+    key = [getattr(table, name) for name in KEY_FIELDS]
+    duplicate = np.ones(len(table), dtype=bool)
+    duplicate[_group(*key)[1]] = False
+    unknown = np.zeros(len(table), dtype=bool)
+    if valid_window_ids is not None:
+        unknown = ~np.isin(table.window, np.fromiter(valid_window_ids, dtype=np.int64))
+    checks = [
+        ((table.probs < 0).any(axis=1), lambda i: "negative probability"),
+        (~(np.abs(sums - 1.0) <= SIMPLEX_TOL),  # NaN sums fail too
+         lambda i: f"probabilities sum to {sums[i]:.8f}, not 1"),
+        ((table.label < 0) | (table.label >= table.probs.shape[1]),
+         lambda i: f"label {table.label[i]} outside class range"),
+        (duplicate, lambda i: "duplicate (model, config, run, window) key "
+                              f"{tuple(column[i].item() for column in key)}"),
+        (unknown, lambda i: f"unknown window_id {table.window[i]}"),
+    ]
+    bad = np.logical_or.reduce([failed for failed, _ in checks])
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise RecordError(next(message(i) for failed, message in checks if failed[i]), i)
 
 
 def read_records(
     src,
     valid_window_ids: Iterable[int] | None = None,
     num_classes: int | None = None,
-) -> list[PredictionRecord]:
-    """Read and validate a JSONL prediction log."""
-    records = []
+) -> PredictionTable:
+    """Read and validate a JSONL prediction log into a table.
+
+    Records stream straight into columns. Malformed records and probability
+    vectors of the wrong length are rejected as they are read: the length is
+    ``num_classes``, or else the first record's. ``validate_records`` then
+    checks the rest.
+    """
+    columns = {name: [] for name in TEXT_FIELDS + INT_FIELDS}
+    probs = array("d")
     with open_text(src) as fh:
-        for i, line in enumerate(fh):
+        for line in fh:
             line = line.strip()
             if not line:
                 continue
+            i = len(columns["label"])
             try:
                 obj = json.loads(line)
-                rec = PredictionRecord(
-                    dataset_id=str(obj["dataset"]),
-                    model_id=str(obj["model"]),
-                    config_id=str(obj["config"]),
-                    run_id=int(obj["run"]),
-                    fold_id=int(obj["fold"]),
-                    window_id=int(obj["window"]),
-                    true_label=int(obj["label"]),
-                    probs=tuple(float(p) for p in obj["probs"]),
-                )
+                values = [str(obj[name]) for name in TEXT_FIELDS]
+                values += [int(obj[name]) for name in INT_FIELDS]
+                row = array("d", obj["probs"])
             except (KeyError, ValueError, TypeError) as exc:
                 raise RecordError(f"malformed record: {exc}", i) from None
-            records.append(rec)
-    validate_records(records, valid_window_ids, num_classes)
-    return records
+            if len(row) < 2:
+                raise RecordError("probs must hold at least two classes", i)
+            num_classes = num_classes or len(row)
+            if len(row) != num_classes:
+                raise RecordError(f"expected {num_classes} classes, found {len(row)}", i)
+            for column, value in zip(columns.values(), values):
+                column.append(value)
+            probs.extend(row)
+    table = PredictionTable(
+        **{name: np.array(columns[name], dtype=str) for name in TEXT_FIELDS},
+        **{name: np.array(columns[name], dtype=np.int64) for name in INT_FIELDS},
+        probs=np.frombuffer(probs).reshape(len(columns["label"]), num_classes or 0),
+    )
+    validate_records(table, valid_window_ids)
+    return table
 
 
-def write_records(records: Sequence[PredictionRecord], dest) -> None:
-    """Write records as JSONL; float text is exact (shortest round-trip)."""
+def write_records(table: PredictionTable, dest) -> None:
+    """Write a table as JSONL, one record per line; float text is exact
+    (shortest round-trip)."""
+    names = TEXT_FIELDS + INT_FIELDS + ("probs",)
     with open_text(dest, "w") as fh:
-        for rec in records:
-            fh.write(
-                json.dumps(
-                    {
-                        "dataset": rec.dataset_id,
-                        "model": rec.model_id,
-                        "config": rec.config_id,
-                        "run": rec.run_id,
-                        "fold": rec.fold_id,
-                        "window": rec.window_id,
-                        "label": rec.true_label,
-                        "probs": list(rec.probs),
-                    }
-                )
-            )
-            fh.write("\n")
+        # A few thousand rows at a time, so no full copy of the log is held
+        # as Python objects.
+        for start in range(0, len(table), 4096):
+            part = table.take(slice(start, start + 4096))
+            for row in zip(*(getattr(part, name).tolist() for name in names)):
+                fh.write(json.dumps(dict(zip(names, row))))
+                fh.write("\n")
 
 
-def best_hyperparams(
-    records: Sequence[PredictionRecord],
-) -> dict[tuple[str, str], str]:
+def best_hyperparams(table: PredictionTable) -> dict[tuple[str, str], str]:
     """Pick the config with the best mean out-of-fold accuracy per (dataset, model).
 
     Accuracy is pooled over all folds within a run and averaged across runs.
     Ties go to the lexicographically smallest config id. Every config must
     cover every fold seen for its (dataset, model); missing folds raise.
     """
-    folds_seen: dict[tuple[str, str], set[int]] = {}
-    by_config: dict[tuple[str, str, str], dict[int, list[bool]]] = {}
-    config_folds: dict[tuple[str, str, str], set[int]] = {}
-    for rec in records:
-        folds_seen.setdefault((rec.dataset_id, rec.model_id), set()).add(rec.fold_id)
-        key = (rec.dataset_id, rec.model_id, rec.config_id)
-        by_config.setdefault(key, {}).setdefault(rec.run_id, []).append(is_correct(rec))
-        config_folds.setdefault(key, set()).add(rec.fold_id)
-
+    group, first, keys = _config_groups(table)
+    slot_of_group = _group(table.dataset[first], table.model[first])[0]
+    slot = slot_of_group[group]
+    folds = np.bincount(group[_group(group, table.fold)[1]], minlength=len(first))
+    slot_folds = np.bincount(slot[_group(slot, table.fold)[1]])
+    lacking = np.flatnonzero(folds < slot_folds[slot_of_group])
+    if lacking.size:
+        g = lacking[0]
+        missing = set(table.fold[slot == slot_of_group[g]].tolist())
+        missing -= set(table.fold[group == g].tolist())
+        dataset, model, config = keys[g]
+        raise ValueError(
+            f"config {config!r} of ({dataset!r}, {model!r}) lacks folds {sorted(missing)}"
+        )
     best: dict[tuple[str, str], str] = {}
     scores: dict[tuple[str, str], float] = {}
-    for (dataset, model, config), runs in sorted(by_config.items()):
-        expected = folds_seen[(dataset, model)]
-        missing = sorted(expected - config_folds[(dataset, model, config)])
-        if missing:
-            raise ValueError(
-                f"config {config!r} of ({dataset!r}, {model!r}) lacks folds {missing}"
-            )
-        mean_acc = float(
-            np.mean([np.mean(flags) for _, flags in sorted(runs.items())])
-        )
-        slot = (dataset, model)
+    for (dataset, model, config), accuracies, _ in zip(*_scores_per_run(table)):
+        mean_acc = float(np.mean(accuracies))
+        slot_key = (dataset, model)
         # Configs iterate in ascending id order, so a strict > keeps the
         # lexicographically smallest config on ties.
-        if slot not in best or mean_acc > scores[slot]:
-            best[slot], scores[slot] = config, mean_acc
+        if slot_key not in best or mean_acc > scores[slot_key]:
+            best[slot_key], scores[slot_key] = config, mean_acc
     return best
 
 
 def filter_to_configs(
-    records: Sequence[PredictionRecord], chosen: dict[tuple[str, str], str]
-) -> list[PredictionRecord]:
+    table: PredictionTable, chosen: dict[tuple[str, str], str]
+) -> PredictionTable:
     """Keep only records belonging to the chosen config of their (dataset, model)."""
-    return [
-        rec
-        for rec in records
-        if chosen.get((rec.dataset_id, rec.model_id)) == rec.config_id
-    ]
+    group, _, keys = _config_groups(table)
+    keep = np.array([chosen.get((d, m)) == c for d, m, c in keys], dtype=bool)
+    return table.take(keep[group])
 
 
-@dataclass
-class ConsolidatedCorrectness:
-    """Run-merged correctness per (model, window) under one merge policy."""
-
-    policy: str
-    by_model: dict[str, dict[int, bool]]
-
-
-def merge_runs(
-    records: Sequence[PredictionRecord], policy: str = "majority"
-) -> ConsolidatedCorrectness:
-    """Collapse per-run correctness into one verdict per (model, window).
+def merge_runs(table: PredictionTable, policy: str = "majority") -> CorrectnessMatrix:
+    """Collapse per-run correctness into a [models x windows] correctness matrix.
 
     ``any`` counts a window correct if any run got it right, ``majority``
     needs strictly more than half of the runs (an exact half is incorrect),
     ``all`` needs every run. Records must already be filtered to one config
-    per model, and every window of a model must carry the same run count.
+    per model, every window of a model must carry the same run count, and
+    every model must cover every window.
     """
     if policy not in MERGE_POLICIES:
         raise ValueError(f"unknown merge policy {policy!r}")
-    per_model: dict[str, dict[int, dict[int, bool]]] = {}
-    configs: dict[str, set[str]] = {}
-    for rec in records:
-        configs.setdefault(rec.model_id, set()).add(rec.config_id)
-        per_model.setdefault(rec.model_id, {}).setdefault(rec.window_id, {})[
-            rec.run_id
-        ] = is_correct(rec)
-    for model, cfgs in configs.items():
-        if len(cfgs) > 1:
-            raise ValueError(
-                f"model {model!r} spans configs {sorted(cfgs)}; filter to the "
-                "chosen config before merging runs"
-            )
-    by_model: dict[str, dict[int, bool]] = {}
-    for model, windows in per_model.items():
-        run_counts = {len(runs) for runs in windows.values()}
-        if len(run_counts) != 1:
-            raise ValueError(
-                f"model {model!r} has differing run counts per window: "
-                f"{sorted(run_counts)}"
-            )
-        n_runs = run_counts.pop()
-        merged = {}
-        for window_id, runs in windows.items():
-            hits = sum(runs.values())
-            if policy == "any":
-                merged[window_id] = hits >= 1
-            elif policy == "majority":
-                merged[window_id] = hits * 2 > n_runs
-            else:
-                merged[window_id] = hits == n_runs
-        by_model[model] = merged
-    return ConsolidatedCorrectness(policy=policy, by_model=by_model)
+    if not len(table):
+        raise ValueError("no models to build a matrix from")
+    models, model = np.unique(table.model, return_inverse=True)
+    windows, window = np.unique(table.window, return_inverse=True)
+    names = models.tolist()
+
+    def first_model(failed: np.ndarray) -> int | None:
+        return int(np.argmax(failed)) if failed.any() else None
+
+    m = first_model(np.bincount(model[_group(model, table.config)[1]]) > 1)
+    if m is not None:
+        raise ValueError(
+            f"model {names[m]!r} spans configs {sorted(set(table.config[model == m].tolist()))}; "
+            "filter to the chosen config before merging runs"
+        )
+    cell, cell_first = _group(model, window)
+    cell_model = model[cell_first]
+    runs = np.bincount(cell[_group(cell, table.run)[1]])
+    m = first_model(np.bincount(cell_model[_group(cell_model, runs)[1]]) > 1)
+    if m is not None:
+        raise ValueError(
+            f"model {names[m]!r} has differing run counts per window: "
+            f"{sorted(set(runs[cell_model == m].tolist()))}"
+        )
+    m = first_model(np.bincount(cell_model) < windows.size)
+    if m is not None:
+        missing = sorted(set(windows.tolist()) - set(table.window[model == m].tolist()))
+        raise ValueError(
+            f"model {names[m]!r} lacks correctness for windows "
+            f"{missing[:10]}{'...' if len(missing) > 10 else ''}"
+        )
+    hits = np.bincount(cell, weights=table.correct)
+    if policy == "any":
+        verdict = hits >= 1
+    elif policy == "majority":
+        verdict = hits * 2 > runs
+    else:
+        verdict = hits == runs
+    values = np.zeros((models.size, windows.size), dtype=bool)
+    values[cell_model, window[cell_first]] = verdict
+    return CorrectnessMatrix(model_ids=tuple(names), window_ids=windows, values=values)
 
 
-def accuracy(y_true: Sequence[int], y_pred: Sequence[int]) -> float:
-    y_true = np.asarray(y_true)
-    y_pred = np.asarray(y_pred)
-    if y_true.size == 0:
-        raise ValueError("no predictions")
-    return float(np.mean(y_true == y_pred))
+def _scores_per_run(table: PredictionTable):
+    """Sorted (dataset, model, config) keys, and per key the accuracy and the
+    support-weighted F1 of each run, in run order.
 
-
-def weighted_f1(y_true: Sequence[int], y_pred: Sequence[int], num_classes: int) -> float:
-    """F1 averaged over classes, weighted by true-class support.
-
-    Classes without support contribute zero weight; a class with support but
-    no predicted positives scores an F1 of 0.
+    A class without support weighs nothing; one with support but no predicted
+    positives scores an F1 of 0.
     """
-    y_true = np.asarray(y_true)
-    y_pred = np.asarray(y_pred)
-    if y_true.size == 0:
-        raise ValueError("no predictions")
-    total = y_true.size
-    score = 0.0
-    for c in range(num_classes):
-        support = int((y_true == c).sum())
-        if support == 0:
-            continue
-        tp = int(((y_true == c) & (y_pred == c)).sum())
-        fp = int(((y_true != c) & (y_pred == c)).sum())
-        fn = support - tp
-        denom = 2 * tp + fp + fn
-        f1 = (2 * tp / denom) if denom else 0.0
-        score += (support / total) * f1
-    return float(score)
+    group, _, keys = _config_groups(table)
+    runs, run_first = _group(group, table.run)
+    k = table.probs.shape[1]
+    cell = (runs * k + table.label) * k + table.probs.argmax(axis=1)
+    confusion = np.bincount(cell, minlength=run_first.size * k * k).reshape(-1, k, k)
+    support, predicted = confusion.sum(axis=2), confusion.sum(axis=1)
+    hits = np.diagonal(confusion, axis1=1, axis2=2)
+    total = support.sum(axis=1)
+    f1s = np.zeros(total.size)
+    # Classes add up in id order, one at a time, as a per-class sum does.
+    for c in range(k):
+        f1 = 2 * hits[:, c] / np.maximum(support[:, c] + predicted[:, c], 1)
+        f1s += np.where(support[:, c] > 0, (support[:, c] / total) * f1, 0.0)
+    bounds = np.flatnonzero(np.diff(group[run_first])) + 1
+    return keys, np.split(hits.sum(axis=1) / total, bounds), np.split(f1s, bounds)
 
 
 @dataclass(frozen=True)
@@ -289,29 +308,15 @@ class ModelMetrics:
     num_runs: int
 
 
-def model_metrics(
-    records: Sequence[PredictionRecord],
-) -> dict[tuple[str, str, str], ModelMetrics]:
+def model_metrics(table: PredictionTable) -> dict[tuple[str, str, str], ModelMetrics]:
     """Accuracy and weighted F1 as mean +/- std over runs, per (dataset, model, config)."""
-    grouped: dict[tuple[str, str, str], dict[int, list[PredictionRecord]]] = {}
-    for rec in records:
-        grouped.setdefault(
-            (rec.dataset_id, rec.model_id, rec.config_id), {}
-        ).setdefault(rec.run_id, []).append(rec)
-    out = {}
-    for key, runs in grouped.items():
-        num_classes = len(next(iter(runs.values()))[0].probs)
-        accs, f1s = [], []
-        for _, recs in sorted(runs.items()):
-            y_true = [r.true_label for r in recs]
-            y_pred = [int(np.argmax(r.probs)) for r in recs]
-            accs.append(accuracy(y_true, y_pred))
-            f1s.append(weighted_f1(y_true, y_pred, num_classes))
-        out[key] = ModelMetrics(
-            accuracy_mean=float(np.mean(accs)),
-            accuracy_std=float(np.std(accs)),
-            weighted_f1_mean=float(np.mean(f1s)),
-            weighted_f1_std=float(np.std(f1s)),
-            num_runs=len(accs),
+    return {
+        key: ModelMetrics(
+            accuracy_mean=float(np.mean(acc)),
+            accuracy_std=float(np.std(acc)),
+            weighted_f1_mean=float(np.mean(f1)),
+            weighted_f1_std=float(np.std(f1)),
+            num_runs=acc.size,
         )
-    return out
+        for key, acc, f1 in zip(*_scores_per_run(table))
+    }

@@ -213,4 +213,6 @@ def fit_normalizer(
 
 def apply_normalizer(dataset: WindowedDataset, stats: ChannelStats) -> WindowedDataset:
     """Return a new dataset with channels transformed to (x - mean) / std."""
-    return replace(dataset, blocks=(dataset.blocks - stats.mean) / stats.std)
+    blocks = dataset.blocks - stats.mean
+    blocks /= stats.std  # in place: one corpus-sized copy, not two
+    return replace(dataset, blocks=blocks)

@@ -16,13 +16,14 @@ from haraudit.baseline import loss_and_gradients
 from haraudit.confusion import FusedDistribution, confusion_table
 from haraudit.ifc import CorrectnessMatrix, compute_ifc, run_lengths
 from haraudit.mask import CLEAN, MAJOR, MINOR, build_mask, categorize
-from haraudit.mask import read_sample_mask_csv, read_window_mask_csv
 from haraudit.mask import write_sample_mask_csv, write_window_mask_csv
 from haraudit.pipeline import audit_records, baseline_prediction_records
-from haraudit.predictions import read_records, write_records, PredictionRecord
+from haraudit.predictions import read_records, write_records
 from haraudit.splits import group_k_fold, plan_folds
 from haraudit.synth import default_scenario, generate_corpus
 from haraudit.windowing import WindowConfig, slice_corpus
+from prediction_rows import assert_same_table, table_of
+from test_mask import read_sample_mask_csv, read_window_mask_csv
 
 
 def report(criterion: str, detail: str = "") -> None:
@@ -288,19 +289,16 @@ def test_c09_split_invariants_for_24_groups():
 def test_c10_round_trips_and_reproducibility(tmp_path):
     # prediction-log JSONL round trip is exact
     rng = np.random.default_rng(10)
-    records = [
-        PredictionRecord(
-            dataset_id="d", model_id="m", config_id="c", run_id=r, fold_id=0,
-            window_id=w, true_label=int(rng.integers(0, 3)),
-            probs=tuple(rng.dirichlet(np.ones(3))),
-        )
+    records = table_of(
+        dict(run=r, window=w, label=int(rng.integers(0, 3)),
+             probs=tuple(rng.dirichlet(np.ones(3))))
         for r in range(2)
         for w in range(40)
-    ]
+    )
     buf = io.StringIO()
     write_records(records, buf)
     buf.seek(0)
-    assert read_records(buf) == records
+    assert_same_table(read_records(buf), records)
 
     # mask CSV round trip is exact
     bounds = np.array([[i * 100, i * 100 + 200] for i in range(30)])

@@ -4,7 +4,6 @@ import pytest
 from haraudit.baseline import (
     TrainConfig,
     extract_feature_matrix,
-    extract_features,
     loss_and_gradients,
     predict_proba,
     train_baseline,
@@ -13,18 +12,27 @@ from haraudit.synth import ScenarioSpec, generate
 from haraudit.windowing import WindowConfig, slice_corpus
 
 
+def extract_features(block):
+    """Per-channel mean and std of one [size, channels] window, by a loop over
+    channels: [mean_0, std_0, mean_1, std_1, ...]."""
+    feats = []
+    for column in np.asarray(block, dtype=float).T:
+        feats += [column.mean(), column.std()]
+    return np.array(feats)
+
+
 class TestFeatures:
     def test_constant_window(self):
         block = np.full((50, 1), 3.0)
-        assert extract_features(block).tolist() == [3.0, 0.0]
+        assert extract_feature_matrix(block[None])[0].tolist() == [3.0, 0.0]
 
     def test_two_point_window(self):
         block = np.array([[1.0], [3.0]])
-        assert extract_features(block).tolist() == [2.0, 1.0]
+        assert extract_feature_matrix(block[None])[0].tolist() == [2.0, 1.0]
 
     def test_two_channels_in_channel_order(self):
         block = np.column_stack([np.full(10, 1.0), np.full(10, 5.0)])
-        feats = extract_features(block)
+        feats = extract_feature_matrix(block[None])[0]
         assert feats.tolist() == [1.0, 0.0, 5.0, 0.0]
 
     def test_matrix_form_matches_single_form(self):

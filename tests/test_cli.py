@@ -2,10 +2,12 @@ import hashlib
 import json
 import shutil
 
+import numpy as np
 import pytest
 
 from haraudit.cli import IFC_VIEWS, main
-from haraudit.predictions import PredictionRecord, write_records
+from haraudit.predictions import write_records
+from prediction_rows import table_of
 
 PIPELINE = [
     ["synth"],
@@ -153,19 +155,14 @@ def import_one_hot_log(tmp_path, out, covered, models=("m1",), misses=((),)):
         int(row.split(",")[3])
         for row in (out / "windows.csv").read_text().strip().splitlines()[1:]
     ]
-    records = []
-    for model in models:
-        for run_id, missed in enumerate(misses):
-            for w in covered:
-                probs = [0.0] * meta["num_classes"]
-                probs[(labels[w] + (w in missed)) % meta["num_classes"]] = 1.0
-                records.append(
-                    PredictionRecord(
-                        dataset_id="ext", model_id=model, config_id="c0",
-                        run_id=run_id, fold_id=0, window_id=w,
-                        true_label=labels[w], probs=tuple(probs),
-                    )
-                )
+    one_hot = np.eye(meta["num_classes"])
+    records = table_of(
+        dict(dataset="ext", model=model, config="c0", run=run_id, window=w, label=labels[w],
+             probs=one_hot[(labels[w] + (w in missed)) % meta["num_classes"]])
+        for model in models
+        for run_id, missed in enumerate(misses)
+        for w in covered
+    )
     logs = tmp_path / "logs.jsonl"
     write_records(records, logs)
     assert run(out, ["import-logs", "--logs", str(logs)]) == 0

@@ -8,20 +8,11 @@ from haraudit.confusion import (
     read_fused_jsonl,
     write_fused_jsonl,
 )
-from haraudit.predictions import PredictionRecord
+from prediction_rows import table_of
 
 
-def rec(window, probs, label=0, model="m1", run=0):
-    return PredictionRecord(
-        dataset_id="d",
-        model_id=model,
-        config_id="c",
-        run_id=run,
-        fold_id=0,
-        window_id=window,
-        true_label=label,
-        probs=tuple(probs),
-    )
+def rec(window, probs, label=0, model="m1", run=0, config="c"):
+    return dict(model=model, config=config, run=run, window=window, label=label, probs=probs)
 
 
 class TestFusion:
@@ -30,14 +21,14 @@ class TestFusion:
             rec(0, (0.8, 0.2), label=1, model="a"),
             rec(0, (0.4, 0.6), label=1, model="b"),
         ]
-        fused = fuse_probabilities(records, [0])
+        fused = fuse_probabilities(table_of(records), [0])
         assert np.allclose(fused[0].mean_probs, [0.6, 0.4])
         assert fused[0].confused_class == 0
         assert not fused[0].fused_agrees_with_truth
 
     def test_identical_records_fuse_to_themselves(self):
         records = [rec(0, (0.3, 0.5, 0.2), label=0, model=m) for m in ("a", "b", "c")]
-        fused = fuse_probabilities(records, [0])
+        fused = fuse_probabilities(table_of(records), [0])
         assert np.allclose(fused[0].mean_probs, [0.3, 0.5, 0.2])
 
     def test_matches_summation_oracle_on_random_simplexes(self):
@@ -49,10 +40,10 @@ class TestFusion:
             for run in range(4):
                 p = rng.dirichlet(np.ones(5))
                 records.append(rec(0, tuple(p), label=1, model=f"m{m}", run=run))
-                expected += np.asarray(records[-1].probs)
+                expected += np.asarray(records[-1]["probs"])
                 count += 1
         expected /= count
-        fused = fuse_probabilities(records, [0])
+        fused = fuse_probabilities(table_of(records), [0])
         assert np.max(np.abs(fused[0].mean_probs - expected)) < 1e-12
 
     def test_argmax_tie_takes_lowest_class(self):
@@ -60,7 +51,7 @@ class TestFusion:
             rec(0, (0.4, 0.4, 0.2), label=2, model="a"),
             rec(0, (0.4, 0.4, 0.2), label=2, model="b"),
         ]
-        assert fuse_probabilities(records, [0])[0].confused_class == 0
+        assert fuse_probabilities(table_of(records), [0])[0].confused_class == 0
 
     def test_fused_agreeing_with_truth_reports_runner_up(self):
         # each model wrong individually, but the mean favors the true class
@@ -69,14 +60,14 @@ class TestFusion:
             rec(0, (0.3, 0.1, 0.6), label=0, model="b"),
         ]
         # mean = [0.375, 0.1, 0.525] -> argmax 2 != 0, normal case
-        fused = fuse_probabilities(records, [0])
+        fused = fuse_probabilities(table_of(records), [0])
         assert fused[0].confused_class == 2
         records = [
             rec(0, (0.6, 0.4, 0.0), label=0, model="a"),
             rec(0, (0.4, 0.1, 0.5), label=0, model="b"),
         ]
         # mean = [0.5, 0.25, 0.25] -> argmax equals truth; runner-up is class 1
-        fused = fuse_probabilities(records, [0])
+        fused = fuse_probabilities(table_of(records), [0])
         assert fused[0].fused_agrees_with_truth
         assert fused[0].confused_class == 1
 
@@ -87,7 +78,7 @@ class TestFusion:
             rec(1, (0.8, 0.2), label=1, model="a"),
         ]
         with pytest.raises(ValueError, match="lacks records"):
-            fuse_probabilities(records, [0, 1])
+            fuse_probabilities(table_of(records), [0, 1])
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(3)
@@ -96,21 +87,33 @@ class TestFusion:
             for m in range(3)
             for r in range(2)
         ]
-        fused_a = fuse_probabilities(records, [0])[0].mean_probs
+        fused_a = fuse_probabilities(table_of(records), [0])[0].mean_probs
         shuffled = list(records)
         rng.shuffle(shuffled)
-        fused_b = fuse_probabilities(shuffled, [0])[0].mean_probs
+        fused_b = fuse_probabilities(table_of(shuffled), [0])[0].mean_probs
         assert np.array_equal(fused_a, fused_b)
 
+    def test_mean_sums_rows_in_model_config_run_order(self):
+        rng = np.random.default_rng(12)
+        records = [
+            rec(0, tuple(rng.dirichlet(np.ones(5))), label=1, model=m, config=c, run=r)
+            for m in ("m1", "m0") for c in ("cb", "ca") for r in (2, 0, 1)
+        ]
+        ordered = sorted(records, key=lambda r: (r["model"], r["config"], r["run"]))
+        want = np.mean([r["probs"] for r in ordered], axis=0)
+        for order in (records, ordered, records[::-1]):
+            got = fuse_probabilities(table_of(order), [0])[0].mean_probs
+            assert got.tobytes() == want.tobytes()
+
     def test_no_flagged_windows_gives_empty_list(self):
-        assert fuse_probabilities([rec(0, (0.9, 0.1))], []) == []
+        assert fuse_probabilities(table_of([rec(0, (0.9, 0.1))]), []) == []
 
     def test_round_trip_jsonl(self, tmp_path):
         records = [
             rec(0, (0.8, 0.2), label=1, model="a"),
             rec(0, (0.4, 0.6), label=1, model="b"),
         ]
-        fused = fuse_probabilities(records, [0])
+        fused = fuse_probabilities(table_of(records), [0])
         path = tmp_path / "fused.jsonl"
         write_fused_jsonl(fused, path)
         back = read_fused_jsonl(path)
@@ -167,7 +170,7 @@ class TestChordEdges:
             probs = np.zeros(4)
             probs[confused] = 1.0
             records = [rec(i, tuple(probs), label=true, model="a")]
-            out.extend(fuse_probabilities(records, [i]))
+            out.extend(fuse_probabilities(table_of(records), [i]))
         return out
 
     def test_counting(self):

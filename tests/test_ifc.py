@@ -1,16 +1,17 @@
 import numpy as np
 import pytest
 
+from haraudit.confusion import FusedDistribution
 from haraudit.ifc import (
     CorrectnessMatrix,
-    build_matrix,
     common_ground,
     compute_ifc,
-    merge_flags_to_samples,
     run_lengths,
     single_contributions,
 )
-from haraudit.predictions import ConsolidatedCorrectness
+from haraudit.mask import build_mask
+from haraudit.predictions import merge_runs
+from prediction_rows import table_of
 
 
 def matrix(rows, model_ids=None):
@@ -53,26 +54,32 @@ def rle_oracle(flags, recording_ids=None):
     return segments, bin_list
 
 
+def verdict_table(by_model):
+    """One single-run record per (model, window): correct where the verdict is True."""
+    return table_of(
+        dict(model=model, window=w, probs=(0.9, 0.1) if good else (0.1, 0.9))
+        for model, verdicts in by_model.items()
+        for w, good in verdicts.items()
+    )
+
+
 class TestBuildMatrix:
+    """merge_runs assembles the [models x windows] matrix."""
+
     def test_explicit_booleans(self):
-        consolidated = ConsolidatedCorrectness(
-            policy="majority",
-            by_model={"a": {0: True, 1: False, 2: True}, "b": {0: False, 1: False, 2: True}},
-        )
-        m = build_matrix(consolidated)
+        m = merge_runs(verdict_table(
+            {"a": {0: True, 1: False, 2: True}, "b": {0: False, 1: False, 2: True}}
+        ))
         assert m.model_ids == ("a", "b")
         assert m.values.tolist() == [[True, False, True], [False, False, True]]
 
     def test_missing_cell_rejected(self):
-        consolidated = ConsolidatedCorrectness(
-            policy="majority", by_model={"a": {0: True, 1: True}, "b": {0: True}}
-        )
         with pytest.raises(ValueError, match="lacks correctness"):
-            build_matrix(consolidated)
+            merge_runs(verdict_table({"a": {0: True, 1: True}, "b": {0: True}}))
 
     def test_six_model_shape(self):
         by_model = {f"m{i}": {w: True for w in range(40)} for i in range(6)}
-        m = build_matrix(ConsolidatedCorrectness(policy="any", by_model=by_model))
+        m = merge_runs(verdict_table(by_model), "any")
         assert m.values.shape == (6, 40)
 
 
@@ -127,21 +134,31 @@ class TestOverlapMetrics:
             assert after <= before + 1e-12
 
 
+def flagged_samples(flags, bounds, total_samples):
+    """Sample flags from build_mask: a sample is flagged when its category is > 0."""
+    fused = [
+        FusedDistribution(window_id=int(w), mean_probs=np.array([0.6, 0.3, 0.1]),
+                          confused_class=0, true_label=1)
+        for w in np.flatnonzero(flags)
+    ]
+    return build_mask(flags, fused, bounds, total_samples).sample_mask > 0
+
+
 class TestSampleMerging:
     def test_overlap_or_rule(self):
         bounds = np.array([[0, 200], [100, 300]])
         flags = np.array([False, True])
-        merged = merge_flags_to_samples(flags, bounds, 300)
+        merged = flagged_samples(flags, bounds, 300)
         assert not merged[:100].any()
         assert merged[100:300].all()
 
     def test_all_false(self):
         bounds = np.array([[0, 200], [100, 300]])
-        merged = merge_flags_to_samples(np.array([False, False]), bounds, 300)
+        merged = flagged_samples(np.array([False, False]), bounds, 300)
         assert not merged.any()
 
     def test_uncovered_samples_stay_false(self):
-        merged = merge_flags_to_samples(np.array([True]), np.array([[10, 20]]), 40)
+        merged = flagged_samples(np.array([True]), np.array([[10, 20]]), 40)
         assert merged[10:20].all()
         assert not merged[:10].any() and not merged[20:].any()
 
@@ -149,7 +166,7 @@ class TestSampleMerging:
         # size 200 / stride 100 over 600 samples; flags F,T,F,T,F
         bounds = np.array([[0, 200], [100, 300], [200, 400], [300, 500], [400, 600]])
         flags = np.array([False, True, False, True, False])
-        merged = merge_flags_to_samples(flags, bounds, 600)
+        merged = flagged_samples(flags, bounds, 600)
         expected = np.zeros(600, dtype=bool)
         for b, f in zip(bounds, flags):
             if f:
@@ -161,8 +178,8 @@ class TestSampleMerging:
         rng = np.random.default_rng(8)
         bounds = np.array([[i * 50, i * 50 + 100] for i in range(20)])
         flags = rng.integers(0, 2, size=20).astype(bool)
-        a = merge_flags_to_samples(flags, bounds, 1100)
-        b = merge_flags_to_samples(flags, bounds, 1100)
+        a = flagged_samples(flags, bounds, 1100)
+        b = flagged_samples(flags, bounds, 1100)
         assert np.array_equal(a, b)
 
 

@@ -20,8 +20,6 @@ from haraudit.ifc import (
     write_ifc_windows_csv,
 )
 from haraudit.mask import (
-    read_sample_mask_csv,
-    read_window_mask_csv,
     write_mask_summary_json,
     write_sample_mask_csv,
     write_window_mask_csv,
@@ -32,6 +30,7 @@ from haraudit.recordings import parse_canonical, write_canonical
 from haraudit.splits import plan_folds, read_plan, write_plan
 from haraudit.synth import default_scenario, generate_corpus, load_scenario, save_scenario
 from haraudit.windowing import WindowConfig, slice_corpus
+from test_mask import read_sample_mask_csv, read_window_mask_csv
 
 
 @pytest.fixture(scope="module")

@@ -1,5 +1,7 @@
+import csv
 import io
 import itertools
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,8 +13,6 @@ from haraudit.mask import (
     MINOR,
     build_mask,
     categorize,
-    read_sample_mask_csv,
-    read_window_mask_csv,
     write_sample_mask_csv,
     write_window_mask_csv,
 )
@@ -106,6 +106,28 @@ class TestBuildMask:
         bumped = build_mask(flags, raised_fused, bounds, 1100)
         assert bumped.window_mask[2] > base.window_mask[2]
         assert (bumped.sample_mask >= base.sample_mask).all()
+
+
+def csv_rows(src):
+    """Rows of a CSV export given as a path or as an open text stream."""
+    if isinstance(src, (str, Path)):
+        with open(src, encoding="utf-8", newline="") as fh:
+            return list(csv.reader(fh))
+    return list(csv.reader(src))
+
+
+def read_window_mask_csv(src):
+    """(categories, bounds) read back from a window mask export."""
+    rows = csv_rows(src)
+    assert rows[0] == ["window_id", "start_sample", "end_sample", "category"]
+    categories = np.asarray([int(row[3]) for row in rows[1:]], dtype=np.int8)
+    return categories, np.asarray([(int(row[1]), int(row[2])) for row in rows[1:]], dtype=int)
+
+
+def read_sample_mask_csv(src):
+    rows = csv_rows(src)
+    assert rows[0] == ["sample_index", "category"]
+    return np.asarray([int(row[1]) for row in rows[1:]], dtype=np.int8)
 
 
 class TestMaskExports:

@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 
 from haraudit.pipeline import audit_records, baseline_prediction_records
-from haraudit.predictions import PredictionRecord
+from haraudit.predictions import merge_runs
 from haraudit.splits import plan_folds
 from haraudit.synth import Injection, ScenarioSpec, generate_corpus
 from haraudit.windowing import WindowConfig, slice_corpus
+from prediction_rows import table_of
 
 
 @pytest.fixture(scope="module")
@@ -28,7 +29,7 @@ def test_every_window_predicted_once_per_run(small_audit):
     ds, plan = small_audit
     records = baseline_prediction_records(ds, plan, runs=2)
     for run in (0, 1):
-        windows = sorted(r.window_id for r in records if r.run_id == run)
+        windows = sorted(records.window[records.run == run].tolist())
         assert windows == list(range(ds.num_windows))
 
 
@@ -38,37 +39,23 @@ def test_predictions_come_from_the_held_out_fold(small_audit):
     test_fold = {
         w: f.fold_id for f in plan.folds for w in f.test_window_ids
     }
-    assert all(r.fold_id == test_fold[r.window_id] for r in records)
+    assert records.fold.tolist() == [test_fold[w] for w in records.window.tolist()]
 
 
 def test_runs_are_identical_under_deterministic_training(small_audit):
     ds, plan = small_audit
     records = baseline_prediction_records(ds, plan, runs=2)
-    by_run = {}
-    for r in records:
-        by_run.setdefault(r.run_id, {})[r.window_id] = r.probs
-    assert by_run[0] == by_run[1]
+    run0, run1 = records.take(records.run == 0), records.take(records.run == 1)
+    assert np.array_equal(run0.window, run1.window)
+    assert np.array_equal(run0.probs, run1.probs)
 
 
 def all_correct_records(n_windows, n_models=2):
-    records = []
-    for m in range(n_models):
-        for w in range(n_windows):
-            probs = [0.0, 0.0, 0.0]
-            probs[w % 3] = 1.0
-            records.append(
-                PredictionRecord(
-                    dataset_id="d",
-                    model_id=f"m{m}",
-                    config_id="c",
-                    run_id=0,
-                    fold_id=0,
-                    window_id=w,
-                    true_label=w % 3,
-                    probs=tuple(probs),
-                )
-            )
-    return records
+    return table_of(
+        dict(model=f"m{m}", window=w, label=w % 3, probs=np.eye(3)[w % 3])
+        for m in range(n_models)
+        for w in range(n_windows)
+    )
 
 
 def test_all_correct_log_audits_to_zero_ifc():
@@ -116,25 +103,18 @@ def test_composite_overlap_windows_land_in_the_intersect():
 
 
 def test_merge_policy_monotonicity_propagates_to_ifc():
-    from haraudit.ifc import build_matrix, compute_ifc
-    from haraudit.predictions import merge_runs
+    from haraudit.ifc import compute_ifc
 
     rng = np.random.default_rng(555)
-    records = []
-    for model in ("m0", "m1", "m2"):
-        for run in range(4):
-            for w in range(80):
-                good = bool(rng.random() < 0.6)
-                probs = (0.8, 0.2) if good else (0.2, 0.8)
-                records.append(
-                    PredictionRecord(
-                        dataset_id="d", model_id=model, config_id="c",
-                        run_id=run, fold_id=0, window_id=w,
-                        true_label=0, probs=probs,
-                    )
-                )
+    records = table_of(
+        dict(model=model, run=run, window=w,
+             probs=(0.8, 0.2) if rng.random() < 0.6 else (0.2, 0.8))
+        for model in ("m0", "m1", "m2")
+        for run in range(4)
+        for w in range(80)
+    )
     ifc_by_policy = {
-        policy: compute_ifc(build_matrix(merge_runs(records, policy))).ifc
+        policy: compute_ifc(merge_runs(records, policy)).ifc
         for policy in ("any", "majority", "all")
     }
     assert ifc_by_policy["all"] >= ifc_by_policy["majority"] >= ifc_by_policy["any"]

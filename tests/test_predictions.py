@@ -1,21 +1,19 @@
 import io
+import json
 
 import numpy as np
 import pytest
 
 from haraudit.predictions import (
-    PredictionRecord,
     RecordError,
-    accuracy,
     best_hyperparams,
     filter_to_configs,
-    is_correct,
     merge_runs,
     model_metrics,
     read_records,
-    weighted_f1,
     write_records,
 )
+from prediction_rows import assert_same_table, table_of
 
 
 def rec(
@@ -28,70 +26,59 @@ def rec(
     fold=0,
     dataset="d",
 ):
-    return PredictionRecord(
-        dataset_id=dataset,
-        model_id=model,
-        config_id=config,
-        run_id=run,
-        fold_id=fold,
-        window_id=window,
-        true_label=label,
-        probs=tuple(probs),
-    )
+    return dict(dataset=dataset, model=model, config=config, run=run, fold=fold,
+                window=window, label=label, probs=probs)
+
+
+def read_back(rows, **kwargs):
+    """Read rows back as a JSONL log, one line per row."""
+    rows = [{**rec(), **row, "probs": list(row["probs"])} for row in rows]
+    return read_records(io.StringIO("".join(json.dumps(r) + "\n" for r in rows)), **kwargs)
+
+
+def correct(row):
+    return bool(table_of([row]).correct[0])
 
 
 class TestCorrectness:
     def test_clear_argmax(self):
-        assert is_correct(rec(label=1, probs=(0.1, 0.9)))
+        assert correct(rec(label=1, probs=(0.1, 0.9)))
 
     def test_tie_resolves_to_lowest_index(self):
-        assert not is_correct(rec(label=1, probs=(0.5, 0.5)))
+        assert not correct(rec(label=1, probs=(0.5, 0.5)))
 
     def test_three_way(self):
-        assert is_correct(rec(label=2, probs=(0.3, 0.3, 0.4)))
+        assert correct(rec(label=2, probs=(0.3, 0.3, 0.4)))
 
 
 class TestRoundTrip:
     def test_write_read_identity(self):
         rng = np.random.default_rng(11)
-        records = []
-        for w in range(25):
-            p = rng.dirichlet(np.ones(4))
-            records.append(
-                rec(window=w, label=int(rng.integers(0, 4)), probs=tuple(p), run=w % 3)
-            )
+        rows = [
+            rec(window=w, label=int(rng.integers(0, 4)), probs=tuple(rng.dirichlet(np.ones(4))),
+                run=w % 3)
+            for w in range(25)
+        ]
         buf = io.StringIO()
-        write_records(records, buf)
+        write_records(table_of(rows), buf)
         buf.seek(0)
-        back = read_records(buf)
-        assert back == records  # float text is exact round-trip
+        # float text is exact round-trip
+        assert_same_table(read_records(buf), table_of(rows))
 
     def test_simplex_accepted_at_exact_sum(self):
-        buf = io.StringIO()
-        write_records([rec(probs=(0.5, 0.5))], buf)
-        buf.seek(0)
-        assert len(read_records(buf)) == 1
+        assert len(read_back([rec(probs=(0.5, 0.5))])) == 1
 
     def test_simplex_violation_rejected_with_index(self):
-        buf = io.StringIO()
-        write_records([rec(probs=(0.5, 0.5)), rec(window=1, probs=(0.6, 0.5))], buf)
-        buf.seek(0)
         with pytest.raises(RecordError, match="record 1"):
-            read_records(buf)
+            read_back([rec(probs=(0.5, 0.5)), rec(window=1, probs=(0.6, 0.5))])
 
     def test_duplicate_key_rejected(self):
-        buf = io.StringIO()
-        write_records([rec(probs=(0.5, 0.5)), rec(probs=(0.4, 0.6))], buf)
-        buf.seek(0)
         with pytest.raises(RecordError, match="duplicate"):
-            read_records(buf)
+            read_back([rec(probs=(0.5, 0.5)), rec(probs=(0.4, 0.6))])
 
     def test_unknown_window_rejected(self):
-        buf = io.StringIO()
-        write_records([rec(window=99)], buf)
-        buf.seek(0)
         with pytest.raises(RecordError, match="unknown window"):
-            read_records(buf, valid_window_ids=range(10))
+            read_back([rec(window=99)], valid_window_ids=range(10))
 
     def test_negative_probability_rejected(self):
         buf = io.StringIO()
@@ -102,8 +89,50 @@ class TestRoundTrip:
             read_records(buf)
 
 
+class TestValidationRules:
+    def test_one_class_count_per_log(self):
+        # Without num_classes the first record fixes the count for every dataset.
+        rows = [rec(dataset="a", probs=(0.5, 0.5)), rec(dataset="b", probs=(0.2, 0.3, 0.5))]
+        with pytest.raises(RecordError, match="record 1: expected 2 classes, found 3"):
+            read_back(rows)
+
+    def test_num_classes_overrides_the_first_record(self):
+        with pytest.raises(RecordError, match="record 0: expected 3 classes, found 2"):
+            read_back([rec(probs=(0.5, 0.5))], num_classes=3)
+
+    def test_earliest_faulty_record_is_named_among_array_checks(self):
+        rows = [rec(probs=(0.5, 0.5)), rec(window=1, probs=(1.2, -0.2)),
+                rec(window=2), rec(window=2, probs=(0.4, 0.6))]
+        with pytest.raises(RecordError, match="record 1: negative probability"):
+            read_back(rows)
+
+    def test_class_count_fault_is_named_before_earlier_array_faults(self):
+        # A wrong class count stops the read, so the later record is named.
+        rows = [rec(probs=(0.5, 0.5)), rec(window=1, probs=(1.2, -0.2)),
+                rec(window=2, probs=(0.2, 0.3, 0.5))]
+        with pytest.raises(RecordError, match="record 2: expected 2 classes, found 3"):
+            read_back(rows)
+
+    def test_first_failing_check_of_a_record_is_reported(self):
+        # Record 1 repeats record 0's key and also sums to 1.1: the sum check comes first.
+        with pytest.raises(RecordError, match="record 1: probabilities sum to 1.10000000"):
+            read_back([rec(probs=(0.5, 0.5)), rec(probs=(0.5, 0.6))])
+
+    def test_non_finite_probability_rejected(self):
+        buf = io.StringIO('{"dataset":"d","model":"m","config":"c","run":0,"fold":0,'
+                          '"window":0,"label":0,"probs":[NaN,0.5]}\n')
+        with pytest.raises(RecordError, match="record 0: probabilities sum to nan"):
+            read_records(buf)
+
+    def test_malformed_record_rejected(self):
+        buf = io.StringIO('{"dataset":"d","model":"m","config":"c","run":0,"fold":0,'
+                          '"window":0,"label":0,"probs":"0.5"}\n')
+        with pytest.raises(RecordError, match="record 0: malformed record"):
+            read_records(buf)
+
+
 def correctness_records(model, config, flags_per_run, label=0):
-    """One record per (run, window); flags say whether that run was correct."""
+    """One row per (run, window); flags say whether that run was correct."""
     records = []
     for run, flags in enumerate(flags_per_run):
         for window, good in enumerate(flags):
@@ -115,16 +144,23 @@ def correctness_records(model, config, flags_per_run, label=0):
     return records
 
 
+def merged(records, policy="majority"):
+    """Run-merged verdicts of model m1 per window id."""
+    matrix = merge_runs(table_of(records), policy)
+    assert matrix.model_ids == ("m1",)
+    return dict(zip(matrix.window_ids.tolist(), matrix.values[0].tolist()))
+
+
 class TestBestHyperparams:
     def test_higher_accuracy_wins(self):
         records = correctness_records("m1", "A", [[1, 1, 1, 0]])
         records += correctness_records("m1", "B", [[1, 1, 0, 0]])
-        assert best_hyperparams(records) == {("d", "m1"): "A"}
+        assert best_hyperparams(table_of(records)) == {("d", "m1"): "A"}
 
     def test_tie_takes_lexicographically_smallest_config(self):
         records = correctness_records("m1", "bs256_lr0.01", [[1, 0]])
         records += correctness_records("m1", "bs064_lr0.01", [[0, 1]])
-        assert best_hyperparams(records)[("d", "m1")] == "bs064_lr0.01"
+        assert best_hyperparams(table_of(records))[("d", "m1")] == "bs064_lr0.01"
 
     def test_nine_config_grid_has_unique_argmax(self):
         # 3x3 grid over 10 windows; config k gets k+... distinct accuracies
@@ -140,7 +176,7 @@ class TestBestHyperparams:
                     "m1", config, [[1] * correct + [0] * (10 - correct)]
                 )
                 k += 1
-        chosen = best_hyperparams(records)[("d", "m1")]
+        chosen = best_hyperparams(table_of(records))[("d", "m1")]
         assert chosen == max(accs, key=lambda c: (accs[c], c))
         assert accs[chosen] == 0.9
 
@@ -148,49 +184,49 @@ class TestBestHyperparams:
         # A: runs 100% and 0% -> mean 0.5; B: runs 100% and 50% -> mean 0.75
         records = correctness_records("m1", "A", [[1, 1], [0, 0]])
         records += correctness_records("m1", "B", [[1, 1], [1, 0]])
-        assert best_hyperparams(records)[("d", "m1")] == "B"
+        assert best_hyperparams(table_of(records))[("d", "m1")] == "B"
 
     def test_missing_fold_coverage_raises(self):
         records = correctness_records("m1", "A", [[1, 1]])
         extra = rec(window=5, model="m1", config="B", fold=3)
         with pytest.raises(ValueError, match="lacks folds"):
-            best_hyperparams(records + [extra])
+            best_hyperparams(table_of(records + [extra]))
 
     def test_filtering_keeps_window_coverage(self):
-        records = correctness_records("m1", "A", [[1, 0, 1]])
-        records += correctness_records("m1", "B", [[0, 1, 1]])
+        records = table_of(correctness_records("m1", "A", [[1, 0, 1]])
+                           + correctness_records("m1", "B", [[0, 1, 1]]))
         chosen = best_hyperparams(records)
         kept = filter_to_configs(records, chosen)
-        assert {r.window_id for r in kept} == {r.window_id for r in records}
+        assert set(kept.config.tolist()) == {chosen[("d", "m1")]}
+        assert set(kept.window.tolist()) == set(records.window.tolist())
 
 
 class TestMergeRuns:
     def test_majority_three_of_four(self):
         records = correctness_records("m1", "c", [[1], [1], [1], [0]])
-        merged = merge_runs(records, "majority")
-        assert merged.by_model["m1"][0] is True
+        assert merged(records, "majority")[0] is True
 
     def test_exact_half_is_incorrect(self):
         records = correctness_records("m1", "c", [[1], [1], [0], [0]])
-        assert merge_runs(records, "majority").by_model["m1"][0] is False
+        assert merged(records, "majority")[0] is False
 
     def test_single_run_equal_under_all_policies(self):
         for flag in (0, 1):
             records = correctness_records("m1", "c", [[flag]])
             for policy in ("any", "majority", "all"):
-                assert merge_runs(records, policy).by_model["m1"][0] is bool(flag)
+                assert merged(records, policy)[0] is bool(flag)
 
     def test_differing_run_counts_rejected(self):
         records = correctness_records("m1", "c", [[1, 1], [1, 1]])
         records.append(rec(window=2, model="m1", config="c", run=0))
         with pytest.raises(ValueError, match="differing run counts"):
-            merge_runs(records)
+            merge_runs(table_of(records))
 
     def test_multiple_configs_rejected(self):
         records = correctness_records("m1", "A", [[1]])
         records += correctness_records("m1", "B", [[1]])
         with pytest.raises(ValueError, match="filter"):
-            merge_runs(records)
+            merge_runs(table_of(records))
 
     def test_policy_monotonicity_property(self):
         rng = np.random.default_rng(2024)
@@ -201,8 +237,7 @@ class TestMergeRuns:
             records = correctness_records("m1", "c", flags.tolist())
             sets = {}
             for policy in ("all", "majority", "any"):
-                merged = merge_runs(records, policy).by_model["m1"]
-                sets[policy] = {w for w, good in merged.items() if good}
+                sets[policy] = {w for w, good in merged(records, policy).items() if good}
             assert sets["all"] <= sets["majority"] <= sets["any"]
 
     def test_order_independence(self):
@@ -210,7 +245,23 @@ class TestMergeRuns:
         records = correctness_records("m1", "c", rng.integers(0, 2, (4, 20)).tolist())
         shuffled = list(records)
         rng.shuffle(shuffled)
-        assert merge_runs(records).by_model == merge_runs(shuffled).by_model
+        assert merged(records) == merged(shuffled)
+
+
+def run_metrics(y_true, y_pred, num_classes):
+    """model_metrics of one run whose records predict ``y_pred`` for labels ``y_true``."""
+    one_hot = np.eye(num_classes)
+    table = table_of(dict(window=w, label=t, probs=one_hot[p])
+                     for w, (t, p) in enumerate(zip(y_true, y_pred)))
+    return model_metrics(table)[("d", "m1", "c1")]
+
+
+def accuracy(y_true, y_pred):
+    return run_metrics(y_true, y_pred, max(max(y_true), max(y_pred)) + 1).accuracy_mean
+
+
+def weighted_f1(y_true, y_pred, num_classes):
+    return run_metrics(y_true, y_pred, num_classes).weighted_f1_mean
 
 
 def weighted_f1_oracle(y_true, y_pred, num_classes):
@@ -266,7 +317,7 @@ class TestMetrics:
 
     def test_model_metrics_mean_and_std_over_runs(self):
         records = correctness_records("m1", "c", [[1, 1, 1, 1], [1, 1, 0, 0]])
-        metrics = model_metrics(records)[("d", "m1", "c")]
+        metrics = model_metrics(table_of(records))[("d", "m1", "c")]
         assert metrics.accuracy_mean == 0.75
         assert metrics.accuracy_std == 0.25
         assert metrics.num_runs == 2
