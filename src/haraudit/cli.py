@@ -1,17 +1,16 @@
 """Command-line pipeline: ingest/synth -> windows -> split -> predictions ->
 overlap, confusion, histogram, mask, plots, and a bundled report.
 
-Every command reads its declared inputs from the run directory (or explicit
-paths), writes its artifacts there, and records their SHA-256 hashes in
+Every command reads its inputs from the run directory (and files named by
+flags), writes its artifacts there, and records their lineage in
 manifest.json. A command writes to temporary names and moves them into place
 only when it succeeds, so a failed command leaves the run directory as it
 found it.
 
 ``ifc`` runs the whole audit once (``pipeline.audit_records``) and persists it
-as ifc_windows.csv, ifc_summary.json and fused.jsonl. ``confusion``,
-``histogram``, ``mask`` and ``report`` are views of those files, ``plot`` also
-draws the exports of ``histogram`` and ``confusion``, and re-running ``ifc``
-removes every view it made stale.
+as ifc_windows.csv, ifc_summary.json, fused.jsonl and models.json.
+``confusion``, ``histogram``, ``mask`` and ``report`` are views of those
+files, and ``plot`` also draws the exports of ``histogram`` and ``confusion``.
 """
 
 from __future__ import annotations
@@ -22,6 +21,7 @@ import hashlib
 import json
 import os
 import sys
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -32,8 +32,10 @@ from . import mask as mask_mod
 from . import svgplot
 from ._io import write_json
 from .baseline import TrainConfig
-from .pipeline import audit_records, baseline_prediction_records, choose_configs
-from .predictions import MERGE_POLICIES, model_metrics, read_records, write_records
+from .pipeline import audit_records, baseline_prediction_records
+from .predictions import (
+    MERGE_POLICIES, filter_to_configs, model_metrics, read_records, write_records,
+)
 from .recordings import corpus_num_classes, parse_canonical, write_canonical
 from .splits import group_k_fold, read_plan, write_plan
 from .synth import default_scenario, generate_corpus, load_scenario, save_scenario
@@ -44,12 +46,6 @@ WINDOW_COLUMNS = [
     "window_id", "start_sample", "end_sample", "label",
     "group_key", "recording_index", "transition",
 ]
-# Everything the commands that read ifc's outputs write; a new ifc run makes it stale.
-IFC_VIEWS = (
-    "confusion_table.csv", "chord.json", "ifc_histogram.csv", "mask_windows.csv",
-    "mask_samples.csv", "mask_summary.json", "condensed.csv", "condensed.svg",
-    "histogram.svg", "chord.svg", "report.json",
-)
 
 
 class CommandError(Exception):
@@ -57,12 +53,66 @@ class CommandError(Exception):
 
 
 class RunDir:
-    """Stages a command's artifacts so that only a success changes the run directory."""
+    """One command's view of the run directory: options, inputs, staged outputs.
 
-    def __init__(self, out: Path):
-        self.out = out
+    manifest.json maps each artifact to its SHA-256 (``artifacts``) and to a
+    lineage record (``lineage``): the command that wrote it, the parameters
+    that command resolved, and the SHA-256 of every run-directory input it
+    read. Staleness, input checks and parameter checks all come from it.
+    """
+
+    def __init__(self, args, cfg: dict):
+        out = args.out or cfg.get("out") or os.environ.get(OUT_ENV)
+        if not out:
+            raise CommandError(f"no output directory: pass --out or set {OUT_ENV}")
+        self.out, self.args, self.cfg = Path(out), args, cfg
+        self.out.mkdir(parents=True, exist_ok=True)
+        for leftover in self.out.glob(".*.partial"):  # from a killed command
+            leftover.unlink()
+        path = self.out / "manifest.json"
+        manifest = json.loads(path.read_text(encoding="utf-8")) if path.exists() else {}
+        self.artifacts = manifest.get("artifacts", {})
+        self.lineage = manifest.get("lineage", {})
         self.staged: dict[str, Path] = {}
-        self.stale: tuple[str, ...] = ()
+        self.params: dict = {}
+        self.explicit: set[str] = set()
+        self.inputs: dict[str, str] = {}
+        self.hashes: dict[Path, str] = {}
+
+    def sha256(self, path: Path) -> str:
+        """A file's SHA-256, read in chunks and at most once per command."""
+        if path not in self.hashes:
+            digest = hashlib.sha256()
+            with open(path, "rb") as fh:
+                for chunk in iter(lambda: fh.read(1 << 20), b""):
+                    digest.update(chunk)
+            self.hashes[path] = digest.hexdigest()
+        return self.hashes[path]
+
+    def opt(self, key: str, default):
+        """Command line beats config file beats ``default``, whose type the value
+        takes; the value is recorded in the lineage."""
+        value = getattr(self.args, key, None)
+        if value is None and key in self.cfg:
+            value = self.cfg[key]
+        if value is None:
+            value = default
+        else:
+            self.explicit.add(key)
+            value = value if default is None else type(default)(value)
+        self.params[key] = value
+        return value
+
+    def source(self, key: str) -> Path | None:
+        """A file from outside the run directory, recorded by content hash."""
+        path = self.opt(key, None)
+        if path is None:
+            return None
+        path = Path(path)
+        if not path.is_file():
+            raise CommandError(f"{key} file {path} does not exist")
+        self.params[key] = self.sha256(path)
+        return path
 
     def file(self, name: str) -> Path:
         """A temporary path that becomes artifact ``name`` on commit."""
@@ -71,9 +121,17 @@ class RunDir:
         return path
 
     def need(self, name: str) -> Path:
+        """An input, refused when a file it was built from has changed since."""
         path = self.out / name
         if not path.exists():
             raise CommandError(f"missing input {path}; run the producing command first")
+        record = self.lineage.get(name, {})
+        for source, digest in record.get("inputs", {}).items():
+            if (self.out / source).exists() and self.sha256(self.out / source) != digest:
+                raise CommandError(
+                    f"{name} was built from another {source}; rerun {record['command']}"
+                )
+        self.inputs[name] = self.sha256(path)
         return path
 
     def discard(self) -> None:
@@ -81,19 +139,44 @@ class RunDir:
             path.unlink(missing_ok=True)
 
     def commit(self) -> None:
-        """Remove stale artifacts, then move the staged ones and the manifest into place."""
-        manifest_path = self.out / "manifest.json"
-        manifest = {"artifacts": {}}
-        if manifest_path.exists():
-            manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-        artifacts = manifest["artifacts"]
+        """Check the parameters against the inputs' producers, remove what the new
+        files make stale, then move the staged files and the manifest into place."""
+        for name in self.inputs:
+            record = self.lineage.get(name, {"params": {}})
+            for key in sorted(self.explicit & record["params"].keys()):
+                if record["params"][key] != self.params[key]:
+                    raise CommandError(
+                        f"--{key.replace('_', '-')} {self.params[key]} disagrees with "
+                        f"{name}, written under {record['params'][key]}; rerun "
+                        f"{record['command']} to change it"
+                    )
+        # A rewritten file makes stale what its previous producer wrote beside
+        # it and, through the lineage, everything built from any of them.
+        previous = {self.lineage[name]["command"] for name in self.staged if name in self.lineage}
+        stale = set(self.staged)
+        stale |= {name for name, r in self.lineage.items() if r["command"] in previous}
+        while True:
+            grown = stale | {n for n, r in self.lineage.items() if stale & r["inputs"].keys()}
+            if grown == stale:
+                break
+            stale = grown
+        for name in stale:
+            self.artifacts.pop(name, None)
+            self.lineage.pop(name, None)
+        record = {
+            "command": self.args.command,
+            "params": dict(sorted(self.params.items())),
+            "inputs": dict(sorted(self.inputs.items())),
+        }
         for name, path in self.staged.items():
-            artifacts[name] = hashlib.sha256(path.read_bytes()).hexdigest()
-        for name in self.stale:
-            artifacts.pop(name, None)
-        manifest["artifacts"] = dict(sorted(artifacts.items()))
-        write_json(manifest, self.file("manifest.json"))
-        for name in self.stale:
+            self.artifacts[name] = self.sha256(path)
+            self.lineage[name] = record
+        write_json(
+            {"artifacts": dict(sorted(self.artifacts.items())),
+             "lineage": dict(sorted(self.lineage.items()))},
+            self.file("manifest.json"),
+        )
+        for name in stale - set(self.staged):
             (self.out / name).unlink(missing_ok=True)
         for name, path in self.staged.items():
             os.replace(path, self.out / name)
@@ -112,25 +195,6 @@ def _load_config_file(path: str | None) -> dict:
     if not isinstance(cfg, dict):
         raise CommandError(f"config file {p} must hold a JSON object")
     return cfg
-
-
-def _opt(args, cfg: dict, key: str, default):
-    """Command line beats config file beats built-in default."""
-    value = getattr(args, key, None)
-    if value is not None:
-        return value
-    if key in cfg:
-        return cfg[key]
-    return default
-
-
-def _resolve_out(args, cfg: dict) -> Path:
-    out = _opt(args, cfg, "out", None) or os.environ.get(OUT_ENV)
-    if not out:
-        raise CommandError(f"no output directory: pass --out or set {OUT_ENV}")
-    path = Path(out)
-    path.mkdir(parents=True, exist_ok=True)
-    return path
 
 
 # ---------------------------------------------------------------- artifacts
@@ -162,53 +226,26 @@ def _read_meta(path: Path) -> dict:
 def _rebuild_dataset(run: RunDir):
     """Re-slice the canonical recordings with the recorded window config."""
     meta = _read_meta(run.need("windows_meta.json"))
-    recordings, _ = parse_canonical(
-        run.need("recordings.csv"), sample_rate=meta["sample_rate"]
-    )
-    config = WindowConfig(
-        size=meta["window_size"],
-        stride=meta["stride"],
-        label_policy=meta["label_policy"],
-    )
+    recordings, _ = parse_canonical(run.need("recordings.csv"), sample_rate=meta["sample_rate"])
+    config = WindowConfig(meta["window_size"], meta["stride"], meta["label_policy"])
     return slice_corpus(
         recordings, config, group_by=meta["group_by"], num_classes=meta["num_classes"]
     )
 
 
-def _load_ifc_flags(run: RunDir, num_windows: int) -> np.ndarray:
-    """Per-window IFC flags; they must cover every row of windows.csv."""
+def _ifc_view(run: RunDir):
+    """Window bounds, labels, recording indices, windows_meta.json, and the IFC
+    flags, which must cover every row of windows.csv."""
+    bounds, labels, _, rec_idx = _read_windows_csv(run.need("windows.csv"))
+    meta = _read_meta(run.need("windows_meta.json"))
     path = run.need("ifc_windows.csv")
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        next(reader)
-        flags = [bool(int(row[4])) for row in reader]
-    if len(flags) != num_windows:
+        flags = [bool(int(row[4])) for row in list(csv.reader(fh))[1:]]
+    if len(flags) != labels.size:
         raise CommandError(
-            f"{path} holds {len(flags)} windows but windows.csv holds "
-            f"{num_windows}; rerun ifc"
+            f"{path} holds {len(flags)} windows but windows.csv holds {labels.size}; rerun ifc"
         )
-    return np.asarray(flags, dtype=bool)
-
-
-def _ifc_summary(args, cfg: dict, run: RunDir) -> dict:
-    """ifc_summary.json; --merge-policy may only repeat the policy ifc ran under."""
-    path = run.need("ifc_summary.json")
-    summary = _read_meta(path)
-    policy = summary["merge_policy"]
-    asked = _opt(args, cfg, "merge_policy", None)
-    if asked is not None and asked != policy:
-        raise CommandError(
-            f"--merge-policy {asked} disagrees with {path}, written under "
-            f"{policy}; rerun ifc to change the policy"
-        )
-    return summary
-
-
-def _ifc_view(run: RunDir):
-    """Window bounds, labels, windows_meta.json and the flags ifc wrote for them."""
-    bounds, labels, _, _ = _read_windows_csv(run.need("windows.csv"))
-    meta = _read_meta(run.need("windows_meta.json"))
-    return bounds, labels, meta, _load_ifc_flags(run, labels.size)
+    return bounds, labels, rec_idx, meta, np.asarray(flags, dtype=bool)
 
 
 def _load_records(run: RunDir, path: Path | None = None):
@@ -226,13 +263,11 @@ def _load_records(run: RunDir, path: Path | None = None):
 
 # ----------------------------------------------------------------- commands
 
-def cmd_ingest(args, cfg: dict, run: RunDir) -> None:
-    source = _opt(args, cfg, "recordings", None)
-    if not source:
+def cmd_ingest(run: RunDir) -> None:
+    source = run.source("recordings")
+    if source is None:
         raise CommandError("ingest needs --recordings <csv>")
-    if not Path(source).exists():
-        raise CommandError(f"recordings file {source} does not exist")
-    sample_rate = float(_opt(args, cfg, "sample_rate", 100.0))
+    sample_rate = run.opt("sample_rate", 100.0)
     recordings, repaired = parse_canonical(source, sample_rate=sample_rate)
     num_classes = corpus_num_classes(recordings)
     write_canonical(recordings, run.file("recordings.csv"))
@@ -248,16 +283,13 @@ def cmd_ingest(args, cfg: dict, run: RunDir) -> None:
     )
 
 
-def cmd_synth(args, cfg: dict, run: RunDir) -> None:
-    scenario_path = _opt(args, cfg, "scenario", None)
+def cmd_synth(run: RunDir) -> None:
+    scenario_path = run.source("scenario")
     spec = load_scenario(scenario_path) if scenario_path else default_scenario()
-    seed = _opt(args, cfg, "seed", None)
+    seed = run.opt("seed", None)
     if seed is not None:
-        from dataclasses import replace
-
         spec = replace(spec, seed=int(seed))
-    subjects = int(_opt(args, cfg, "subjects", 4))
-    recordings, annotations = generate_corpus(spec, num_subjects=subjects)
+    recordings, annotations = generate_corpus(spec, num_subjects=run.opt("subjects", 4))
     save_scenario(spec, run.file("scenario.json"))
     write_canonical(recordings, run.file("recordings.csv"))
     write_json(
@@ -275,27 +307,24 @@ def cmd_synth(args, cfg: dict, run: RunDir) -> None:
     )
 
 
-def cmd_windows(args, cfg: dict, run: RunDir) -> None:
-    source = _opt(args, cfg, "recordings", None) or run.need("recordings.csv")
-    sample_rate = float(_opt(args, cfg, "sample_rate", 100.0))
-    recordings, _ = parse_canonical(source, sample_rate=sample_rate)
+def cmd_windows(run: RunDir) -> None:
+    sample_rate = run.opt("sample_rate", 100.0)
+    recordings, _ = parse_canonical(run.need("recordings.csv"), sample_rate=sample_rate)
     config = WindowConfig(
-        size=int(_opt(args, cfg, "window_size", 200)),
-        stride=int(_opt(args, cfg, "stride", 100)),
-        label_policy=_opt(args, cfg, "label_policy", "majority"),
+        size=run.opt("window_size", 200),
+        stride=run.opt("stride", 100),
+        label_policy=run.opt("label_policy", "majority"),
     )
-    group_by = _opt(args, cfg, "group_by", "subject")
+    group_by = run.opt("group_by", "subject")
     dataset = slice_corpus(recordings, config, group_by=group_by)
     with open(run.file("windows.csv"), "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(WINDOW_COLUMNS)
-        for w in dataset.windows:
-            writer.writerow(
-                [
-                    w.window_id, w.start_sample, w.end_sample, w.label,
-                    w.group_key, w.recording_index, int(w.transition),
-                ]
-            )
+        writer.writerows(
+            [w.window_id, w.start_sample, w.end_sample, w.label,
+             w.group_key, w.recording_index, int(w.transition)]
+            for w in dataset.windows
+        )
     write_json(
         {
             "num_windows": dataset.num_windows,
@@ -312,65 +341,69 @@ def cmd_windows(args, cfg: dict, run: RunDir) -> None:
     )
 
 
-def cmd_split(args, cfg: dict, run: RunDir) -> None:
+def cmd_split(run: RunDir) -> None:
     _, _, groups, _ = _read_windows_csv(run.need("windows.csv"))
-    max_k = int(_opt(args, cfg, "max_k", 10))
     group_windows: dict[str, list[int]] = {}
     for window_id, key in enumerate(groups):
         group_windows.setdefault(key, []).append(window_id)
-    plan = group_k_fold(group_windows, max_k=max_k)
+    plan = group_k_fold(group_windows, max_k=run.opt("max_k", 10))
     write_plan(plan, run.file("splits.json"))
 
 
-def cmd_train_baseline(args, cfg: dict, run: RunDir) -> None:
+def cmd_train_baseline(run: RunDir) -> None:
     dataset = _rebuild_dataset(run)
     plan = read_plan(run.need("splits.json"))
-    config = TrainConfig(
-        step_size=float(_opt(args, cfg, "step_size", 0.1)),
-        epochs=int(_opt(args, cfg, "epochs", 200)),
-    )
+    config = TrainConfig(step_size=run.opt("step_size", 0.1), epochs=run.opt("epochs", 200))
     records = baseline_prediction_records(
         dataset,
         plan,
-        dataset_id=_opt(args, cfg, "dataset_id", "dataset"),
-        runs=int(_opt(args, cfg, "runs", 1)),
+        dataset_id=run.opt("dataset_id", "dataset"),
+        runs=run.opt("runs", 1),
         config=config,
     )
     write_records(records, run.file("predictions.jsonl"))
 
 
-def cmd_import_logs(args, cfg: dict, run: RunDir) -> None:
-    logs = _opt(args, cfg, "logs", None)
-    if not logs:
+def cmd_import_logs(run: RunDir) -> None:
+    logs = run.source("logs")
+    if logs is None:
         raise CommandError("import-logs needs --logs <jsonl>")
-    if not Path(logs).exists():
-        raise CommandError(f"prediction log {logs} does not exist")
-    records, _, _, _ = _load_records(run, Path(logs))
+    records, _, _, _ = _load_records(run, logs)
     write_records(records, run.file("predictions.jsonl"))
 
 
-def cmd_ifc(args, cfg: dict, run: RunDir) -> None:
+def cmd_ifc(run: RunDir) -> None:
     records, bounds, labels, meta = _load_records(run)
-    policy = _opt(args, cfg, "merge_policy", "majority")
     result = audit_records(
         records, bounds, labels, meta["total_samples"],
-        num_classes=meta["num_classes"], merge_policy=policy,
+        num_classes=meta["num_classes"], merge_policy=run.opt("merge_policy", "majority"),
     )
     ifc_mod.write_ifc_windows_csv(result.ifc, bounds, labels, run.file("ifc_windows.csv"))
     ifc_mod.write_ifc_summary_json(result.ifc, run.file("ifc_summary.json"))
     conf.write_fused_jsonl(result.fused, run.file("fused.jsonl"))
-    run.stale = IFC_VIEWS
+    metrics = model_metrics(filter_to_configs(records, result.chosen_configs))
+    write_json(
+        {
+            "dataset_id": records.dataset[0].item(),
+            "chosen_configs": {
+                f"{d}/{m}": c for (d, m), c in sorted(result.chosen_configs.items())
+            },
+            "model_metrics": {
+                f"{d}/{m}/{c}": asdict(v) for (d, m, c), v in sorted(metrics.items())
+            },
+        },
+        run.file("models.json"),
+    )
 
 
-def cmd_histogram(args, cfg: dict, run: RunDir) -> None:
-    _, _, _, rec_idx = _read_windows_csv(run.need("windows.csv"))
-    flags = _load_ifc_flags(run, rec_idx.size)
+def cmd_histogram(run: RunDir) -> None:
+    _, _, rec_idx, _, flags = _ifc_view(run)
     hist = ifc_mod.run_lengths(flags, rec_idx)
     ifc_mod.write_histogram_csv(hist, run.file("ifc_histogram.csv"))
 
 
-def cmd_confusion(args, cfg: dict, run: RunDir) -> None:
-    _, labels, meta, flags = _ifc_view(run)
+def cmd_confusion(run: RunDir) -> None:
+    _, labels, _, meta, flags = _ifc_view(run)
     table = conf.confusion_table(flags, labels, num_classes=meta["num_classes"])
     edges = conf.chord_edges(conf.read_fused_jsonl(run.need("fused.jsonl")))
     names = [f"class_{c}" for c in range(meta["num_classes"])]
@@ -378,18 +411,26 @@ def cmd_confusion(args, cfg: dict, run: RunDir) -> None:
     conf.write_chord_json(edges, names, run.file("chord.json"))
 
 
-def cmd_mask(args, cfg: dict, run: RunDir) -> None:
-    policy = _ifc_summary(args, cfg, run)["merge_policy"]
-    bounds, _, meta, flags = _ifc_view(run)
+def _ifc_mask(run: RunDir):
+    """ifc_summary.json, the mask under ifc's merge policy, and ``_ifc_view``."""
+    summary = _read_meta(run.need("ifc_summary.json"))
+    # --merge-policy may only repeat the policy ifc ran under (checked on commit).
+    policy = run.opt("merge_policy", summary["merge_policy"])
+    view = bounds, _, _, meta, flags = _ifc_view(run)
     fused = conf.read_fused_jsonl(run.need("fused.jsonl"))
     mask = mask_mod.build_mask(flags, fused, bounds, meta["total_samples"], policy=policy)
+    return summary, mask, view
+
+
+def cmd_mask(run: RunDir) -> None:
+    _, mask, (bounds, *_) = _ifc_mask(run)
     mask_mod.write_window_mask_csv(mask, bounds, run.file("mask_windows.csv"))
     mask_mod.write_sample_mask_csv(mask, run.file("mask_samples.csv"))
     mask_mod.write_mask_summary_json(mask, run.file("mask_summary.json"))
 
 
-def cmd_plot(args, cfg: dict, run: RunDir) -> None:
-    _, _, _, flags = _ifc_view(run)
+def cmd_plot(run: RunDir) -> None:
+    flags = _ifc_view(run)[-1]
     with open(run.need("ifc_histogram.csv"), "r", encoding="utf-8", newline="") as fh:
         bins = [tuple(int(v) for v in row) for row in list(csv.reader(fh))[1:]]
     chord = _read_meta(run.need("chord.json"))
@@ -400,38 +441,28 @@ def cmd_plot(args, cfg: dict, run: RunDir) -> None:
     with open(run.file("condensed.csv"), "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(
-            ["window_id"]
-            + [f"mean_ch{c}" for c in range(dataset.num_channels)]
-            + ["ifc_flag"]
+            ["window_id", *(f"mean_ch{c}" for c in range(dataset.num_channels)), "ifc_flag"]
         )
-        for w in range(dataset.num_windows):
-            writer.writerow(
-                [w] + [repr(float(v)) for v in means[w]] + [int(flags[w])]
-            )
-    run.file("condensed.svg").write_text(
-        svgplot.condensed_view_svg(means, flags), encoding="utf-8"
-    )
-    run.file("histogram.svg").write_text(svgplot.histogram_svg(bins), encoding="utf-8")
-    run.file("chord.svg").write_text(
-        svgplot.chord_svg(
-            [(e["from"], e["to"], e["weight"]) for e in chord["edges"]], chord["classes"]
-        ),
-        encoding="utf-8",
-    )
+        writer.writerows(
+            [w, *(repr(float(v)) for v in means[w]), int(flags[w])]
+            for w in range(dataset.num_windows)
+        )
+    edges = [(e["from"], e["to"], e["weight"]) for e in chord["edges"]]
+    for name, svg in (
+        ("condensed.svg", svgplot.condensed_view_svg(means, flags)),
+        ("histogram.svg", svgplot.histogram_svg(bins)),
+        ("chord.svg", svgplot.chord_svg(edges, chord["classes"])),
+    ):
+        run.file(name).write_text(svg, encoding="utf-8")
 
 
-def cmd_report(args, cfg: dict, run: RunDir) -> None:
-    summary = _ifc_summary(args, cfg, run)
-    policy = summary["merge_policy"]
-    bounds, labels, meta, flags = _ifc_view(run)
-    fused = conf.read_fused_jsonl(run.need("fused.jsonl"))
-    mask = mask_mod.build_mask(flags, fused, bounds, meta["total_samples"], policy=policy)
+def cmd_report(run: RunDir) -> None:
+    summary, mask, (_, labels, _, meta, flags) = _ifc_mask(run)
     table = conf.confusion_table(flags, labels, num_classes=meta["num_classes"])
-    records = _load_records(run)[0]
-    metrics = model_metrics(choose_configs(records)[1])
+    models = _read_meta(run.need("models.json"))
     payload = {
-        "dataset_id": records.dataset[0].item(),
-        "merge_policy": policy,
+        "dataset_id": models["dataset_id"],
+        "merge_policy": summary["merge_policy"],
         "num_windows": int(len(labels)),
         "num_classes": int(meta["num_classes"]),
         # With two classes the gap rule has a single gap, so every flagged
@@ -451,33 +482,37 @@ def cmd_report(args, cfg: dict, run: RunDir) -> None:
             }
             for row in table
         ],
-        "model_metrics": {
-            f"{d}/{m}/{c}": {
-                "accuracy_mean": v.accuracy_mean,
-                "accuracy_std": v.accuracy_std,
-                "weighted_f1_mean": v.weighted_f1_mean,
-                "weighted_f1_std": v.weighted_f1_std,
-                "num_runs": v.num_runs,
-            }
-            for (d, m, c), v in sorted(metrics.items())
-        },
+        "model_metrics": models["model_metrics"],
     }
     write_json(payload, run.file("report.json"))
 
 
+INT, FLOAT = {"type": int}, {"type": float}
+POLICY = {"choices": list(MERGE_POLICIES)}
+# name: (function, help, flags); every command also takes --config and --out.
 COMMANDS = {
-    "ingest": cmd_ingest,
-    "windows": cmd_windows,
-    "split": cmd_split,
-    "synth": cmd_synth,
-    "train-baseline": cmd_train_baseline,
-    "import-logs": cmd_import_logs,
-    "ifc": cmd_ifc,
-    "confusion": cmd_confusion,
-    "histogram": cmd_histogram,
-    "mask": cmd_mask,
-    "plot": cmd_plot,
-    "report": cmd_report,
+    "ingest": (cmd_ingest, "parse recordings into the run directory",
+               {"--recordings": {}, "--sample-rate": FLOAT}),
+    "synth": (cmd_synth, "generate a synthetic corpus",
+              {"--scenario": {}, "--subjects": INT, "--seed": INT}),
+    "windows": (cmd_windows, "slice recordings into labelled windows",
+                {"--window-size": INT, "--stride": INT, "--label-policy": {},
+                 "--group-by": {"choices": ["subject", "subject_session"]},
+                 "--sample-rate": FLOAT}),
+    "split": (cmd_split, "plan grouped cross-validation folds", {"--max-k": INT}),
+    "train-baseline": (cmd_train_baseline, "train the reference classifier per fold",
+                       {"--runs": INT, "--step-size": FLOAT, "--epochs": INT,
+                        "--dataset-id": {}}),
+    "import-logs": (cmd_import_logs, "validate and import an external prediction log",
+                    {"--logs": {}}),
+    "ifc": (cmd_ifc, "run the audit: IFC flags, overlap, fused distributions, model metrics",
+            {"--merge-policy": POLICY}),
+    "confusion": (cmd_confusion, "tabulate confusion from the fused distributions", {}),
+    "histogram": (cmd_histogram, "bin the run lengths of flagged windows", {}),
+    "mask": (cmd_mask, "emit the trinary clean/minor/major mask", {"--merge-policy": POLICY}),
+    "plot": (cmd_plot, "draw SVG views of the window means and audit exports", {}),
+    "report": (cmd_report, "bundle overlap, mask, confusion and model metrics",
+               {"--merge-policy": POLICY}),
 }
 
 
@@ -487,60 +522,25 @@ def build_parser() -> argparse.ArgumentParser:
         description="Audit windowed time-series classification benchmarks.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name: str, help_text: str, *flags) -> argparse.ArgumentParser:
+    for name, (_, help_text, flags) in COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="JSON file with flag defaults")
         p.add_argument("--out", help=f"run directory (fallback: ${OUT_ENV})")
-        for flag, kwargs in flags:
+        for flag, kwargs in flags.items():
             p.add_argument(flag, **kwargs)
-        return p
-
-    intf = {"type": int}
-    floatf = {"type": float}
-    add("ingest", "parse recordings into the run directory",
-        ("--recordings", {}), ("--sample-rate", dict(floatf, dest="sample_rate")))
-    add("synth", "generate a synthetic corpus",
-        ("--scenario", {}), ("--subjects", dict(intf)), ("--seed", dict(intf)))
-    add("windows", "slice recordings into labelled windows",
-        ("--recordings", {}), ("--window-size", dict(intf, dest="window_size")),
-        ("--stride", dict(intf)), ("--label-policy", {"dest": "label_policy"}),
-        ("--group-by", {"dest": "group_by", "choices": ["subject", "subject_session"]}),
-        ("--sample-rate", dict(floatf, dest="sample_rate")))
-    add("split", "plan grouped cross-validation folds",
-        ("--max-k", dict(intf, dest="max_k")))
-    add("train-baseline", "train the reference classifier per fold",
-        ("--runs", dict(intf)), ("--step-size", dict(floatf, dest="step_size")),
-        ("--epochs", dict(intf)), ("--dataset-id", {"dest": "dataset_id"}))
-    policyf = {"dest": "merge_policy", "choices": list(MERGE_POLICIES)}
-    add("import-logs", "validate and import an external prediction log",
-        ("--logs", {}))
-    add("ifc", "run the audit: IFC flags, overlap and fused distributions",
-        ("--merge-policy", policyf))
-    add("confusion", "tabulate confusion from the fused distributions")
-    add("histogram", "bin the run lengths of flagged windows")
-    add("mask", "emit the trinary clean/minor/major mask",
-        ("--merge-policy", policyf))
-    add("plot", "draw SVG views of the window means and audit exports")
-    add("report", "bundle overlap, mask, and confusion summaries",
-        ("--merge-policy", policyf))
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    run = None
     try:
-        cfg = _load_config_file(getattr(args, "config", None))
-        run = RunDir(_resolve_out(args, cfg))
-    except CommandError as exc:
-        print(f"haraudit: {exc}", file=sys.stderr)
-        return 1
-    try:
-        COMMANDS[args.command](args, cfg, run)
+        run = RunDir(args, _load_config_file(args.config))
+        COMMANDS[args.command][0](run)
         run.commit()
     except Exception as exc:
-        run.discard()
+        if run is not None:
+            run.discard()
         print(f"haraudit {args.command}: {exc}", file=sys.stderr)
         return 1
     return 0

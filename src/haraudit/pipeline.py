@@ -85,14 +85,6 @@ class AuditResult:
     chosen_configs: dict[tuple[str, str], str]
 
 
-def choose_configs(
-    records: PredictionTable,
-) -> tuple[dict[tuple[str, str], str], PredictionTable]:
-    """Config-choice stage: the best config per model and the records it keeps."""
-    chosen = best_hyperparams(records)
-    return chosen, filter_to_configs(records, chosen)
-
-
 def audit_records(
     records: PredictionTable,
     window_bounds: np.ndarray,
@@ -110,7 +102,8 @@ def audit_records(
     ``ifc`` command runs this once and persists the overlap summary and the
     fused distributions; the other audit commands are views of those files.
     """
-    chosen, kept = choose_configs(records)
+    chosen = best_hyperparams(records)
+    kept = filter_to_configs(records, chosen)
     matrix = merge_runs(kept, policy=merge_policy)
     if matrix.num_windows != len(labels) or not np.array_equal(
         matrix.window_ids, np.arange(len(labels))

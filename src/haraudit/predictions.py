@@ -30,6 +30,8 @@ MERGE_POLICIES = ("any", "majority", "all")
 TEXT_FIELDS = ("dataset", "model", "config")
 INT_FIELDS = ("run", "fold", "window", "label")
 KEY_FIELDS = ("dataset", "model", "config", "run", "window")
+# JSON types of the scalar fields; bool is not int here, and a float is no id.
+FIELD_TYPES = (str,) * len(TEXT_FIELDS) + (int,) * len(INT_FIELDS)
 
 
 class RecordError(ValueError):
@@ -143,11 +145,15 @@ def read_records(
             i = len(columns["label"])
             try:
                 obj = json.loads(line)
-                values = [str(obj[name]) for name in TEXT_FIELDS]
-                values += [int(obj[name]) for name in INT_FIELDS]
+                values = [obj[name] for name in TEXT_FIELDS + INT_FIELDS]
                 row = array("d", obj["probs"])
             except (KeyError, ValueError, TypeError) as exc:
                 raise RecordError(f"malformed record: {exc}", i) from None
+            if tuple(map(type, values)) != FIELD_TYPES:
+                name, value = next((n, v) for n, v, t in zip(columns, values, FIELD_TYPES)
+                                   if type(v) is not t)
+                kind = "string" if name in TEXT_FIELDS else "integer"
+                raise RecordError(f"malformed record: {name} {value!r} is not a JSON {kind}", i)
             if len(row) < 2:
                 raise RecordError("probs must hold at least two classes", i)
             num_classes = num_classes or len(row)

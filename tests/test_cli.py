@@ -1,11 +1,13 @@
 import hashlib
 import json
+import re
 import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from haraudit.cli import IFC_VIEWS, main
+from haraudit.cli import main
 from haraudit.predictions import write_records
 from prediction_rows import table_of
 
@@ -40,7 +42,7 @@ class TestPipeline:
         expected = [
             "scenario.json", "recordings.csv", "injections.json", "windows.csv",
             "windows_meta.json", "splits.json", "predictions.jsonl",
-            "ifc_windows.csv", "ifc_summary.json", "fused.jsonl",
+            "ifc_windows.csv", "ifc_summary.json", "fused.jsonl", "models.json",
             "confusion_table.csv", "chord.json", "ifc_histogram.csv",
             "mask_windows.csv", "mask_samples.csv", "mask_summary.json",
             "condensed.csv", "condensed.svg", "histogram.svg", "chord.svg",
@@ -243,6 +245,14 @@ class TestOneAuditCore:
             assert not (out / artifact).exists()
 
 
+# Everything the commands that read ifc's outputs write.
+IFC_VIEWS = (
+    "confusion_table.csv", "chord.json", "ifc_histogram.csv", "mask_windows.csv",
+    "mask_samples.csv", "mask_summary.json", "condensed.csv", "condensed.svg",
+    "histogram.svg", "chord.svg", "report.json",
+)
+
+
 def snapshot(out):
     return {p.name: p.read_bytes() for p in out.iterdir()}
 
@@ -281,7 +291,8 @@ class TestAuditRunsOnceAtIfc:
         assert set(snapshot(out)) == {
             "scenario.json", "recordings.csv", "injections.json", "windows.csv",
             "windows_meta.json", "splits.json", "predictions.jsonl",
-            "ifc_windows.csv", "ifc_summary.json", "fused.jsonl", "manifest.json",
+            "ifc_windows.csv", "ifc_summary.json", "fused.jsonl", "models.json",
+            "manifest.json",
         }
         assert manifest_names(out) == set(snapshot(out)) - {"manifest.json"}
         assert not set(IFC_VIEWS) & set(snapshot(out))
@@ -306,11 +317,174 @@ class TestAuditRunsOnceAtIfc:
         shutil.copytree(full_run, out)
         assert run(out, ["ifc"]) == 0
         (out / "predictions.jsonl").rename(tmp_path / "predictions.jsonl")
-        for argv in (["confusion"], ["histogram"], ["mask"], ["plot"]):
+        for argv in (["confusion"], ["histogram"], ["mask"], ["plot"], ["report"]):
             assert run(out, argv) == 0, argv
         written = set(snapshot(out)) - {"manifest.json"}
-        assert written == set(snapshot(full_run)) - {
-            "manifest.json", "predictions.jsonl", "report.json"
-        }
+        assert written == set(snapshot(full_run)) - {"manifest.json", "predictions.jsonl"}
         for name in written:
             assert (out / name).read_bytes() == (full_run / name).read_bytes(), name
+
+
+def records_in(out):
+    return json.loads((out / "manifest.json").read_text())["lineage"]
+
+
+class TestLineage:
+    def test_new_log_removes_the_report_built_from_the_old_one(self, tmp_path, full_run, capsys):
+        out = tmp_path / "run"
+        shutil.copytree(full_run, out)
+        assert run(out, ["train-baseline", "--epochs", "2"]) == 0
+        assert set(snapshot(out)) == {
+            "scenario.json", "recordings.csv", "injections.json", "windows.csv",
+            "windows_meta.json", "splits.json", "predictions.jsonl", "manifest.json",
+        }
+        capsys.readouterr()
+        assert run(out, ["report"]) == 1
+        assert "ifc_summary.json" in capsys.readouterr().err
+        assert run(out, ["ifc"]) == 0
+        assert run(out, ["report"]) == 0
+        report = json.loads((out / "report.json").read_text())
+        summary = json.loads((out / "ifc_summary.json").read_text())
+        assert list(report["model_metrics"]) == ["dataset/baseline/gd_lr0.1_ep2"]
+        assert report["overlap"]["ifc"] == summary["ifc"]
+
+    def test_new_labels_remove_the_flags_computed_for_the_old_ones(
+        self, tmp_path, full_run, capsys
+    ):
+        out = tmp_path / "run"
+        shutil.copytree(full_run, out)
+        assert run(out, ["windows", "--label-policy", "last_sample"]) == 0
+        assert set(snapshot(out)) == {
+            "scenario.json", "recordings.csv", "injections.json", "windows.csv",
+            "windows_meta.json", "manifest.json",
+        }
+        assert manifest_names(out) == set(snapshot(out)) - {"manifest.json"}
+        before = snapshot(out)
+        capsys.readouterr()
+        for command in ("confusion", "histogram", "mask"):
+            assert run(out, [command]) == 1
+            assert "missing input" in capsys.readouterr().err
+        assert snapshot(out) == before
+
+    def test_ingest_and_synth_remove_what_the_other_wrote(self, tmp_path):
+        source = tmp_path / "source"
+        assert run(source, ["synth", "--subjects", "2"]) == 0
+        out = tmp_path / "run"
+        assert run(out, ["synth", "--subjects", "2"]) == 0
+        assert run(out, ["ingest", "--recordings", str(source / "recordings.csv")]) == 0
+        assert set(snapshot(out)) == {"recordings.csv", "ingest.json", "manifest.json"}
+        assert run(out, ["synth", "--subjects", "2"]) == 0
+        assert set(snapshot(out)) == {
+            "recordings.csv", "scenario.json", "injections.json", "manifest.json"
+        }
+
+    def test_hand_edited_windows_table_is_refused(self, tmp_path, full_run, capsys):
+        out = tmp_path / "run"
+        shutil.copytree(full_run, out)
+        rows = (out / "windows.csv").read_text().splitlines(keepends=True)
+        cells = rows[1].split(",")
+        cells[3] = str((int(cells[3]) + 1) % 3)
+        rows[1] = ",".join(cells)
+        (out / "windows.csv").write_text("".join(rows))
+        before = snapshot(out)
+        assert run(out, ["confusion"]) == 1
+        err = capsys.readouterr().err
+        assert "ifc_windows.csv" in err and "windows.csv" in err
+        assert snapshot(out) == before
+
+    def test_flags_may_not_disagree_with_the_producer_of_an_input(self, tmp_path, capsys):
+        source = tmp_path / "source"
+        assert run(source, ["synth", "--subjects", "2"]) == 0
+        out = tmp_path / "run"
+        assert run(out, ["ingest", "--recordings", str(source / "recordings.csv")]) == 0
+        capsys.readouterr()
+        assert run(out, ["windows", "--sample-rate", "50"]) == 1
+        assert "--sample-rate 50.0 disagrees with recordings.csv" in capsys.readouterr().err
+        assert run(out, ["windows", "--sample-rate", "100"]) == 0
+
+    def test_manifest_records_outside_files_by_content(self, tmp_path):
+        source = tmp_path / "source"
+        assert run(source, ["synth", "--subjects", "2"]) == 0
+        copy = tmp_path / "elsewhere" / "other_name.csv"
+        copy.parent.mkdir()
+        shutil.copy(source / "recordings.csv", copy)
+        manifests = []
+        for out, recordings in ((tmp_path / "a", source / "recordings.csv"),
+                                (tmp_path / "b", copy)):
+            assert run(out, ["ingest", "--recordings", str(recordings)]) == 0
+            manifests.append((out / "manifest.json").read_bytes())
+        assert manifests[0] == manifests[1]
+        assert str(tmp_path) not in manifests[0].decode()
+
+    def test_config_file_values_are_recorded_and_checked(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text('{"subjects": 2, "window_size": "100", "merge_policy": "all"}')
+        out = tmp_path / "run"
+        for argv in (["synth"], ["windows"]):
+            assert run(out, argv + ["--config", str(config)]) == 0, argv
+        meta = json.loads((out / "windows_meta.json").read_text())
+        assert (meta["window_size"], meta["stride"]) == (100, 100)
+        assert records_in(out)["windows.csv"]["params"]["window_size"] == 100
+        import_one_hot_log(tmp_path, out, range(meta["num_windows"]))
+        assert run(out, ["ifc", "--config", str(config)]) == 0
+        assert json.loads((out / "ifc_summary.json").read_text())["merge_policy"] == "all"
+        assert run(out, ["mask"]) == 0
+        config.write_text('{"merge_policy": "any"}')
+        capsys.readouterr()
+        assert run(out, ["report", "--config", str(config)]) == 1
+        assert "--merge-policy any disagrees with ifc_summary.json" in capsys.readouterr().err
+
+    def test_windows_reads_only_the_runs_recordings(self, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["windows", "--out", str(tmp_path), "--recordings", "other.csv"])
+        assert exc.value.code == 2
+
+    def test_commands_sweep_partial_files_a_killed_command_left(self, tmp_path):
+        out = tmp_path / "run"
+        out.mkdir()
+        (out / ".report.json.partial").write_text("{")
+        assert run(out, ["synth", "--subjects", "2"]) == 0
+        assert not (out / ".report.json.partial").exists()
+
+    def test_every_artifact_records_its_inputs_as_they_are(self, full_run):
+        lineage = records_in(full_run)
+        assert set(lineage) == manifest_names(full_run)
+        for name, record in lineage.items():
+            for source, digest in record["inputs"].items():
+                actual = hashlib.sha256((full_run / source).read_bytes()).hexdigest()
+                assert actual == digest, (name, source)
+        assert lineage["ifc_windows.csv"]["params"] == {"merge_policy": "majority"}
+        assert set(lineage["report.json"]["inputs"]) == {
+            "ifc_summary.json", "windows.csv", "windows_meta.json", "ifc_windows.csv",
+            "fused.jsonl", "models.json",
+        }
+
+
+def readme_artifacts():
+    """(artifact, command) pairs of README's artifact table, and every name in it."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    table = readme.split("| artifact | written by | contents |")[1].split("\n\n")[0]
+    pairs, names = set(), set()
+    for row in table.splitlines()[2:]:
+        artifacts, commands = (re.findall(r"`([^`]+)`", cell) for cell in row.split("|")[1:3])
+        names.update(artifacts)
+        pairs.update((a, c) for a in artifacts for c in commands)
+    return pairs, names
+
+
+def test_readme_table_matches_the_manifests(tmp_path, full_run):
+    out = tmp_path / "ingested"
+    for argv in (
+        ["ingest", "--recordings", str(full_run / "recordings.csv")], ["windows"], ["split"],
+        ["import-logs", "--logs", str(full_run / "predictions.jsonl")],
+        ["ifc"], ["confusion"], ["histogram"], ["mask"], ["plot"], ["report"],
+    ):
+        assert run(out, argv) == 0, argv
+    recorded = {
+        (name, record["command"])
+        for run_dir in (full_run, out)
+        for name, record in records_in(run_dir).items()
+    }
+    pairs, names = readme_artifacts()
+    assert pairs == recorded
+    assert names == set(snapshot(full_run)) | set(snapshot(out))

@@ -130,6 +130,17 @@ class TestValidationRules:
         with pytest.raises(RecordError, match="record 0: malformed record"):
             read_records(buf)
 
+    @pytest.mark.parametrize("field, value, kind", [
+        ("run", 0.9, "integer"), ("window", 2.0, "integer"), ("label", True, "integer"),
+        ("fold", "0", "integer"), ("model", 5, "string"), ("dataset", None, "string"),
+    ])
+    def test_fields_must_have_their_json_type(self, field, value, kind):
+        # Before, int() and str() turned 0.9 into 0, true into 1 and null into "None".
+        rows = [rec(), {**rec(window=1), field: value}]
+        with pytest.raises(RecordError, match=f"record 1: malformed record: {field} "
+                                              f".* is not a JSON {kind}"):
+            read_back(rows)
+
 
 def correctness_records(model, config, flags_per_run, label=0):
     """One row per (run, window); flags say whether that run was correct."""
