@@ -10,7 +10,6 @@ from haraudit import (
     SensorRecording,
     WindowConfig,
     apply_normalizer,
-    assign_window_label,
     fit_normalizer,
     group_k_fold,
     plan_folds,
@@ -43,22 +42,25 @@ dataset = slice_corpus(recordings, config)
 print(f"{dataset.num_windows} windows of {config.size} samples "
       f"(stride {config.stride}) over {dataset.total_samples} samples")
 
-# Windows spanning the label change carry the transition flag.
-spanning = [w.window_id for w in dataset.windows if w.transition]
-print(f"windows spanning a label change: {spanning}")
+# The windows are one table of columns; those spanning the label change carry
+# the transition flag.
+windows = dataset.windows
+spanning = np.flatnonzero(windows.transition)
+print(f"windows spanning a label change: {spanning.tolist()}")
 
 # ---------------------------------------------------------------------------
-# Window labelling policies differ exactly on those spanning windows.
+# Window labelling policies differ exactly on those spanning windows. Each
+# holds 100 samples of either class: majority breaks the tie toward the lowest
+# class id, last_sample takes the final sample's class.
 # ---------------------------------------------------------------------------
-mixed = [0] * 120 + [1] * 80
 for policy in ("majority", "last_sample"):
-    label, transition = assign_window_label(mixed, policy)
-    print(f"policy {policy:>14}: label={label} transition={transition}")
+    labels = slice_corpus(recordings, WindowConfig(200, 100, policy)).windows.label
+    print(f"policy {policy:>14}: spanning windows labelled {labels[spanning].tolist()}")
 
 # ---------------------------------------------------------------------------
 # Normalization statistics come from the training split only.
 # ---------------------------------------------------------------------------
-train_ids = [w.window_id for w in dataset.windows if w.group_key != "s2"]
+train_ids = np.flatnonzero(windows.group != "s2")
 stats = fit_normalizer(dataset, train_ids)
 normalized = apply_normalizer(dataset, stats)
 print(f"train-split channel means {np.round(stats.mean, 3)}, "
@@ -68,7 +70,7 @@ print(f"normalized corpus mean ~ {normalized.blocks.mean():.4f}")
 # ---------------------------------------------------------------------------
 # Grouped folds: one fold per subject up to the cap, merged beyond it.
 # ---------------------------------------------------------------------------
-plan = plan_folds(dataset)
+plan = plan_folds(windows)
 for fold in plan.folds:
     print(f"fold {fold.fold_id}: groups={fold.test_group_keys} "
           f"({len(fold.test_window_ids)} test windows)")

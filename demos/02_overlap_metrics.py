@@ -9,7 +9,7 @@ import numpy as np
 
 from haraudit import (
     CorrectnessMatrix,
-    FusedDistribution,
+    FusedTable,
     build_mask,
     compute_ifc,
     run_lengths,
@@ -66,8 +66,9 @@ print(f"\nreconstructed 10k-window ensemble -> ifc {compute_ifc(big).ifc:.2f}%")
 # ---------------------------------------------------------------------------
 bounds = np.array([[0, 200], [100, 300], [200, 400], [300, 500]])
 flags = np.array([False, True, False, False])
-fused = [FusedDistribution(window_id=1, mean_probs=np.array([0.7, 0.2, 0.1]),
-                           confused_class=0, true_label=2)]
+# One fused row, for flagged window 1: true class 2, confused with class 0.
+fused = FusedTable(window=np.array([1]), label=np.array([2]), confused=np.array([0]),
+                   agrees=np.array([False]), mean_probs=np.array([[0.7, 0.2, 0.1]]))
 samples = build_mask(flags, fused, bounds, 500).sample_mask > 0
 print(f"\nflagged samples: [{samples.argmax()}, {len(samples) - samples[::-1].argmax()})")
 

@@ -37,7 +37,7 @@ for span in annotations[0]:
     print(f"  injected {span.kind} at samples [{span.start_sample}, {span.end_sample})")
 
 dataset = slice_corpus(recordings, WindowConfig(size=200, stride=100))
-plan = plan_folds(dataset, max_k=10)
+plan = plan_folds(dataset.windows, max_k=10)
 print(f"{dataset.num_windows} windows, {plan.k} leave-subject-out folds")
 
 # ---------------------------------------------------------------------------
@@ -46,8 +46,8 @@ print(f"{dataset.num_windows} windows, {plan.k} leave-subject-out folds")
 records = baseline_prediction_records(dataset, plan, dataset_id="synthetic", runs=4)
 result = audit_records(
     records,
-    dataset.window_bounds(),
-    dataset.labels,
+    dataset.windows.bounds,
+    dataset.windows.label,
     dataset.total_samples,
     num_classes=dataset.num_classes,
     merge_policy="majority",
@@ -75,7 +75,7 @@ print(f"\nmask: clean {dist['clean_pct']:.2f}%  minor {dist['minor_pct']:.2f}%  
 # ---------------------------------------------------------------------------
 # Did the audit find the injections?
 # ---------------------------------------------------------------------------
-bounds = dataset.window_bounds()
+bounds = dataset.windows.bounds
 for span in annotations[0]:
     hits = [
         w

@@ -5,15 +5,15 @@ trinary clean/minor/major patch mask.
 The package is organized around a small pipeline:
 
 1. ``recordings``/``windowing``/``splits`` ingest canonical sensor CSVs,
-   slice labelled sliding windows, and plan grouped cross-validation folds.
+   slice labelled sliding windows (a ``WindowTable``), and plan grouped folds.
 2. ``predictions`` reads per-window class-probability logs (from real
    models or the built-in ``baseline``/``synth`` pair) into a columnar
    ``PredictionTable``, picks each model's config and merges its runs into a
    correctness matrix.
 3. ``ifc`` measures the intersect of false classifications plus each model's
    single contribution and the ensemble's common ground.
-4. ``confusion`` fuses the flagged windows' probabilities into confusion
-   tables and chord-diagram data; ``mask`` categorizes them clean/minor/major.
+4. ``confusion`` fuses the flagged windows' probabilities (a ``FusedTable``)
+   into confusion tables and chord-diagram data; ``mask`` categorizes them.
 
 See the demos/ directory for narrative walkthroughs and the ``haraudit``
 command line for the file-based pipeline.
@@ -30,7 +30,7 @@ from .baseline import (
 from .confusion import (
     ChordEdge,
     ClassConfusionRow,
-    FusedDistribution,
+    FusedTable,
     chord_edges,
     confusion_table,
     fuse_probabilities,
@@ -45,7 +45,7 @@ from .ifc import (
     run_lengths,
     single_contributions,
 )
-from .mask import CLEAN, MAJOR, MINOR, MaskSequence, build_mask, categorize
+from .mask import CLEAN, MAJOR, MINOR, MaskSequence, build_mask
 from .pipeline import AuditResult, audit_records, baseline_prediction_records
 from .predictions import (
     PredictionTable,
@@ -76,13 +76,14 @@ from .synth import (
 )
 from .windowing import (
     ChannelStats,
-    Window,
     WindowConfig,
     WindowedDataset,
+    WindowTable,
     apply_normalizer,
-    assign_window_label,
     fit_normalizer,
+    read_windows,
     slice_corpus,
+    write_windows,
 )
 
 __version__ = "0.1.0"

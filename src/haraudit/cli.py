@@ -16,7 +16,6 @@ files, and ``plot`` also draws the exports of ``histogram`` and ``confusion``.
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
 import json
 import os
@@ -24,28 +23,22 @@ import sys
 from dataclasses import asdict, replace
 from pathlib import Path
 
-import numpy as np
-
 from . import confusion as conf
 from . import ifc as ifc_mod
 from . import mask as mask_mod
 from . import svgplot
-from ._io import write_json
+from ._io import write_csv, write_json
 from .baseline import TrainConfig
 from .pipeline import audit_records, baseline_prediction_records
 from .predictions import (
-    MERGE_POLICIES, filter_to_configs, model_metrics, read_records, write_records,
+    MERGE_POLICIES, PredictionTable, model_metrics, read_records, write_records,
 )
 from .recordings import corpus_num_classes, parse_canonical, write_canonical
-from .splits import group_k_fold, read_plan, write_plan
+from .splits import plan_folds, read_plan, write_plan
 from .synth import default_scenario, generate_corpus, load_scenario, save_scenario
-from .windowing import WindowConfig, slice_corpus
+from .windowing import WindowConfig, WindowTable, read_windows, slice_corpus, write_windows
 
 OUT_ENV = "HAR_AUDIT_OUT"
-WINDOW_COLUMNS = [
-    "window_id", "start_sample", "end_sample", "label",
-    "group_key", "recording_index", "transition",
-]
 
 
 class CommandError(Exception):
@@ -121,12 +114,16 @@ class RunDir:
         return path
 
     def need(self, name: str) -> Path:
-        """An input, refused when a file it was built from has changed since."""
+        """An input, refused when it has no lineage record or a file it was
+        built from has changed since."""
         path = self.out / name
         if not path.exists():
             raise CommandError(f"missing input {path}; run the producing command first")
-        record = self.lineage.get(name, {})
-        for source, digest in record.get("inputs", {}).items():
+        record = self.lineage.get(name)
+        if record is None:
+            producers = " or ".join(c for c, spec in COMMANDS.items() if name in spec[3])
+            raise CommandError(f"manifest.json records no lineage for {name}; rerun {producers}")
+        for source, digest in record["inputs"].items():
             if (self.out / source).exists() and self.sha256(self.out / source) != digest:
                 raise CommandError(
                     f"{name} was built from another {source}; rerun {record['command']}"
@@ -142,7 +139,7 @@ class RunDir:
         """Check the parameters against the inputs' producers, remove what the new
         files make stale, then move the staged files and the manifest into place."""
         for name in self.inputs:
-            record = self.lineage.get(name, {"params": {}})
+            record = self.lineage[name]
             for key in sorted(self.explicit & record["params"].keys()):
                 if record["params"][key] != self.params[key]:
                     raise CommandError(
@@ -199,26 +196,6 @@ def _load_config_file(path: str | None) -> dict:
 
 # ---------------------------------------------------------------- artifacts
 
-def _read_windows_csv(path: Path):
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header != WINDOW_COLUMNS:
-            raise CommandError(f"{path} header mismatch: {header}")
-        bounds, labels, groups, rec_idx = [], [], [], []
-        for row in reader:
-            bounds.append((int(row[1]), int(row[2])))
-            labels.append(int(row[3]))
-            groups.append(row[4])
-            rec_idx.append(int(row[5]))
-    return (
-        np.asarray(bounds, dtype=int),
-        np.asarray(labels, dtype=int),
-        groups,
-        np.asarray(rec_idx, dtype=int),
-    )
-
-
 def _read_meta(path: Path) -> dict:
     return json.loads(path.read_text(encoding="utf-8"))
 
@@ -233,32 +210,31 @@ def _rebuild_dataset(run: RunDir):
     )
 
 
+def _windows(run: RunDir) -> tuple[WindowTable, dict]:
+    """windows.csv as a table, and windows_meta.json."""
+    return read_windows(run.need("windows.csv")), _read_meta(run.need("windows_meta.json"))
+
+
 def _ifc_view(run: RunDir):
-    """Window bounds, labels, recording indices, windows_meta.json, and the IFC
-    flags, which must cover every row of windows.csv."""
-    bounds, labels, _, rec_idx = _read_windows_csv(run.need("windows.csv"))
-    meta = _read_meta(run.need("windows_meta.json"))
+    """``_windows`` and the IFC flags, which must cover every window."""
+    windows, meta = _windows(run)
     path = run.need("ifc_windows.csv")
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        flags = [bool(int(row[4])) for row in list(csv.reader(fh))[1:]]
-    if len(flags) != labels.size:
+    flags = ifc_mod.read_ifc_windows_csv(path)
+    if flags.size != len(windows):
         raise CommandError(
-            f"{path} holds {len(flags)} windows but windows.csv holds {labels.size}; rerun ifc"
+            f"{path} holds {flags.size} windows but windows.csv holds {len(windows)}; rerun ifc"
         )
-    return bounds, labels, rec_idx, meta, np.asarray(flags, dtype=bool)
+    return windows, meta, flags
 
 
-def _load_records(run: RunDir, path: Path | None = None):
-    """Read and validate a prediction log, by default the run's own."""
-    path = path or run.need("predictions.jsonl")
-    bounds, labels, _, _ = _read_windows_csv(run.need("windows.csv"))
-    meta = _read_meta(run.need("windows_meta.json"))
+def _load_records(path: Path, windows: WindowTable, meta: dict) -> PredictionTable:
+    """Read a prediction log, validated against the windows and their class count."""
     records = read_records(
-        path, valid_window_ids=range(len(labels)), num_classes=meta["num_classes"]
+        path, valid_window_ids=range(len(windows)), num_classes=meta["num_classes"]
     )
     if not len(records):
         raise CommandError(f"{path} holds no prediction records")
-    return records, bounds, labels, meta
+    return records
 
 
 # ----------------------------------------------------------------- commands
@@ -317,14 +293,7 @@ def cmd_windows(run: RunDir) -> None:
     )
     group_by = run.opt("group_by", "subject")
     dataset = slice_corpus(recordings, config, group_by=group_by)
-    with open(run.file("windows.csv"), "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(WINDOW_COLUMNS)
-        writer.writerows(
-            [w.window_id, w.start_sample, w.end_sample, w.label,
-             w.group_key, w.recording_index, int(w.transition)]
-            for w in dataset.windows
-        )
+    write_windows(dataset.windows, run.file("windows.csv"))
     write_json(
         {
             "num_windows": dataset.num_windows,
@@ -342,11 +311,7 @@ def cmd_windows(run: RunDir) -> None:
 
 
 def cmd_split(run: RunDir) -> None:
-    _, _, groups, _ = _read_windows_csv(run.need("windows.csv"))
-    group_windows: dict[str, list[int]] = {}
-    for window_id, key in enumerate(groups):
-        group_windows.setdefault(key, []).append(window_id)
-    plan = group_k_fold(group_windows, max_k=run.opt("max_k", 10))
+    plan = plan_folds(read_windows(run.need("windows.csv")), max_k=run.opt("max_k", 10))
     write_plan(plan, run.file("splits.json"))
 
 
@@ -368,20 +333,23 @@ def cmd_import_logs(run: RunDir) -> None:
     logs = run.source("logs")
     if logs is None:
         raise CommandError("import-logs needs --logs <jsonl>")
-    records, _, _, _ = _load_records(run, logs)
-    write_records(records, run.file("predictions.jsonl"))
+    write_records(_load_records(logs, *_windows(run)), run.file("predictions.jsonl"))
 
 
 def cmd_ifc(run: RunDir) -> None:
-    records, bounds, labels, meta = _load_records(run)
+    path = run.need("predictions.jsonl")
+    windows, meta = _windows(run)
+    records = _load_records(path, windows, meta)
     result = audit_records(
-        records, bounds, labels, meta["total_samples"],
+        records, windows.bounds, windows.label, meta["total_samples"],
         num_classes=meta["num_classes"], merge_policy=run.opt("merge_policy", "majority"),
     )
-    ifc_mod.write_ifc_windows_csv(result.ifc, bounds, labels, run.file("ifc_windows.csv"))
+    ifc_mod.write_ifc_windows_csv(
+        result.ifc, windows.bounds, windows.label, run.file("ifc_windows.csv")
+    )
     ifc_mod.write_ifc_summary_json(result.ifc, run.file("ifc_summary.json"))
     conf.write_fused_jsonl(result.fused, run.file("fused.jsonl"))
-    metrics = model_metrics(filter_to_configs(records, result.chosen_configs))
+    metrics = model_metrics(result.kept)
     write_json(
         {
             "dataset_id": records.dataset[0].item(),
@@ -397,18 +365,17 @@ def cmd_ifc(run: RunDir) -> None:
 
 
 def cmd_histogram(run: RunDir) -> None:
-    _, _, rec_idx, _, flags = _ifc_view(run)
-    hist = ifc_mod.run_lengths(flags, rec_idx)
+    windows, _, flags = _ifc_view(run)
+    hist = ifc_mod.run_lengths(flags, windows.recording)
     ifc_mod.write_histogram_csv(hist, run.file("ifc_histogram.csv"))
 
 
 def cmd_confusion(run: RunDir) -> None:
-    _, labels, _, meta, flags = _ifc_view(run)
-    table = conf.confusion_table(flags, labels, num_classes=meta["num_classes"])
+    windows, meta, flags = _ifc_view(run)
+    table = conf.confusion_table(flags, windows.label, num_classes=meta["num_classes"])
     edges = conf.chord_edges(conf.read_fused_jsonl(run.need("fused.jsonl")))
-    names = [f"class_{c}" for c in range(meta["num_classes"])]
     conf.write_confusion_csv(table, run.file("confusion_table.csv"))
-    conf.write_chord_json(edges, names, run.file("chord.json"))
+    conf.write_chord_json(edges, [row.name for row in table], run.file("chord.json"))
 
 
 def _ifc_mask(run: RunDir):
@@ -416,37 +383,33 @@ def _ifc_mask(run: RunDir):
     summary = _read_meta(run.need("ifc_summary.json"))
     # --merge-policy may only repeat the policy ifc ran under (checked on commit).
     policy = run.opt("merge_policy", summary["merge_policy"])
-    view = bounds, _, _, meta, flags = _ifc_view(run)
+    view = windows, meta, flags = _ifc_view(run)
     fused = conf.read_fused_jsonl(run.need("fused.jsonl"))
-    mask = mask_mod.build_mask(flags, fused, bounds, meta["total_samples"], policy=policy)
+    mask = mask_mod.build_mask(flags, fused, windows.bounds, meta["total_samples"], policy=policy)
     return summary, mask, view
 
 
 def cmd_mask(run: RunDir) -> None:
-    _, mask, (bounds, *_) = _ifc_mask(run)
-    mask_mod.write_window_mask_csv(mask, bounds, run.file("mask_windows.csv"))
+    _, mask, (windows, _, _) = _ifc_mask(run)
+    mask_mod.write_window_mask_csv(mask, windows.bounds, run.file("mask_windows.csv"))
     mask_mod.write_sample_mask_csv(mask, run.file("mask_samples.csv"))
     mask_mod.write_mask_summary_json(mask, run.file("mask_summary.json"))
 
 
 def cmd_plot(run: RunDir) -> None:
     flags = _ifc_view(run)[-1]
-    with open(run.need("ifc_histogram.csv"), "r", encoding="utf-8", newline="") as fh:
-        bins = [tuple(int(v) for v in row) for row in list(csv.reader(fh))[1:]]
+    bins = ifc_mod.read_histogram_csv(run.need("ifc_histogram.csv"))
     chord = _read_meta(run.need("chord.json"))
     dataset = _rebuild_dataset(run)
     if dataset.num_windows != flags.size:
         raise CommandError("window table and overlap flags are out of step")
     means = dataset.blocks.mean(axis=1)
-    with open(run.file("condensed.csv"), "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(
-            ["window_id", *(f"mean_ch{c}" for c in range(dataset.num_channels)), "ifc_flag"]
-        )
-        writer.writerows(
-            [w, *(repr(float(v)) for v in means[w]), int(flags[w])]
-            for w in range(dataset.num_windows)
-        )
+    write_csv(
+        ["window_id", *(f"mean_ch{c}" for c in range(dataset.num_channels)), "ifc_flag"],
+        ([w, *map(repr, row), flag] for w, (row, flag)
+         in enumerate(zip(means.tolist(), flags.astype(int).tolist()))),
+        run.file("condensed.csv"),
+    )
     edges = [(e["from"], e["to"], e["weight"]) for e in chord["edges"]]
     for name, svg in (
         ("condensed.svg", svgplot.condensed_view_svg(means, flags)),
@@ -457,13 +420,13 @@ def cmd_plot(run: RunDir) -> None:
 
 
 def cmd_report(run: RunDir) -> None:
-    summary, mask, (_, labels, _, meta, flags) = _ifc_mask(run)
-    table = conf.confusion_table(flags, labels, num_classes=meta["num_classes"])
+    summary, mask, (windows, meta, flags) = _ifc_mask(run)
+    table = conf.confusion_table(flags, windows.label, num_classes=meta["num_classes"])
     models = _read_meta(run.need("models.json"))
     payload = {
         "dataset_id": models["dataset_id"],
         "merge_policy": summary["merge_policy"],
-        "num_windows": int(len(labels)),
+        "num_windows": len(windows),
         "num_classes": int(meta["num_classes"]),
         # With two classes the gap rule has a single gap, so every flagged
         # window is necessarily major.
@@ -489,30 +452,37 @@ def cmd_report(run: RunDir) -> None:
 
 INT, FLOAT = {"type": int}, {"type": float}
 POLICY = {"choices": list(MERGE_POLICIES)}
-# name: (function, help, flags); every command also takes --config and --out.
+# name: (function, help, flags, artifacts); every command also takes --config and --out.
 COMMANDS = {
     "ingest": (cmd_ingest, "parse recordings into the run directory",
-               {"--recordings": {}, "--sample-rate": FLOAT}),
+               {"--recordings": {}, "--sample-rate": FLOAT}, ("recordings.csv", "ingest.json")),
     "synth": (cmd_synth, "generate a synthetic corpus",
-              {"--scenario": {}, "--subjects": INT, "--seed": INT}),
+              {"--scenario": {}, "--subjects": INT, "--seed": INT},
+              ("scenario.json", "recordings.csv", "injections.json")),
     "windows": (cmd_windows, "slice recordings into labelled windows",
                 {"--window-size": INT, "--stride": INT, "--label-policy": {},
                  "--group-by": {"choices": ["subject", "subject_session"]},
-                 "--sample-rate": FLOAT}),
-    "split": (cmd_split, "plan grouped cross-validation folds", {"--max-k": INT}),
+                 "--sample-rate": FLOAT}, ("windows.csv", "windows_meta.json")),
+    "split": (cmd_split, "plan grouped cross-validation folds", {"--max-k": INT},
+              ("splits.json",)),
     "train-baseline": (cmd_train_baseline, "train the reference classifier per fold",
                        {"--runs": INT, "--step-size": FLOAT, "--epochs": INT,
-                        "--dataset-id": {}}),
+                        "--dataset-id": {}}, ("predictions.jsonl",)),
     "import-logs": (cmd_import_logs, "validate and import an external prediction log",
-                    {"--logs": {}}),
+                    {"--logs": {}}, ("predictions.jsonl",)),
     "ifc": (cmd_ifc, "run the audit: IFC flags, overlap, fused distributions, model metrics",
-            {"--merge-policy": POLICY}),
-    "confusion": (cmd_confusion, "tabulate confusion from the fused distributions", {}),
-    "histogram": (cmd_histogram, "bin the run lengths of flagged windows", {}),
-    "mask": (cmd_mask, "emit the trinary clean/minor/major mask", {"--merge-policy": POLICY}),
-    "plot": (cmd_plot, "draw SVG views of the window means and audit exports", {}),
+            {"--merge-policy": POLICY},
+            ("ifc_windows.csv", "ifc_summary.json", "fused.jsonl", "models.json")),
+    "confusion": (cmd_confusion, "tabulate confusion from the fused distributions", {},
+                  ("confusion_table.csv", "chord.json")),
+    "histogram": (cmd_histogram, "bin the run lengths of flagged windows", {},
+                  ("ifc_histogram.csv",)),
+    "mask": (cmd_mask, "emit the trinary clean/minor/major mask", {"--merge-policy": POLICY},
+             ("mask_windows.csv", "mask_samples.csv", "mask_summary.json")),
+    "plot": (cmd_plot, "draw SVG views of the window means and audit exports", {},
+             ("condensed.csv", "condensed.svg", "histogram.svg", "chord.svg")),
     "report": (cmd_report, "bundle overlap, mask, confusion and model metrics",
-               {"--merge-policy": POLICY}),
+               {"--merge-policy": POLICY}, ("report.json",)),
 }
 
 
@@ -522,7 +492,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Audit windowed time-series classification benchmarks.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, help_text, flags) in COMMANDS.items():
+    for name, (_, help_text, flags, _) in COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="JSON file with flag defaults")
         p.add_argument("--out", help=f"run directory (fallback: ${OUT_ENV})")

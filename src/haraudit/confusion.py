@@ -3,36 +3,44 @@
 For windows no model classifies correctly, the per-model probability vectors
 are fused by an unweighted mean over every (model, config, run) row of the
 prediction table, summed in that order; the confused class is the argmax of
-the fused vector. Class-level rates and chord-diagram
-edge data are derived from those fusions.
+the fused vector. A ``FusedTable`` holds one row per flagged window.
+Class-level rates and chord-diagram edge data are derived from it.
 """
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from ._io import open_text, write_json
+from ._io import open_text, write_csv, write_json
 from .predictions import PredictionTable
 
 PCT_SUM_TOL = 1e-9
+#: fused.jsonl keys, one per FusedTable column in field order.
+FUSED_FIELDS = ("window", "label", "confused", "agrees_with_truth", "mean_probs")
 
 
-@dataclass
-class FusedDistribution:
-    """Mean probability vector of one flagged window across all records."""
+@dataclass(eq=False)  # arrays have no single truth value; tables compare by identity
+class FusedTable:
+    """Fused distributions of the flagged windows as columns, in window id order.
 
-    window_id: int
+    ``mean_probs`` is [windows, classes] float64 and ``confused`` the argmax
+    of each row. ``agrees`` marks windows whose fused argmax recovers the true
+    label even though every model failed individually; ``confused`` then
+    holds the runner-up class.
+    """
+
+    window: np.ndarray
+    label: np.ndarray
+    confused: np.ndarray
+    agrees: np.ndarray
     mean_probs: np.ndarray
-    confused_class: int
-    true_label: int
-    #: True when the fused argmax recovers the true label even though every
-    #: model failed individually; confused_class then holds the runner-up.
-    fused_agrees_with_truth: bool = False
+
+    def __len__(self) -> int:
+        return int(self.window.size)
 
 
 @dataclass(frozen=True)
@@ -63,7 +71,7 @@ class ChordEdge:
 
 def fuse_probabilities(
     table: PredictionTable, flagged_window_ids: Iterable[int]
-) -> list[FusedDistribution]:
+) -> FusedTable:
     """Fuse records of flagged windows into one mean distribution per window.
 
     Every flagged window must carry at least one record from every model
@@ -80,50 +88,36 @@ def fuse_probabilities(
         (table.run[rows], table.config[rows], table.model[rows], table.window[rows])
     )]
     per_window = np.split(rows, np.searchsorted(table.window[rows], flagged[1:]))
-
-    fused = []
-    for window_id, here in zip(flagged.tolist(), per_window):
+    labels = np.zeros(flagged.size, dtype=np.int64)
+    means = np.zeros((flagged.size, table.probs.shape[1]))
+    for i, (window_id, here) in enumerate(zip(flagged.tolist(), per_window)):
         if not here.size:
             raise ValueError(f"flagged window {window_id} has no records")
         missing = np.setdiff1d(all_models, table.model[here]).tolist()
         if missing:
-            raise ValueError(
-                f"flagged window {window_id} lacks records from models {missing}"
-            )
-        labels = np.unique(table.label[here]).tolist()
-        if len(labels) != 1:
-            raise ValueError(
-                f"window {window_id} carries conflicting true labels {labels}"
-            )
-        true_label = labels[0]
-        mean_probs = np.mean(table.probs[here], axis=0)
-        top = int(np.argmax(mean_probs))
-        agrees = top == true_label
-        if agrees:
-            runner_up = mean_probs.copy()
-            runner_up[top] = -np.inf
-            confused = int(np.argmax(runner_up))
-        else:
-            confused = top
-        fused.append(
-            FusedDistribution(
-                window_id=window_id,
-                mean_probs=mean_probs,
-                confused_class=confused,
-                true_label=true_label,
-                fused_agrees_with_truth=agrees,
-            )
-        )
-    return fused
+            raise ValueError(f"flagged window {window_id} lacks records from models {missing}")
+        true_labels = np.unique(table.label[here]).tolist()
+        if len(true_labels) != 1:
+            raise ValueError(f"window {window_id} carries conflicting true labels {true_labels}")
+        labels[i] = true_labels[0]
+        means[i] = np.mean(table.probs[here], axis=0)
+    if not means.size:  # nothing flagged, maybe in a log with no class count to argmax over
+        return FusedTable(flagged, labels, labels.copy(), labels.astype(bool), means)
+    top = means.argmax(axis=1)
+    agrees = top == labels
+    runner_up = means.copy()
+    runner_up[agrees, top[agrees]] = -np.inf
+    return FusedTable(window=flagged, label=labels, confused=runner_up.argmax(axis=1),
+                      agrees=agrees, mean_probs=means)
 
 
 def confusion_table(
-    ifc_flags: np.ndarray,
-    labels: Sequence[int],
-    num_classes: int | None = None,
-    class_names: Sequence[str] | None = None,
+    ifc_flags: np.ndarray, labels: Sequence[int], num_classes: int | None = None
 ) -> list[ClassConfusionRow]:
-    """Per-class distribution, relative confusion, and absolute confusion."""
+    """Per-class distribution, relative confusion, and absolute confusion.
+
+    Class c is named ``class_c``.
+    """
     flags = np.asarray(ifc_flags, dtype=bool)
     labels = np.asarray(labels, dtype=int)
     if flags.size != labels.size:
@@ -132,28 +126,19 @@ def confusion_table(
         raise ValueError("no windows")
     if num_classes is None:
         num_classes = int(labels.max()) + 1
-    if class_names is None:
-        class_names = [f"class_{c}" for c in range(num_classes)]
-    total = flags.size
+    counts = np.bincount(labels, minlength=num_classes)[:num_classes].tolist()
+    flagged = np.bincount(labels[flags], minlength=num_classes)[:num_classes].tolist()
     rows = []
-    for c in range(num_classes):
-        of_class = labels == c
-        n_class = int(of_class.sum())
-        n_flagged = int((of_class & flags).sum())
-        dist = 100.0 * n_class / total
-        if n_class == 0 or n_flagged == 0:
-            rel: float | None = None
-            absolute: float | None = None
-        else:
-            rel = 100.0 * n_flagged / n_class
-            absolute = dist * rel / 100.0
+    for c, (n_class, n_flagged) in enumerate(zip(counts, flagged)):
+        dist = 100.0 * n_class / flags.size
+        rel = 100.0 * n_flagged / n_class if n_flagged else None
         rows.append(
             ClassConfusionRow(
                 class_id=c,
-                name=str(class_names[c]),
+                name=f"class_{c}",
                 distribution_pct=dist,
                 relative_pct=rel,
-                absolute_pct=absolute,
+                absolute_pct=None if rel is None else dist * rel / 100.0,
                 window_count=n_class,
                 flagged_count=n_flagged,
             )
@@ -164,39 +149,34 @@ def confusion_table(
     return rows
 
 
-def chord_edges(fused: Sequence[FusedDistribution]) -> list[ChordEdge]:
+def chord_edges(fused: FusedTable) -> list[ChordEdge]:
     """Count flagged windows per (true class -> confused class) pair.
 
     Edges come back sorted by descending weight, then by class ids, so the
     heaviest confusion flow leads the export.
     """
-    counts: dict[tuple[int, int], int] = {}
-    for f in fused:
-        key = (f.true_label, f.confused_class)
-        counts[key] = counts.get(key, 0) + 1
-    edges = [
+    pairs, weights = np.unique(
+        np.stack([fused.label, fused.confused], axis=1), axis=0, return_counts=True
+    )
+    order = np.argsort(-weights, kind="stable")  # pairs come sorted by class ids
+    return [
         ChordEdge(true_class=t, confused_class=c, weight=w)
-        for (t, c), w in counts.items()
+        for (t, c), w in zip(pairs[order].tolist(), weights[order].tolist())
     ]
-    edges.sort(key=lambda e: (-e.weight, e.true_class, e.confused_class))
-    return edges
 
 
 def write_confusion_csv(rows: Sequence[ClassConfusionRow], dest) -> None:
     """Table export: class_id,name,dist_pct,rel_pct,abs_pct (absent cells empty)."""
-    with open_text(dest, "w") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["class_id", "name", "dist_pct", "rel_pct", "abs_pct"])
-        for row in rows:
-            writer.writerow(
-                [
-                    row.class_id,
-                    row.name,
-                    repr(row.distribution_pct),
-                    "" if row.relative_pct is None else repr(row.relative_pct),
-                    "" if row.absolute_pct is None else repr(row.absolute_pct),
-                ]
-            )
+    write_csv(
+        ["class_id", "name", "dist_pct", "rel_pct", "abs_pct"],
+        (
+            [row.class_id, row.name, repr(row.distribution_pct),
+             "" if row.relative_pct is None else repr(row.relative_pct),
+             "" if row.absolute_pct is None else repr(row.absolute_pct)]
+            for row in rows
+        ),
+        dest,
+    )
 
 
 def write_chord_json(
@@ -212,39 +192,24 @@ def write_chord_json(
     write_json(payload, dest)
 
 
-def write_fused_jsonl(fused: Sequence[FusedDistribution], dest) -> None:
+def write_fused_jsonl(fused: FusedTable, dest) -> None:
     """Persist fused distributions so downstream stages can reuse them."""
+    columns = (fused.window, fused.label, fused.confused, fused.agrees, fused.mean_probs)
     with open_text(dest, "w") as fh:
-        for f in fused:
-            fh.write(
-                json.dumps(
-                    {
-                        "window": f.window_id,
-                        "label": f.true_label,
-                        "confused": f.confused_class,
-                        "agrees_with_truth": f.fused_agrees_with_truth,
-                        "mean_probs": [float(p) for p in f.mean_probs],
-                    }
-                )
-            )
+        for row in zip(*(column.tolist() for column in columns)):
+            fh.write(json.dumps(dict(zip(FUSED_FIELDS, row))))
             fh.write("\n")
 
 
-def read_fused_jsonl(src) -> list[FusedDistribution]:
-    fused = []
+def read_fused_jsonl(src) -> FusedTable:
+    """A fused.jsonl file as a table; with no rows, ``mean_probs`` is [0, 0]."""
     with open_text(src) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            obj = json.loads(line)
-            fused.append(
-                FusedDistribution(
-                    window_id=int(obj["window"]),
-                    mean_probs=np.asarray(obj["mean_probs"], dtype=float),
-                    confused_class=int(obj["confused"]),
-                    true_label=int(obj["label"]),
-                    fused_agrees_with_truth=bool(obj["agrees_with_truth"]),
-                )
-            )
-    return fused
+        objs = [json.loads(line) for line in fh if line.strip()]
+    window, label, confused, agrees, probs = ([obj[name] for obj in objs] for name in FUSED_FIELDS)
+    return FusedTable(
+        window=np.array(window, dtype=np.int64),
+        label=np.array(label, dtype=np.int64),
+        confused=np.array(confused, dtype=np.int64),
+        agrees=np.array(agrees, dtype=bool),
+        mean_probs=np.array(probs, dtype=float).reshape(len(objs), -1 if objs else 0),
+    )

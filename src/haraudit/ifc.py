@@ -9,15 +9,16 @@ matrix they are computed from comes from ``predictions.merge_runs``.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
-from ._io import open_text, write_json
+from ._io import read_csv, write_csv, write_json
 
 CLOSURE_TOL = 1e-9
+IFC_WINDOWS_HEADER = ("window_id", "start_sample", "end_sample", "true_label", "ifc_flag")
+HISTOGRAM_HEADER = ("bin_lower", "bin_upper", "count")
 
 
 class ConsistencyError(RuntimeError):
@@ -117,10 +118,6 @@ def compute_ifc(
     )
 
 
-def _length_bin(length: int) -> int:
-    return int(length).bit_length() - 1
-
-
 def run_lengths(
     ifc_flags: np.ndarray, recording_indices: np.ndarray | None = None
 ) -> RunLengthHistogram:
@@ -138,24 +135,18 @@ def run_lengths(
         rec = np.asarray(recording_indices, dtype=int)
         if rec.size != n:
             raise ValueError("recording_indices must align with ifc_flags")
-    if n == 0:
-        return RunLengthHistogram(segments=[], bins=[])
     new_run = np.ones(n, dtype=bool)
     new_run[1:] = (flags[1:] != flags[:-1]) | (rec[1:] != rec[:-1])
     starts = np.flatnonzero(new_run)
     lengths = np.diff(np.append(starts, n))
     keep = flags[starts]
     segments = [
-        Segment(start_window=int(s), length=int(l))
-        for s, l in zip(starts[keep], lengths[keep])
+        Segment(start_window=s, length=l)
+        for s, l in zip(starts[keep].tolist(), lengths[keep].tolist())
     ]
-    if not segments:
-        return RunLengthHistogram(segments=[], bins=[])
-    max_bin = max(_length_bin(seg.length) for seg in segments)
-    counts = [0] * (max_bin + 1)
-    for seg in segments:
-        counts[_length_bin(seg.length)] += 1
-    bins = [(2**k, 2 ** (k + 1) - 1, counts[k]) for k in range(max_bin + 1)]
+    # A length's bin is its bit length minus one, which frexp's exponent gives.
+    counts = np.bincount(np.frexp(lengths[keep])[1] - 1).tolist()
+    bins = [(2**k, 2 ** (k + 1) - 1, count) for k, count in enumerate(counts)]
     return RunLengthHistogram(segments=segments, bins=bins)
 
 
@@ -166,19 +157,14 @@ def write_ifc_windows_csv(
     dest,
 ) -> None:
     """Window-level export: window_id,start_sample,end_sample,true_label,ifc_flag."""
-    with open_text(dest, "w") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["window_id", "start_sample", "end_sample", "true_label", "ifc_flag"])
-        for i, window_id in enumerate(summary.window_ids):
-            writer.writerow(
-                [
-                    int(window_id),
-                    int(window_bounds[i, 0]),
-                    int(window_bounds[i, 1]),
-                    int(labels[i]),
-                    int(summary.ifc_flags[i]),
-                ]
-            )
+    rows = zip(summary.window_ids.tolist(), *np.asarray(window_bounds).T.tolist(),
+               np.asarray(labels).tolist(), summary.ifc_flags.astype(int).tolist())
+    write_csv(IFC_WINDOWS_HEADER, rows, dest)
+
+
+def read_ifc_windows_csv(src) -> np.ndarray:
+    """The ifc_flag column of an ifc_windows.csv export."""
+    return np.array(read_csv(IFC_WINDOWS_HEADER, src)[-1], dtype=np.int64).astype(bool)
 
 
 def write_ifc_summary_json(summary: IfcSummary, dest) -> None:
@@ -196,8 +182,10 @@ def write_ifc_summary_json(summary: IfcSummary, dest) -> None:
 
 def write_histogram_csv(hist: RunLengthHistogram, dest) -> None:
     """Histogram export: bin_lower,bin_upper,count."""
-    with open_text(dest, "w") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["bin_lower", "bin_upper", "count"])
-        for lower, upper, count in hist.bins:
-            writer.writerow([lower, upper, count])
+    write_csv(HISTOGRAM_HEADER, hist.bins, dest)
+
+
+def read_histogram_csv(src) -> list[tuple[int, int, int]]:
+    """The (bin_lower, bin_upper, count) rows of an ifc_histogram.csv export."""
+    columns = read_csv(HISTOGRAM_HEADER, src)
+    return [tuple(row) for row in np.array(columns, dtype=np.int64).T.tolist()]

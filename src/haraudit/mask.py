@@ -9,14 +9,12 @@ mass and the failure reads as uncertainty (minor). Everything else is clean.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
-from ._io import open_text, write_json
-from .confusion import FusedDistribution
+from ._io import write_csv, write_json
+from .confusion import FusedTable
 
 CLEAN, MINOR, MAJOR = 0, 1, 2
 CATEGORY_NAMES = {CLEAN: "clean", MINOR: "minor", MAJOR: "major"}
@@ -32,28 +30,9 @@ class MaskSequence:
     policy: str | None = None
 
 
-def categorize(mean_probs: Sequence[float], is_flagged: bool) -> int:
-    """Categorize one window from its fused probabilities.
-
-    Unflagged windows are clean. For flagged windows the probabilities are
-    sorted descending and the gaps between neighbours computed; if the first
-    gap (top class to runner-up) is the largest, the window is major,
-    otherwise minor. Gap ties resolve to the earliest gap, biasing toward
-    major. With two classes the single gap makes every flagged window major.
-    """
-    probs = np.asarray(mean_probs, dtype=float)
-    if probs.size < 2:
-        raise ValueError("need at least two class probabilities")
-    if not is_flagged:
-        return CLEAN
-    ranked = np.sort(probs)[::-1]
-    gaps = ranked[:-1] - ranked[1:]
-    return MAJOR if int(np.argmax(gaps)) == 0 else MINOR
-
-
 def build_mask(
     ifc_flags: np.ndarray,
-    fused: Sequence[FusedDistribution],
+    fused: FusedTable,
     window_bounds: np.ndarray,
     total_samples: int,
     policy: str | None = None,
@@ -62,29 +41,37 @@ def build_mask(
 
     ``ifc_flags`` and ``window_bounds`` are aligned by position, with window
     ids equal to positions (dataset order). Every flagged window needs a
-    fused distribution. Samples covered by no window are clean.
+    fused distribution, which decides its category: sorted descending, its
+    probabilities leave gaps between neighbours, and the window is major when
+    the first gap (top class to runner-up) is the largest, otherwise minor.
+    Gap ties resolve to the earliest gap, biasing toward major; with two
+    classes the single gap makes every flagged window major. Unflagged windows
+    and samples covered by no window are clean.
     """
     flags = np.asarray(ifc_flags, dtype=bool)
     window_bounds = np.asarray(window_bounds, dtype=int)
     if window_bounds.shape != (flags.size, 2):
         raise ValueError("window_bounds must align with ifc_flags")
-    by_window = {f.window_id: f for f in fused}
+    # A lookup, not np.isin: in numpy 2 that calls np.unique, which imports numpy.ma.
+    covered = np.zeros(flags.size, dtype=bool)
+    covered[fused.window] = True
+    missing = np.flatnonzero(flags & ~covered)
+    if missing.size:
+        raise ValueError(f"flagged window {missing[0]} has no fused distribution")
+    rows = flags[fused.window]
     window_mask = np.zeros(flags.size, dtype=np.int8)
-    for w in np.flatnonzero(flags):
-        f = by_window.get(int(w))
-        if f is None:
-            raise ValueError(f"flagged window {w} has no fused distribution")
-        window_mask[w] = categorize(f.mean_probs, True)
+    if rows.any():
+        if fused.mean_probs.shape[1] < 2:
+            raise ValueError("need at least two class probabilities")
+        ranked = np.sort(fused.mean_probs[rows], axis=1)[:, ::-1]
+        major = np.argmax(ranked[:, :-1] - ranked[:, 1:], axis=1) == 0
+        window_mask[fused.window[rows]] = np.where(major, MAJOR, MINOR)
     sample_mask = np.zeros(total_samples, dtype=np.int8)
     for w in np.flatnonzero(window_mask):
         start, end = window_bounds[w]
         np.maximum(sample_mask[start:end], window_mask[w], out=sample_mask[start:end])
-    n = flags.size
-    distribution = {
-        "clean_pct": 100.0 * float((window_mask == CLEAN).sum()) / n,
-        "minor_pct": 100.0 * float((window_mask == MINOR).sum()) / n,
-        "major_pct": 100.0 * float((window_mask == MAJOR).sum()) / n,
-    }
+    shares = 100.0 * np.bincount(window_mask, minlength=3) / flags.size
+    distribution = {f"{CATEGORY_NAMES[c]}_pct": share for c, share in enumerate(shares.tolist())}
     return MaskSequence(
         window_mask=window_mask,
         sample_mask=sample_mask,
@@ -95,22 +82,15 @@ def build_mask(
 
 def write_window_mask_csv(mask: MaskSequence, window_bounds: np.ndarray, dest) -> None:
     """Window export: window_id,start_sample,end_sample,category."""
-    with open_text(dest, "w") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["window_id", "start_sample", "end_sample", "category"])
-        for w, category in enumerate(mask.window_mask):
-            writer.writerow(
-                [w, int(window_bounds[w, 0]), int(window_bounds[w, 1]), int(category)]
-            )
+    rows = zip(range(mask.window_mask.size), *window_bounds.T.tolist(), mask.window_mask.tolist())
+    write_csv(["window_id", "start_sample", "end_sample", "category"], rows, dest)
 
 
 def write_sample_mask_csv(mask: MaskSequence, dest) -> None:
     """Sample export: sample_index,category."""
-    with open_text(dest, "w") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["sample_index", "category"])
-        for s, category in enumerate(mask.sample_mask):
-            writer.writerow([s, int(category)])
+    # map(int) streams the rows: no list of every sample is built.
+    rows = zip(range(mask.sample_mask.size), map(int, mask.sample_mask))
+    write_csv(["sample_index", "category"], rows, dest)
 
 
 def write_mask_summary_json(mask: MaskSequence, dest) -> None:

@@ -11,7 +11,7 @@ from .baseline import TrainConfig, extract_feature_matrix, predict_proba, train_
 from .confusion import (
     ChordEdge,
     ClassConfusionRow,
-    FusedDistribution,
+    FusedTable,
     chord_edges,
     confusion_table,
     fuse_probabilities,
@@ -38,7 +38,7 @@ def baseline_prediction_records(
     deterministic, so all runs carry identical probabilities; they exist to
     exercise the run-merging interfaces.
     """
-    labels = dataset.labels
+    labels = dataset.windows.label
     # One (run, fold, window ids, probs) block per fold and run, in record order.
     blocks = []
     for fold in plan.folds:
@@ -78,11 +78,13 @@ class AuditResult:
     """Everything the downstream exports need, computed in one pass."""
 
     ifc: IfcSummary
-    fused: list[FusedDistribution]
+    fused: FusedTable
     table: list[ClassConfusionRow]
     edges: list[ChordEdge]
     mask: MaskSequence
     chosen_configs: dict[tuple[str, str], str]
+    #: The records of the chosen configs, as ``filter_to_configs`` kept them.
+    kept: PredictionTable
 
 
 def audit_records(
@@ -113,8 +115,7 @@ def audit_records(
             f"{len(labels)} dense window ids"
         )
     summary = compute_ifc(matrix, merge_policy=merge_policy)
-    flagged_ids = [int(w) for w in summary.window_ids[summary.ifc_flags]]
-    fused = fuse_probabilities(kept, flagged_ids)
+    fused = fuse_probabilities(kept, summary.window_ids[summary.ifc_flags])
     table = confusion_table(summary.ifc_flags, labels, num_classes=num_classes)
     edges = chord_edges(fused)
     mask = build_mask(
@@ -131,4 +132,5 @@ def audit_records(
         edges=edges,
         mask=mask,
         chosen_configs=chosen,
+        kept=kept,
     )

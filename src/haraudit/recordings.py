@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._io import open_text
+from ._io import open_text, write_csv
 
 REQUIRED_COLUMNS = ("subject_id", "session_id", "label")
 
@@ -190,15 +190,9 @@ def write_canonical(recordings: list[SensorRecording], dest) -> None:
     for rec in recordings:
         if rec.channel_names != names:
             raise ValueError("all recordings must share one channel layout")
-    with open_text(dest, "w") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(list(REQUIRED_COLUMNS) + names)
-        for rec in recordings:
-            for i in range(rec.num_samples):
-                writer.writerow(
-                    [rec.subject_id, rec.session_id, int(rec.labels[i])]
-                    + [repr(float(v)) for v in rec.channels[i]]
-                )
+    rows = ([rec.subject_id, rec.session_id, label, *map(repr, rec.channels[i].tolist())]
+            for rec in recordings for i, label in enumerate(rec.labels.tolist()))
+    write_csv(list(REQUIRED_COLUMNS) + names, rows, dest)
 
 
 def corpus_num_classes(recordings: list[SensorRecording]) -> int:

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from ._io import open_text, write_json
-from .windowing import WindowedDataset
+from .windowing import WindowTable
 
 MAX_FOLDS_DEFAULT = 10
 
@@ -98,11 +98,11 @@ def group_k_fold(
     return plan
 
 
-def plan_folds(dataset: WindowedDataset, max_k: int = MAX_FOLDS_DEFAULT) -> FoldPlan:
-    """Fold plan for a windowed dataset, grouping by each window's group key."""
+def plan_folds(windows: WindowTable, max_k: int = MAX_FOLDS_DEFAULT) -> FoldPlan:
+    """Fold plan for a window table, grouping by each window's group key."""
     groups: dict[str, list[int]] = {}
-    for w in dataset.windows:
-        groups.setdefault(w.group_key, []).append(w.window_id)
+    for window_id, key in enumerate(windows.group.tolist()):
+        groups.setdefault(key, []).append(window_id)
     return group_k_fold(groups, max_k=max_k)
 
 

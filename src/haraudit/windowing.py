@@ -8,11 +8,16 @@ from typing import Sequence
 
 import numpy as np
 
+from ._io import read_csv, write_csv
 from .recordings import SensorRecording, corpus_num_classes
 
 LABEL_POLICIES = ("majority", "last_sample")
 GROUP_UNITS = ("subject", "subject_session")
 GROUP_KEY_SEPARATOR = "::"
+WINDOW_HEADER = (
+    "window_id", "start_sample", "end_sample", "label",
+    "group_key", "recording_index", "transition",
+)
 
 #: Channels whose spread falls below this are normalized with divisor 1.
 DEGENERATE_STD = 1e-9
@@ -33,17 +38,23 @@ class WindowConfig:
             raise ValueError(f"unknown label policy {self.label_policy!r}")
 
 
-@dataclass(frozen=True)
-class Window:
-    """Metadata for one window; samples live in WindowedDataset.blocks."""
+@dataclass(eq=False)  # arrays have no single truth value; tables compare by identity
+class WindowTable:
+    """Window metadata as columns, row i holding window i.
 
-    window_id: int
-    start_sample: int
-    end_sample: int
-    label: int
-    group_key: str
-    recording_index: int
-    transition: bool
+    ``bounds`` is [windows, 2] global (start, end) sample indices, ``group``
+    each window's split-group key, ``recording`` the index of its recording,
+    and ``transition`` whether its samples carry more than one label.
+    """
+
+    bounds: np.ndarray
+    label: np.ndarray
+    group: np.ndarray
+    recording: np.ndarray
+    transition: np.ndarray
+
+    def __len__(self) -> int:
+        return int(self.label.size)
 
 
 @dataclass(frozen=True)
@@ -67,7 +78,7 @@ class WindowedDataset:
     num_channels] and is aligned with ``windows``.
     """
 
-    windows: list[Window]
+    windows: WindowTable
     blocks: np.ndarray
     num_classes: int
     config: WindowConfig
@@ -85,33 +96,45 @@ class WindowedDataset:
     def total_samples(self) -> int:
         return self.recording_spans[-1][1] if self.recording_spans else 0
 
-    @property
-    def labels(self) -> np.ndarray:
-        return np.array([w.label for w in self.windows], dtype=int)
 
-    def window_bounds(self) -> np.ndarray:
-        """[num_windows, 2] array of global (start, end) sample indices."""
-        return np.array([(w.start_sample, w.end_sample) for w in self.windows], dtype=int)
+def write_windows(windows: WindowTable, dest) -> None:
+    """windows.csv: one row per window under WINDOW_HEADER."""
+    rows = zip(range(len(windows)), *windows.bounds.T.tolist(), windows.label.tolist(),
+               windows.group.tolist(), windows.recording.tolist(),
+               windows.transition.astype(int).tolist())
+    write_csv(WINDOW_HEADER, rows, dest)
 
 
-def assign_window_label(labels: Sequence[int], policy: str) -> tuple[int, bool]:
-    """Reduce the per-sample labels of one window to a single class id.
+def read_windows(src) -> WindowTable:
+    """A windows.csv file as a table; window ids are the row positions."""
+    _, start, end, label, group, recording, transition = read_csv(WINDOW_HEADER, src)
+    return WindowTable(
+        bounds=np.array([start, end], dtype=np.int64).T,
+        label=np.array(label, dtype=np.int64),
+        group=np.array(group, dtype=str),
+        recording=np.array(recording, dtype=np.int64),
+        transition=np.array(transition, dtype=np.int64).astype(bool),
+    )
 
-    Returns ``(label, transition)`` where ``transition`` is true when the
-    window spans more than one class. ``majority`` picks the most frequent
-    class with ties broken by the lowest id, and ``last_sample`` takes the
-    final sample. The transition flag does not depend on the policy.
+
+def _window_labels(labels: np.ndarray, starts: np.ndarray, config: WindowConfig):
+    """Label and transition flag of the windows of one recording.
+
+    Per-class cumulative counts give every window's class counts at once.
+    ``majority`` picks the most frequent class, ties to the lowest id, and
+    ``last_sample`` the final sample. A window is a transition when no one
+    class fills it, whatever the policy.
     """
-    labels = np.asarray(labels, dtype=int)
-    if labels.size == 0:
-        raise ValueError("window label slice is empty")
-    if policy not in LABEL_POLICIES:
-        raise ValueError(f"unknown label policy {policy!r}")
-    uniform = bool((labels == labels[0]).all())
-    if policy == "last_sample":
-        return int(labels[-1]), not uniform
-    majority = int(np.bincount(labels).argmax())
-    return majority, not uniform
+    ends = starts + config.size
+    classes = np.flatnonzero(np.bincount(labels))  # ascending: ties go to the lowest id
+    counts = np.empty((starts.size, classes.size), dtype=np.int64)
+    for i, c in enumerate(classes):
+        cumulative = np.concatenate(([0], np.cumsum(labels == c)))
+        counts[:, i] = cumulative[ends] - cumulative[starts]
+    transition = counts.max(axis=1) < config.size
+    if config.label_policy == "last_sample":
+        return labels[ends - 1], transition
+    return classes[counts.argmax(axis=1)], transition
 
 
 def _group_key(rec: SensorRecording, group_by: str) -> str:
@@ -133,8 +156,7 @@ def slice_corpus(
         raise ValueError("empty corpus")
     if num_classes is None:
         num_classes = corpus_num_classes(list(recordings))
-    windows: list[Window] = []
-    blocks: list[np.ndarray] = []
+    columns = []  # per recording: starts, labels, transitions, recording, group, blocks
     spans: list[tuple[int, int]] = []
     offset = 0
     for rec_index, rec in enumerate(recordings):
@@ -154,36 +176,29 @@ def slice_corpus(
             rec.channels, config.size, axis=0
         ).transpose(0, 2, 1)
         starts = np.arange(n_windows) * config.stride
-        blocks.append(view[starts].copy())
+        label, transition = _window_labels(rec.labels, starts, config)
         key = _group_key(rec, group_by)
-        for s in starts:
-            label, transition = assign_window_label(
-                rec.labels[s : s + config.size], config.label_policy
-            )
-            if label >= num_classes:
-                raise ValueError(
-                    f"window label {label} outside 0..{num_classes - 1}"
-                )
-            windows.append(
-                Window(
-                    window_id=len(windows),
-                    start_sample=offset + int(s),
-                    end_sample=offset + int(s) + config.size,
-                    label=label,
-                    group_key=key,
-                    recording_index=rec_index,
-                    transition=transition,
-                )
-            )
+        columns.append((offset + starts, label, transition, np.full(n_windows, rec_index),
+                        np.full(n_windows, key), view[starts].copy()))
         offset += n
-    if blocks:
-        all_blocks = np.concatenate(blocks, axis=0)
-    else:
-        n_channels = recordings[0].num_channels
-        all_blocks = np.empty((0, config.size, n_channels), dtype=float)
+    if not columns:  # every recording is shorter than one window
+        blocks = np.empty((0, config.size, recordings[0].num_channels))
+        columns = [(np.zeros(0, dtype=int),) * 5 + (blocks,)]
+    start, label, transition, recording, group, blocks = map(np.concatenate, zip(*columns))
+    if np.any(label >= num_classes):
+        raise ValueError(
+            f"window label {label[label >= num_classes][0]} outside 0..{num_classes - 1}"
+        )
+    windows = WindowTable(
+        bounds=np.stack([start, start + config.size], axis=1),
+        label=label,
+        group=group.astype(str),
+        recording=recording,
+        transition=transition.astype(bool),
+    )
     return WindowedDataset(
         windows=windows,
-        blocks=all_blocks,
+        blocks=blocks,
         num_classes=num_classes,
         config=config,
         recording_spans=spans,

@@ -1,9 +1,10 @@
-"""Prediction tables for tests, built from one keyword row per record."""
+"""Prediction and fused tables for tests, built from one row per record."""
 
 from dataclasses import fields
 
 import numpy as np
 
+from haraudit.confusion import FusedTable
 from haraudit.predictions import PredictionTable
 
 DEFAULTS = dict(
@@ -35,3 +36,16 @@ def assert_same_table(got: PredictionTable, want: PredictionTable) -> None:
         a, b = getattr(got, f.name), getattr(want, f.name)
         assert a.dtype.kind == b.dtype.kind, f.name
         assert np.array_equal(a, b), f.name
+
+
+def fused_of(windows, probs, label=1) -> FusedTable:
+    """One fused row per window, ``probs`` [windows, classes]; ``confused`` is
+    each row's argmax."""
+    probs = np.asarray(probs, dtype=float)
+    return FusedTable(
+        window=np.asarray(windows, dtype=np.int64),
+        label=np.full(len(windows), label, dtype=np.int64),
+        confused=probs.argmax(axis=1),
+        agrees=np.zeros(len(windows), dtype=bool),
+        mean_probs=probs,
+    )

@@ -13,17 +13,17 @@ import pytest
 
 from haraudit.cli import main as cli_main
 from haraudit.baseline import loss_and_gradients
-from haraudit.confusion import FusedDistribution, confusion_table
+from haraudit.confusion import confusion_table
 from haraudit.ifc import CorrectnessMatrix, compute_ifc, run_lengths
-from haraudit.mask import CLEAN, MAJOR, MINOR, build_mask, categorize
+from haraudit.mask import CLEAN, MAJOR, MINOR, build_mask
 from haraudit.mask import write_sample_mask_csv, write_window_mask_csv
 from haraudit.pipeline import audit_records, baseline_prediction_records
 from haraudit.predictions import read_records, write_records
 from haraudit.splits import group_k_fold, plan_folds
 from haraudit.synth import default_scenario, generate_corpus
 from haraudit.windowing import WindowConfig, slice_corpus
-from prediction_rows import assert_same_table, table_of
-from test_mask import read_sample_mask_csv, read_window_mask_csv
+from prediction_rows import assert_same_table, fused_of, table_of
+from test_mask import categories, read_sample_mask_csv, read_window_mask_csv
 
 
 def report(criterion: str, detail: str = "") -> None:
@@ -117,15 +117,8 @@ def test_c03_clean_share_complements_ifc():
     n = summary.window_ids.size
     bounds = np.array([[i * 100, i * 100 + 200] for i in range(n)])
     rng = np.random.default_rng(3)
-    fused = [
-        FusedDistribution(
-            window_id=int(w),
-            mean_probs=rng.dirichlet(np.ones(4)),
-            confused_class=0,
-            true_label=1,
-        )
-        for w in np.flatnonzero(summary.ifc_flags)
-    ]
+    flagged = np.flatnonzero(summary.ifc_flags)
+    fused = fused_of(flagged, rng.dirichlet(np.ones(4), size=flagged.size))
     mask = build_mask(summary.ifc_flags, fused, bounds, n * 100 + 100)
     clean = mask.distribution["clean_pct"]
     assert abs(clean - (100.0 - summary.ifc)) <= 1e-9
@@ -136,12 +129,10 @@ def test_c03_clean_share_complements_ifc():
 
 
 def test_c04_mask_rule_unit_suite():
-    assert categorize([0.7, 0.2, 0.1], True) == MAJOR
-    assert categorize([0.4, 0.35, 0.25], True) == MINOR
-    assert categorize([0.5, 0.3, 0.2], False) == CLEAN
+    assert categories([[0.7, 0.2, 0.1], [0.4, 0.35, 0.25]]).tolist() == [MAJOR, MINOR]
+    assert categories([[0.5, 0.3, 0.2]], [False]).tolist() == [CLEAN]
     rng = np.random.default_rng(12)
-    for _ in range(50):
-        assert categorize(rng.dirichlet(np.ones(2)), True) == MAJOR
+    assert (categories(rng.dirichlet(np.ones(2), size=50)) == MAJOR).all()
     report("C4 gap-rule unit suite", "major/minor/clean + 2-class degenerate")
 
 
@@ -216,18 +207,18 @@ def test_c08_end_to_end_synthetic_recovery():
 
     recordings, annotations = generate_corpus(spec, num_subjects=4)
     dataset = slice_corpus(recordings, WindowConfig(200, 100))
-    plan = plan_folds(dataset, max_k=10)
+    plan = plan_folds(dataset.windows, max_k=10)
     records = baseline_prediction_records(dataset, plan, dataset_id="synthetic", runs=4)
     result = audit_records(
         records,
-        dataset.window_bounds(),
-        dataset.labels,
+        dataset.windows.bounds,
+        dataset.windows.label,
         dataset.total_samples,
         num_classes=dataset.num_classes,
         merge_policy="majority",
     )
 
-    bounds = dataset.window_bounds()
+    bounds = dataset.windows.bounds
 
     def overlapping(span):
         return [
@@ -303,14 +294,9 @@ def test_c10_round_trips_and_reproducibility(tmp_path):
     # mask CSV round trip is exact
     bounds = np.array([[i * 100, i * 100 + 200] for i in range(30)])
     flags = rng.random(30) < 0.4
-    fused = [
-        FusedDistribution(
-            window_id=int(w), mean_probs=rng.dirichlet(np.ones(3)),
-            confused_class=0, true_label=1,
-        )
-        for w in np.flatnonzero(flags)
-    ]
-    mask = build_mask(flags, fused, bounds, 3100)
+    flagged = np.flatnonzero(flags)
+    mask = build_mask(flags, fused_of(flagged, rng.dirichlet(np.ones(3), size=flagged.size)),
+                      bounds, 3100)
     wbuf, sbuf = io.StringIO(), io.StringIO()
     write_window_mask_csv(mask, bounds, wbuf)
     write_sample_mask_csv(mask, sbuf)

@@ -96,7 +96,7 @@ class TestTraining:
         # the classes are then linearly separable in feature space
         ds = slice_corpus([rec], WindowConfig(200, 200), num_classes=2)
         features = extract_feature_matrix(ds.blocks)
-        labels = ds.labels
+        labels = ds.windows.label
         return features, labels
 
     def test_high_accuracy_on_separable_classes(self):

@@ -7,7 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from haraudit.cli import main
+from haraudit import cli, pipeline
+from haraudit.cli import COMMANDS, main
 from haraudit.predictions import write_records
 from prediction_rows import table_of
 
@@ -312,6 +313,43 @@ class TestAuditRunsOnceAtIfc:
         assert run(out, ["ifc", "--merge-policy", "all"]) == 1
         assert snapshot(out) == before
 
+    def test_ifc_filters_the_log_to_the_chosen_configs_once(
+        self, tmp_path, full_run, monkeypatch
+    ):
+        out = tmp_path / "run"
+        shutil.copytree(full_run, out)
+        calls = []
+        real = pipeline.filter_to_configs
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        for module in (pipeline, cli):
+            if hasattr(module, "filter_to_configs"):
+                monkeypatch.setattr(module, "filter_to_configs", counted)
+        assert run(out, ["ifc"]) == 0
+        assert len(calls) == 1
+        assert (out / "models.json").read_bytes() == (full_run / "models.json").read_bytes()
+
+    @pytest.mark.parametrize("name, command", [
+        ("ifc_windows.csv", "histogram"), ("ifc_windows.csv", "confusion"),
+        ("ifc_histogram.csv", "plot"),
+    ])
+    def test_an_export_with_a_wrong_header_is_refused(
+        self, tmp_path, full_run, capsys, name, command
+    ):
+        out = tmp_path / "run"
+        shutil.copytree(full_run, out)
+        path = out / name
+        lines = path.read_text().splitlines(keepends=True)
+        path.write_text("window,flag\n" + "".join(lines[1:]))
+        before = snapshot(out)
+        capsys.readouterr()
+        assert run(out, [command]) == 1
+        assert f"{name} starts with window,flag, not the header" in capsys.readouterr().err
+        assert snapshot(out) == before
+
     def test_views_need_no_prediction_log(self, tmp_path, full_run):
         out = tmp_path / "run"
         shutil.copytree(full_run, out)
@@ -433,6 +471,34 @@ class TestLineage:
         capsys.readouterr()
         assert run(out, ["report", "--config", str(config)]) == 1
         assert "--merge-policy any disagrees with ifc_summary.json" in capsys.readouterr().err
+
+    def test_inputs_without_a_lineage_record_are_refused(self, tmp_path, full_run, capsys):
+        out = tmp_path / "run"
+        shutil.copytree(full_run, out)
+        manifest = json.loads((out / "manifest.json").read_text())
+        del manifest["lineage"]  # as a manifest from before lineage records
+        (out / "manifest.json").write_text(json.dumps(manifest))
+        before = snapshot(out)
+        capsys.readouterr()
+        assert run(out, ["train-baseline", "--epochs", "2"]) == 1
+        assert "no lineage for windows_meta.json; rerun windows" in capsys.readouterr().err
+        for command in ("confusion", "mask"):
+            assert run(out, [command]) == 1
+            assert "no lineage for" in capsys.readouterr().err
+        assert snapshot(out) == before
+        assert run(out, ["ingest", "--recordings", str(full_run / "recordings.csv")]) == 0
+        assert run(out, ["windows"]) == 0
+        assert run(out, ["split"]) == 0
+        capsys.readouterr()
+        assert run(out, ["confusion"]) == 1
+        assert "no lineage for ifc_windows.csv; rerun ifc" in capsys.readouterr().err
+
+    def test_command_table_names_what_each_command_writes(self, full_run):
+        written = {}
+        for name, record in records_in(full_run).items():
+            written.setdefault(record["command"], set()).add(name)
+        for command, names in written.items():
+            assert names == set(COMMANDS[command][3]), command
 
     def test_windows_reads_only_the_runs_recordings(self, tmp_path):
         with pytest.raises(SystemExit) as exc:

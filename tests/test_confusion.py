@@ -1,3 +1,5 @@
+import io
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,17 @@ from haraudit.confusion import (
     read_fused_jsonl,
     write_fused_jsonl,
 )
+from haraudit.predictions import read_records
 from prediction_rows import table_of
+
+FUSED_COLUMNS = ("window", "label", "confused", "agrees", "mean_probs")
+
+
+def assert_same_fused(got, want):
+    for name in FUSED_COLUMNS:
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.shape == b.shape, name
+        assert a.tobytes() == b.tobytes(), name
 
 
 def rec(window, probs, label=0, model="m1", run=0, config="c"):
@@ -22,14 +34,14 @@ class TestFusion:
             rec(0, (0.4, 0.6), label=1, model="b"),
         ]
         fused = fuse_probabilities(table_of(records), [0])
-        assert np.allclose(fused[0].mean_probs, [0.6, 0.4])
-        assert fused[0].confused_class == 0
-        assert not fused[0].fused_agrees_with_truth
+        assert np.allclose(fused.mean_probs[0], [0.6, 0.4])
+        assert fused.confused[0] == 0
+        assert not fused.agrees[0]
 
     def test_identical_records_fuse_to_themselves(self):
         records = [rec(0, (0.3, 0.5, 0.2), label=0, model=m) for m in ("a", "b", "c")]
         fused = fuse_probabilities(table_of(records), [0])
-        assert np.allclose(fused[0].mean_probs, [0.3, 0.5, 0.2])
+        assert np.allclose(fused.mean_probs[0], [0.3, 0.5, 0.2])
 
     def test_matches_summation_oracle_on_random_simplexes(self):
         rng = np.random.default_rng(66)
@@ -44,14 +56,14 @@ class TestFusion:
                 count += 1
         expected /= count
         fused = fuse_probabilities(table_of(records), [0])
-        assert np.max(np.abs(fused[0].mean_probs - expected)) < 1e-12
+        assert np.max(np.abs(fused.mean_probs[0] - expected)) < 1e-12
 
     def test_argmax_tie_takes_lowest_class(self):
         records = [
             rec(0, (0.4, 0.4, 0.2), label=2, model="a"),
             rec(0, (0.4, 0.4, 0.2), label=2, model="b"),
         ]
-        assert fuse_probabilities(table_of(records), [0])[0].confused_class == 0
+        assert fuse_probabilities(table_of(records), [0]).confused[0] == 0
 
     def test_fused_agreeing_with_truth_reports_runner_up(self):
         # each model wrong individually, but the mean favors the true class
@@ -61,15 +73,35 @@ class TestFusion:
         ]
         # mean = [0.375, 0.1, 0.525] -> argmax 2 != 0, normal case
         fused = fuse_probabilities(table_of(records), [0])
-        assert fused[0].confused_class == 2
+        assert fused.confused[0] == 2
         records = [
             rec(0, (0.6, 0.4, 0.0), label=0, model="a"),
             rec(0, (0.4, 0.1, 0.5), label=0, model="b"),
         ]
         # mean = [0.5, 0.25, 0.25] -> argmax equals truth; runner-up is class 1
         fused = fuse_probabilities(table_of(records), [0])
-        assert fused[0].fused_agrees_with_truth
-        assert fused[0].confused_class == 1
+        assert fused.agrees[0]
+        assert fused.confused[0] == 1
+
+    def test_columns_match_a_per_window_oracle(self):
+        rng = np.random.default_rng(8)
+        # Probabilities in quarters, so fused vectors often tie at the top.
+        records = [
+            rec(w, tuple(rng.multinomial(4, np.ones(3) / 3) / 4), label=w % 3, model=m, run=r)
+            for w in range(60) for m in ("a", "b") for r in range(2)
+        ]
+        flagged = rng.permutation(60)[:40]
+        fused = fuse_probabilities(table_of(records), flagged)
+        assert fused.window.tolist() == sorted(flagged.tolist())
+        for i, w in enumerate(fused.window.tolist()):
+            rows = sorted((r for r in records if r["window"] == w),
+                          key=lambda r: (r["model"], r["config"], r["run"]))
+            mean = np.mean([r["probs"] for r in rows], axis=0)
+            top = int(np.argmax(mean))
+            runner_up = np.where(np.arange(3) == top, -np.inf, mean)
+            want = int(np.argmax(runner_up)) if top == w % 3 else top
+            assert fused.mean_probs[i].tobytes() == mean.tobytes()
+            assert (fused.label[i], fused.confused[i], fused.agrees[i]) == (w % 3, want, top == w % 3)
 
     def test_missing_model_rejected(self):
         records = [
@@ -87,10 +119,10 @@ class TestFusion:
             for m in range(3)
             for r in range(2)
         ]
-        fused_a = fuse_probabilities(table_of(records), [0])[0].mean_probs
+        fused_a = fuse_probabilities(table_of(records), [0]).mean_probs[0]
         shuffled = list(records)
         rng.shuffle(shuffled)
-        fused_b = fuse_probabilities(table_of(shuffled), [0])[0].mean_probs
+        fused_b = fuse_probabilities(table_of(shuffled), [0]).mean_probs[0]
         assert np.array_equal(fused_a, fused_b)
 
     def test_mean_sums_rows_in_model_config_run_order(self):
@@ -102,24 +134,37 @@ class TestFusion:
         ordered = sorted(records, key=lambda r: (r["model"], r["config"], r["run"]))
         want = np.mean([r["probs"] for r in ordered], axis=0)
         for order in (records, ordered, records[::-1]):
-            got = fuse_probabilities(table_of(order), [0])[0].mean_probs
+            got = fuse_probabilities(table_of(order), [0]).mean_probs[0]
             assert got.tobytes() == want.tobytes()
 
     def test_no_flagged_windows_gives_empty_list(self):
-        assert fuse_probabilities(table_of([rec(0, (0.9, 0.1))]), []) == []
+        fused = fuse_probabilities(table_of([rec(0, (0.9, 0.1))]), [])
+        assert len(fused) == 0 and fused.mean_probs.shape == (0, 2)
+        assert len(fuse_probabilities(read_records(io.StringIO("")), [])) == 0
 
     def test_round_trip_jsonl(self, tmp_path):
+        rng = np.random.default_rng(5)
         records = [
-            rec(0, (0.8, 0.2), label=1, model="a"),
-            rec(0, (0.4, 0.6), label=1, model="b"),
+            rec(w, tuple(rng.dirichlet(np.ones(4))), label=w % 4, model=m, run=r)
+            for w in range(6) for m in ("a", "b") for r in range(2)
         ]
-        fused = fuse_probabilities(table_of(records), [0])
+        fused = fuse_probabilities(table_of(records), [4, 0, 2, 5])
         path = tmp_path / "fused.jsonl"
         write_fused_jsonl(fused, path)
+        assert path.read_text().splitlines()[0].startswith(
+            '{"window": 0, "label": 0, "confused": '
+        )
+        assert_same_fused(read_fused_jsonl(path), fused)
+
+    def test_round_trip_of_zero_windows(self, tmp_path):
+        fused = fuse_probabilities(table_of([rec(0, (0.9, 0.1))]), [])
+        path = tmp_path / "fused.jsonl"
+        write_fused_jsonl(fused, path)
+        assert path.read_text() == ""
         back = read_fused_jsonl(path)
-        assert back[0].window_id == fused[0].window_id
-        assert back[0].confused_class == fused[0].confused_class
-        assert np.array_equal(back[0].mean_probs, fused[0].mean_probs)
+        assert len(back) == 0 and back.mean_probs.shape == (0, 0)
+        for name in FUSED_COLUMNS[:-1]:
+            assert getattr(back, name).dtype == getattr(fused, name).dtype, name
 
 
 class TestConfusionTable:
@@ -165,13 +210,12 @@ class TestConfusionTable:
 
 class TestChordEdges:
     def fused(self, pairs):
-        out = []
+        records = []
         for i, (true, confused) in enumerate(pairs):
             probs = np.zeros(4)
             probs[confused] = 1.0
-            records = [rec(i, tuple(probs), label=true, model="a")]
-            out.extend(fuse_probabilities(table_of(records), [i]))
-        return out
+            records.append(rec(i, tuple(probs), label=true, model="a"))
+        return fuse_probabilities(table_of(records or [rec(0, (1, 0, 0, 0))]), range(len(pairs)))
 
     def test_counting(self):
         edges = chord_edges(self.fused([(0, 1), (0, 1), (2, 0)]))
@@ -181,7 +225,18 @@ class TestChordEdges:
         ]
 
     def test_empty(self):
-        assert chord_edges([]) == []
+        assert chord_edges(self.fused([])) == []
+
+    def test_matches_a_pair_count_oracle(self):
+        rng = np.random.default_rng(44)
+        pairs = [tuple(p) for p in rng.integers(0, 4, size=(200, 2)).tolist() if p[0] != p[1]]
+        counts = {}
+        for pair in pairs:
+            counts[pair] = counts.get(pair, 0) + 1
+        want = sorted(((t, c, w) for (t, c), w in counts.items()),
+                      key=lambda e: (-e[2], e[0], e[1]))
+        got = [(e.true_class, e.confused_class, e.weight) for e in chord_edges(self.fused(pairs))]
+        assert got == want
 
     def test_weights_sum_to_flagged_count(self):
         pairs = [(0, 1)] * 5 + [(1, 2)] * 3 + [(2, 0)]

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from haraudit.confusion import FusedDistribution
 from haraudit.ifc import (
     CorrectnessMatrix,
     common_ground,
@@ -11,7 +10,7 @@ from haraudit.ifc import (
 )
 from haraudit.mask import build_mask
 from haraudit.predictions import merge_runs
-from prediction_rows import table_of
+from prediction_rows import fused_of, table_of
 
 
 def matrix(rows, model_ids=None):
@@ -136,11 +135,8 @@ class TestOverlapMetrics:
 
 def flagged_samples(flags, bounds, total_samples):
     """Sample flags from build_mask: a sample is flagged when its category is > 0."""
-    fused = [
-        FusedDistribution(window_id=int(w), mean_probs=np.array([0.6, 0.3, 0.1]),
-                          confused_class=0, true_label=1)
-        for w in np.flatnonzero(flags)
-    ]
+    flagged = np.flatnonzero(flags)
+    fused = fused_of(flagged, np.tile([0.6, 0.3, 0.1], (flagged.size, 1)))
     return build_mask(flags, fused, bounds, total_samples).sample_mask > 0
 
 

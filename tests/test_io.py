@@ -14,6 +14,8 @@ from haraudit.confusion import (
     write_fused_jsonl,
 )
 from haraudit.ifc import (
+    read_histogram_csv,
+    read_ifc_windows_csv,
     run_lengths,
     write_histogram_csv,
     write_ifc_summary_json,
@@ -29,7 +31,7 @@ from haraudit.predictions import read_records, write_records
 from haraudit.recordings import parse_canonical, write_canonical
 from haraudit.splits import plan_folds, read_plan, write_plan
 from haraudit.synth import default_scenario, generate_corpus, load_scenario, save_scenario
-from haraudit.windowing import WindowConfig, slice_corpus
+from haraudit.windowing import WindowConfig, read_windows, slice_corpus, write_windows
 from test_mask import read_sample_mask_csv, read_window_mask_csv
 
 
@@ -37,17 +39,17 @@ from test_mask import read_sample_mask_csv, read_window_mask_csv
 def audit():
     recordings, _ = generate_corpus(default_scenario(), num_subjects=4)
     dataset = slice_corpus(recordings, WindowConfig())
-    plan = plan_folds(dataset)
+    plan = plan_folds(dataset.windows)
     records = baseline_prediction_records(dataset, plan, runs=2)
-    bounds = dataset.window_bounds()
+    bounds = dataset.windows.bounds
     result = audit_records(
-        records, bounds, dataset.labels, dataset.total_samples,
+        records, bounds, dataset.windows.label, dataset.total_samples,
         num_classes=dataset.num_classes,
     )
-    assert result.fused, "the scenario must flag some windows"
+    assert len(result.fused), "the scenario must flag some windows"
     return SimpleNamespace(
         recordings=recordings, plan=plan, records=records, bounds=bounds,
-        labels=dataset.labels, result=result,
+        windows=dataset.windows, result=result,
     )
 
 
@@ -57,12 +59,15 @@ CASES = {
     "write_canonical": (lambda a, d: write_canonical(a.recordings, d), parse_canonical),
     "write_plan": (lambda a, d: write_plan(a.plan, d), read_plan),
     "save_scenario": (lambda a, d: save_scenario(default_scenario(), d), load_scenario),
+    "write_windows": (lambda a, d: write_windows(a.windows, d), read_windows),
     "write_ifc_windows_csv": (
-        lambda a, d: write_ifc_windows_csv(a.result.ifc, a.bounds, a.labels, d), None
+        lambda a, d: write_ifc_windows_csv(a.result.ifc, a.bounds, a.windows.label, d),
+        read_ifc_windows_csv,
     ),
     "write_ifc_summary_json": (lambda a, d: write_ifc_summary_json(a.result.ifc, d), None),
     "write_histogram_csv": (
-        lambda a, d: write_histogram_csv(run_lengths(a.result.ifc.ifc_flags), d), None
+        lambda a, d: write_histogram_csv(run_lengths(a.result.ifc.ifc_flags), d),
+        read_histogram_csv,
     ),
     "write_confusion_csv": (lambda a, d: write_confusion_csv(a.result.table, d), None),
     "write_chord_json": (
@@ -82,7 +87,7 @@ CASES = {
 def plain(obj):
     """Comparable form of a reader's result (dataclasses and arrays unpacked)."""
     if dataclasses.is_dataclass(obj):
-        return plain(dataclasses.asdict(obj))
+        return plain({f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)})
     if isinstance(obj, np.ndarray):
         return (str(obj.dtype), obj.shape, obj.tolist())
     if isinstance(obj, dict):

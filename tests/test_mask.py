@@ -6,67 +6,88 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from haraudit.confusion import FusedDistribution
 from haraudit.mask import (
     CLEAN,
     MAJOR,
     MINOR,
     build_mask,
-    categorize,
     write_sample_mask_csv,
     write_window_mask_csv,
 )
+from prediction_rows import fused_of
 
 
-def fused(window_id, probs, label=0):
-    probs = np.asarray(probs, dtype=float)
-    return FusedDistribution(
-        window_id=window_id,
-        mean_probs=probs,
-        confused_class=int(np.argmax(probs)),
-        true_label=label,
-    )
+def categorize(mean_probs, is_flagged):
+    """Oracle: one window's category from its fused probabilities.
+
+    Sorted descending, the probabilities leave gaps between neighbours; a
+    flagged window is major when the first gap is the largest (ties to the
+    earliest gap), otherwise minor. Unflagged windows are clean.
+    """
+    if not is_flagged:
+        return CLEAN
+    ranked = np.sort(np.asarray(mean_probs, dtype=float))[::-1]
+    return MAJOR if int(np.argmax(ranked[:-1] - ranked[1:])) == 0 else MINOR
+
+
+def categories(rows, flags=None):
+    """build_mask's window categories for fused vectors ``rows``, window i
+    holding row i; every window is flagged unless ``flags`` says otherwise."""
+    rows = np.asarray(rows, dtype=float)
+    flags = np.ones(len(rows), dtype=bool) if flags is None else np.asarray(flags)
+    bounds = np.array([[i, i + 1] for i in range(len(rows))])
+    return build_mask(flags, fused_of(range(len(rows)), rows), bounds, len(rows)).window_mask
 
 
 class TestCategorize:
     def test_top_gap_means_major(self):
-        assert categorize([0.7, 0.2, 0.1], True) == MAJOR
+        assert categories([[0.7, 0.2, 0.1]]).tolist() == [MAJOR]
 
     def test_lower_gap_means_minor(self):
-        assert categorize([0.4, 0.35, 0.25], True) == MINOR
+        assert categories([[0.4, 0.35, 0.25]]).tolist() == [MINOR]
 
     def test_unflagged_is_clean_regardless_of_gaps(self):
-        assert categorize([0.5, 0.3, 0.2], False) == CLEAN
+        assert categories([[0.5, 0.3, 0.2], [0.7, 0.2, 0.1]], [False, False]).tolist() == [
+            CLEAN, CLEAN
+        ]
 
     def test_two_classes_always_major(self):
         rng = np.random.default_rng(1)
-        for _ in range(20):
-            p = rng.dirichlet(np.ones(2))
-            assert categorize(p, True) == MAJOR
+        assert (categories(rng.dirichlet(np.ones(2), size=20)) == MAJOR).all()
 
     def test_gap_tie_biases_toward_major(self):
         # gaps (0.2, 0.2): earliest max wins -> major
-        assert categorize([0.5, 0.3, 0.1, 0.1], True) == MAJOR
+        assert categories([[0.5, 0.3, 0.1, 0.1]]).tolist() == [MAJOR]
 
     def test_tied_probability_permutations_agree(self):
         base = [0.4, 0.3, 0.3]
-        cats = {categorize(list(p), True) for p in itertools.permutations(base)}
-        assert len(cats) == 1
+        assert len(set(categories(list(itertools.permutations(base))).tolist())) == 1
 
     def test_single_class_rejected(self):
-        with pytest.raises(ValueError):
-            categorize([1.0], True)
+        with pytest.raises(ValueError, match="two class"):
+            categories([[1.0]])
+
+    @pytest.mark.parametrize("num_classes", [2, 3, 5, 12])
+    def test_column_rule_matches_the_per_window_oracle(self, num_classes):
+        rng = np.random.default_rng(num_classes)
+        rows = rng.dirichlet(np.full(num_classes, 0.7), size=300)
+        # Rows with exact gap ties, in shuffled class order: 0.1 steps and
+        # repeated values give equal float gaps.
+        ladder = np.linspace(1, 0, num_classes) / np.linspace(1, 0, num_classes).sum()
+        ties = [rng.permutation(ladder) for _ in range(20)]
+        ties += [rng.permutation(np.full(num_classes, 1 / num_classes)) for _ in range(5)]
+        rows = np.vstack([rows, ties])
+        flags = rng.random(len(rows)) < 0.8
+        want = [categorize(row, flag) for row, flag in zip(rows, flags)]
+        assert categories(rows, flags).tolist() == want
 
 
 class TestBuildMask:
     def test_distribution_and_sample_merge(self):
         bounds = np.array([[0, 200], [100, 300], [200, 400]])
         flags = np.array([False, True, True])
-        fused_list = [
-            fused(1, [0.7, 0.2, 0.1]),  # major
-            fused(2, [0.4, 0.35, 0.25]),  # minor
-        ]
-        mask = build_mask(flags, fused_list, bounds, 400)
+        fused = fused_of([1, 2], [[0.7, 0.2, 0.1], [0.4, 0.35, 0.25]])  # major, minor
+        mask = build_mask(flags, fused, bounds, 400)
         assert mask.window_mask.tolist() == [CLEAN, MAJOR, MINOR]
         dist = mask.distribution
         assert abs(dist["clean_pct"] + dist["minor_pct"] + dist["major_pct"] - 100) <= 1e-9
@@ -77,7 +98,7 @@ class TestBuildMask:
 
     def test_all_clean(self):
         bounds = np.array([[0, 200], [100, 300]])
-        mask = build_mask(np.array([False, False]), [], bounds, 300)
+        mask = build_mask(np.array([False, False]), fused_of([], np.zeros((0, 3))), bounds, 300)
         assert mask.distribution == {
             "clean_pct": 100.0,
             "minor_pct": 0.0,
@@ -88,7 +109,7 @@ class TestBuildMask:
     def test_flagged_window_without_fusion_rejected(self):
         bounds = np.array([[0, 200]])
         with pytest.raises(ValueError, match="no fused"):
-            build_mask(np.array([True]), [], bounds, 200)
+            build_mask(np.array([True]), fused_of([], np.zeros((0, 3))), bounds, 200)
 
     def test_severity_merge_is_monotone(self):
         # raising one window's category must never lower any sample category
@@ -96,14 +117,9 @@ class TestBuildMask:
         flags = np.zeros(10, dtype=bool)
         flags[[2, 5, 6]] = True
         minor_probs = [0.4, 0.35, 0.25]
-        base_fused = [fused(w, minor_probs) for w in (2, 5, 6)]
-        base = build_mask(flags, base_fused, bounds, 1100)
-        raised_fused = [
-            fused(2, [0.9, 0.05, 0.05]),  # minor -> major
-            fused(5, minor_probs),
-            fused(6, minor_probs),
-        ]
-        bumped = build_mask(flags, raised_fused, bounds, 1100)
+        base = build_mask(flags, fused_of([2, 5, 6], [minor_probs] * 3), bounds, 1100)
+        raised = fused_of([2, 5, 6], [[0.9, 0.05, 0.05], minor_probs, minor_probs])  # 2 -> major
+        bumped = build_mask(flags, raised, bounds, 1100)
         assert bumped.window_mask[2] > base.window_mask[2]
         assert (bumped.sample_mask >= base.sample_mask).all()
 
@@ -134,8 +150,8 @@ class TestMaskExports:
     def build(self):
         bounds = np.array([[0, 200], [100, 300], [200, 400]])
         flags = np.array([False, True, True])
-        fused_list = [fused(1, [0.7, 0.2, 0.1]), fused(2, [0.4, 0.35, 0.25])]
-        return build_mask(flags, fused_list, bounds, 400), bounds
+        fused = fused_of([1, 2], [[0.7, 0.2, 0.1], [0.4, 0.35, 0.25]])
+        return build_mask(flags, fused, bounds, 400), bounds
 
     def test_window_csv_rows(self):
         mask, bounds = self.build()
@@ -161,7 +177,7 @@ class TestMaskExports:
     def test_line_count_scales_with_windows(self):
         n = 10_000
         bounds = np.array([[i, i + 1] for i in range(n)])
-        mask = build_mask(np.zeros(n, dtype=bool), [], bounds, n + 1)
+        mask = build_mask(np.zeros(n, dtype=bool), fused_of([], np.zeros((0, 3))), bounds, n + 1)
         buf = io.StringIO()
         write_window_mask_csv(mask, bounds, buf)
         assert len(buf.getvalue().strip().splitlines()) == n + 1

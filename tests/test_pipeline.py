@@ -21,7 +21,7 @@ def small_audit():
     )
     recordings, _ = generate_corpus(spec, num_subjects=3)
     ds = slice_corpus(recordings, WindowConfig(200, 100))
-    plan = plan_folds(ds)
+    plan = plan_folds(ds.windows)
     return ds, plan
 
 
@@ -68,7 +68,7 @@ def test_all_correct_log_audits_to_zero_ifc():
     assert result.ifc.ifc == 0.0
     assert result.ifc.common_ground == 100.0
     assert result.mask.distribution["clean_pct"] == 100.0
-    assert result.fused == [] and result.edges == []
+    assert len(result.fused) == 0 and result.edges == []
 
 
 def test_partial_window_coverage_rejected():
@@ -86,13 +86,13 @@ def test_composite_overlap_windows_land_in_the_intersect():
     )
     recordings, annotations = generate_corpus(spec, num_subjects=4)
     ds = slice_corpus(recordings, WindowConfig(200, 100))
-    records = baseline_prediction_records(ds, plan_folds(ds), runs=1)
+    records = baseline_prediction_records(ds, plan_folds(ds.windows), runs=1)
     result = audit_records(
-        records, ds.window_bounds(), ds.labels, ds.total_samples,
+        records, ds.windows.bounds, ds.windows.label, ds.total_samples,
         num_classes=ds.num_classes,
     )
     span = annotations[0][0]
-    bounds = ds.window_bounds()
+    bounds = ds.windows.bounds
     hits = [
         w
         for w in range(ds.num_windows)
@@ -124,7 +124,7 @@ def test_clean_pct_complements_ifc(small_audit):
     ds, plan = small_audit
     records = baseline_prediction_records(ds, plan, runs=1)
     result = audit_records(
-        records, ds.window_bounds(), ds.labels, ds.total_samples,
+        records, ds.windows.bounds, ds.windows.label, ds.total_samples,
         num_classes=ds.num_classes,
     )
     assert abs(result.mask.distribution["clean_pct"] - (100.0 - result.ifc.ifc)) <= 1e-9

@@ -1,13 +1,17 @@
+import io
+
 import numpy as np
 import pytest
 
 from haraudit.recordings import SensorRecording
 from haraudit.windowing import (
     WindowConfig,
+    WindowTable,
     apply_normalizer,
-    assign_window_label,
     fit_normalizer,
+    read_windows,
     slice_corpus,
+    write_windows,
 )
 
 
@@ -30,8 +34,8 @@ class TestSlicing:
     def test_window_count_and_starts(self):
         ds = slice_corpus([make_recording(500)], WindowConfig(200, 100))
         assert ds.num_windows == 4
-        assert [w.start_sample for w in ds.windows] == [0, 100, 200, 300]
-        assert all(w.end_sample - w.start_sample == 200 for w in ds.windows)
+        assert ds.windows.bounds[:, 0].tolist() == [0, 100, 200, 300]
+        assert (ds.windows.bounds[:, 1] - ds.windows.bounds[:, 0] == 200).all()
 
     def test_exactly_one_window_at_boundary(self):
         ds = slice_corpus([make_recording(200)], WindowConfig(200, 100))
@@ -51,27 +55,27 @@ class TestSlicing:
     def test_window_ids_dense_across_recordings(self):
         recs = [make_recording(300, subject="s1"), make_recording(250, subject="s2")]
         ds = slice_corpus(recs, WindowConfig(200, 100))
-        assert [w.window_id for w in ds.windows] == [0, 1, 2]
+        assert len(ds.windows) == 3
         # second recording's windows are offset by the first recording length
-        assert ds.windows[2].start_sample == 300
-        assert ds.windows[2].recording_index == 1
+        assert ds.windows.bounds[2, 0] == 300
+        assert ds.windows.recording.tolist() == [0, 0, 1]
         assert ds.total_samples == 550
 
     def test_coverage_and_overlap_invariant(self):
         cfg = WindowConfig(200, 100)
         ds = slice_corpus([make_recording(1000)], cfg)
-        covered = np.zeros(ds.windows[-1].end_sample, dtype=bool)
-        for w in ds.windows:
-            covered[w.start_sample : w.end_sample] = True
+        bounds = ds.windows.bounds
+        covered = np.zeros(bounds[-1, 1], dtype=bool)
+        for start, end in bounds:
+            covered[start:end] = True
         assert covered.all()
-        for a, b in zip(ds.windows, ds.windows[1:]):
-            assert a.end_sample - b.start_sample == cfg.size - cfg.stride
+        assert (bounds[:-1, 1] - bounds[1:, 0] == cfg.size - cfg.stride).all()
 
     def test_group_key_units(self):
         rec = make_recording(200, subject="s1", session="morning")
-        assert slice_corpus([rec], WindowConfig(200, 100)).windows[0].group_key == "s1"
+        assert slice_corpus([rec], WindowConfig(200, 100)).windows.group.tolist() == ["s1"]
         ds = slice_corpus([rec], WindowConfig(200, 100), group_by="subject_session")
-        assert ds.windows[0].group_key == "s1::morning"
+        assert ds.windows.group.tolist() == ["s1::morning"]
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -82,24 +86,122 @@ class TestSlicing:
             WindowConfig(label_policy="mode")
 
 
+def assign_window_label(labels, policy):
+    """Oracle: one window's (label, transition) from its own samples.
+
+    ``majority`` takes the most frequent class, ties to the lowest id, and
+    ``last_sample`` the final sample; a window spanning two classes is a
+    transition whatever the policy.
+    """
+    labels = np.asarray(labels, dtype=int)
+    uniform = bool((labels == labels[0]).all())
+    if policy == "last_sample":
+        return int(labels[-1]), not uniform
+    return int(np.bincount(labels).argmax()), not uniform
+
+
+def window_labels(track, size, stride, policy):
+    """(label, transition) per window of one recording with label ``track``."""
+    rec = make_recording(len(track), labels=track)
+    windows = slice_corpus([rec], WindowConfig(size, stride, policy),
+                           num_classes=int(max(track)) + 1).windows
+    return list(zip(windows.label.tolist(), windows.transition.tolist()))
+
+
+def oracle_labels(track, size, stride, policy):
+    return [assign_window_label(track[s : s + size], policy)
+            for s in range(0, len(track) - size + 1, stride)]
+
+
 class TestWindowLabels:
     def test_majority(self):
-        assert assign_window_label([0] * 120 + [1] * 80, "majority") == (0, True)
+        assert window_labels([0] * 120 + [1] * 80, 200, 200, "majority") == [(0, True)]
 
     def test_majority_tie_takes_lowest_id(self):
-        assert assign_window_label([1] * 100 + [0] * 100, "majority")[0] == 0
+        assert window_labels([1] * 100 + [0] * 100, 200, 200, "majority") == [(0, True)]
+        assert window_labels([2, 1, 1, 2], 4, 1, "majority") == [(1, True)]
 
     def test_last_sample(self):
-        assert assign_window_label([0, 0, 1], "last_sample") == (1, True)
+        assert window_labels([0, 0, 1], 3, 1, "last_sample") == [(1, True)]
+        assert window_labels([1, 1, 1], 3, 1, "last_sample") == [(1, False)]
 
     def test_deterministic(self):
-        labels = np.random.default_rng(0).integers(0, 4, size=200)
-        results = {assign_window_label(labels, "majority") for _ in range(5)}
+        track = np.random.default_rng(0).integers(0, 4, size=200)
+        results = {tuple(window_labels(track, 50, 10, "majority")) for _ in range(5)}
         assert len(results) == 1
 
     def test_empty_slice_rejected(self):
         with pytest.raises(ValueError):
-            assign_window_label([], "majority")
+            WindowConfig(size=0, stride=1)
+
+    @pytest.mark.parametrize("policy", ["majority", "last_sample"])
+    @pytest.mark.parametrize("num_classes", [2, 3, 6])
+    def test_column_rule_matches_the_per_window_oracle(self, policy, num_classes):
+        rng = np.random.default_rng(num_classes)
+        for _ in range(20):
+            size = int(rng.choice([2, 4, 7, 20]))
+            stride = int(rng.integers(1, size + 1))
+            # Segments of random length, so windows see runs, transitions and
+            # (with even sizes) exact majority ties.
+            lengths = rng.integers(1, 2 * size, size=12)
+            track = np.repeat(rng.integers(0, num_classes, size=12), lengths)
+            track[-1] = num_classes - 1  # every class id in range may occur
+            assert (window_labels(track, size, stride, policy)
+                    == oracle_labels(track, size, stride, policy))
+
+    def test_exact_ties_on_two_classes(self):
+        track = np.tile([1, 1, 0, 0], 10)
+        got = window_labels(track, 4, 1, "majority")
+        assert got == oracle_labels(track, 4, 1, "majority")
+        assert {label for label, _ in got} == {0}
+
+
+class TestWindowTable:
+    def table(self):
+        recs = [make_recording(500, subject="s1", labels=[0] * 250 + [1] * 250),
+                make_recording(300, subject="s2", labels=[1] * 300)]
+        return slice_corpus(recs, WindowConfig(200, 100)).windows
+
+    def assert_same(self, got, want):
+        for name in ("bounds", "label", "group", "recording", "transition"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype.kind == b.dtype.kind, name
+            assert a.shape == b.shape and np.array_equal(a, b), name
+
+    def test_round_trip(self):
+        windows = self.table()
+        buf = io.StringIO()
+        write_windows(windows, buf)
+        assert buf.getvalue().splitlines()[:3] == [
+            "window_id,start_sample,end_sample,label,group_key,recording_index,transition",
+            "0,0,200,0,s1,0,0",
+            "1,100,300,0,s1,0,1",
+        ]
+        buf.seek(0)
+        self.assert_same(read_windows(buf), windows)
+
+    def test_round_trip_of_zero_windows(self):
+        with pytest.warns(UserWarning, match="shorter"):
+            windows = slice_corpus([make_recording(50)], WindowConfig(200, 100)).windows
+        assert len(windows) == 0 and windows.bounds.shape == (0, 2)
+        buf = io.StringIO()
+        write_windows(windows, buf)
+        buf.seek(0)
+        self.assert_same(read_windows(buf), windows)
+
+    def test_wrong_header_rejected(self):
+        with pytest.raises(ValueError, match="not the header"):
+            read_windows(io.StringIO("window_id,start,end\n0,0,200\n"))
+
+    def test_short_row_rejected(self):
+        text = "window_id,start_sample,end_sample,label,group_key,recording_index,transition\n0,0\n"
+        with pytest.raises(ValueError, match="line 2: expected 7 cells, found 2"):
+            read_windows(io.StringIO(text))
+
+    def test_table_has_one_row_per_window(self):
+        windows = self.table()
+        assert isinstance(windows, WindowTable) and len(windows) == 6
+        assert windows.transition.tolist() == [False, True, True, False, False, False]
 
 
 class TestNormalizer:
