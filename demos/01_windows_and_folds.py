@@ -29,7 +29,6 @@ for k in range(3):
     recordings.append(
         SensorRecording(
             channels=channels,
-            sample_rate=100.0,
             labels=labels,
             subject_id=f"s{k}",
             session_id="r0",
@@ -37,7 +36,10 @@ for k in range(3):
         )
     )
 
-config = WindowConfig(size=200, stride=100, label_policy="majority")
+# A recording carries no sample rate: window size, stride and bounds are all
+# counted in samples. WindowConfig() holds the defaults `haraudit windows` uses
+# (200-sample windows, stride 100, majority labels).
+config = WindowConfig()
 dataset = slice_corpus(recordings, config)
 print(f"{dataset.num_windows} windows of {config.size} samples "
       f"(stride {config.stride}) over {dataset.total_samples} samples")
@@ -54,7 +56,7 @@ print(f"windows spanning a label change: {spanning.tolist()}")
 # class id, last_sample takes the final sample's class.
 # ---------------------------------------------------------------------------
 for policy in ("majority", "last_sample"):
-    labels = slice_corpus(recordings, WindowConfig(200, 100, policy)).windows.label
+    labels = slice_corpus(recordings, WindowConfig(label_policy=policy)).windows.label
     print(f"policy {policy:>14}: spanning windows labelled {labels[spanning].tolist()}")
 
 # ---------------------------------------------------------------------------

@@ -23,11 +23,6 @@ class TrainConfig:
 class BaselineModel:
     weights: np.ndarray  # [num_classes, num_features]
     bias: np.ndarray  # [num_classes]
-    config: TrainConfig
-
-    @property
-    def num_classes(self) -> int:
-        return self.weights.shape[0]
 
 
 def extract_feature_matrix(blocks: np.ndarray) -> np.ndarray:
@@ -75,8 +70,9 @@ def train_baseline(
     labels = np.asarray(labels, dtype=int)
     if features.ndim != 2 or features.shape[0] != labels.size:
         raise ValueError("features must be [n, f] aligned with labels")
-    present = set(int(c) for c in np.unique(labels))
-    missing = sorted(set(range(num_classes)) - present)
+    # bincount, not np.unique: in numpy 2 that imports numpy.ma.
+    counts = np.bincount(labels, minlength=num_classes)[:num_classes]
+    missing = np.flatnonzero(counts == 0).tolist()
     if missing:
         raise ValueError(f"classes {missing} absent from the training split")
     weights = np.zeros((num_classes, features.shape[1]))
@@ -85,12 +81,10 @@ def train_baseline(
         _, grad_w, grad_b = loss_and_gradients(weights, bias, features, labels)
         weights -= config.step_size * grad_w
         bias -= config.step_size * grad_b
-    return BaselineModel(weights=weights, bias=bias, config=config)
+    return BaselineModel(weights=weights, bias=bias)
 
 
 def predict_proba(model: BaselineModel, features: np.ndarray) -> np.ndarray:
     """Class probabilities [n, num_classes]; each row sums to 1."""
     features = np.asarray(features, dtype=float)
-    if features.ndim == 1:
-        features = features[None, :]
     return _softmax(features @ model.weights.T + model.bias)

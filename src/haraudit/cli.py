@@ -34,7 +34,7 @@ from .predictions import (
     MERGE_POLICIES, PredictionTable, model_metrics, read_records, write_records,
 )
 from .recordings import corpus_num_classes, parse_canonical, write_canonical
-from .splits import plan_folds, read_plan, write_plan
+from .splits import MAX_FOLDS_DEFAULT, plan_folds, read_plan, write_plan
 from .synth import default_scenario, generate_corpus, load_scenario, save_scenario
 from .windowing import WindowConfig, WindowTable, read_windows, slice_corpus, write_windows
 
@@ -203,7 +203,7 @@ def _read_meta(path: Path) -> dict:
 def _rebuild_dataset(run: RunDir):
     """Re-slice the canonical recordings with the recorded window config."""
     meta = _read_meta(run.need("windows_meta.json"))
-    recordings, _ = parse_canonical(run.need("recordings.csv"), sample_rate=meta["sample_rate"])
+    recordings, _ = parse_canonical(run.need("recordings.csv"))
     config = WindowConfig(meta["window_size"], meta["stride"], meta["label_policy"])
     return slice_corpus(
         recordings, config, group_by=meta["group_by"], num_classes=meta["num_classes"]
@@ -237,14 +237,22 @@ def _load_records(path: Path, windows: WindowTable, meta: dict) -> PredictionTab
     return records
 
 
+def _sample_rate(run: RunDir) -> float:
+    """--sample-rate, which is recorded but not computed with."""
+    rate = run.opt("sample_rate", 100.0)
+    if not rate > 0:
+        raise CommandError(f"--sample-rate must be positive, got {rate}")
+    return rate
+
+
 # ----------------------------------------------------------------- commands
 
 def cmd_ingest(run: RunDir) -> None:
     source = run.source("recordings")
     if source is None:
         raise CommandError("ingest needs --recordings <csv>")
-    sample_rate = run.opt("sample_rate", 100.0)
-    recordings, repaired = parse_canonical(source, sample_rate=sample_rate)
+    sample_rate = _sample_rate(run)
+    recordings, repaired = parse_canonical(source)
     num_classes = corpus_num_classes(recordings)
     write_canonical(recordings, run.file("recordings.csv"))
     write_json(
@@ -284,12 +292,12 @@ def cmd_synth(run: RunDir) -> None:
 
 
 def cmd_windows(run: RunDir) -> None:
-    sample_rate = run.opt("sample_rate", 100.0)
-    recordings, _ = parse_canonical(run.need("recordings.csv"), sample_rate=sample_rate)
+    sample_rate = _sample_rate(run)
+    recordings, _ = parse_canonical(run.need("recordings.csv"))
     config = WindowConfig(
-        size=run.opt("window_size", 200),
-        stride=run.opt("stride", 100),
-        label_policy=run.opt("label_policy", "majority"),
+        size=run.opt("window_size", WindowConfig.size),
+        stride=run.opt("stride", WindowConfig.stride),
+        label_policy=run.opt("label_policy", WindowConfig.label_policy),
     )
     group_by = run.opt("group_by", "subject")
     dataset = slice_corpus(recordings, config, group_by=group_by)
@@ -311,14 +319,18 @@ def cmd_windows(run: RunDir) -> None:
 
 
 def cmd_split(run: RunDir) -> None:
-    plan = plan_folds(read_windows(run.need("windows.csv")), max_k=run.opt("max_k", 10))
+    windows = read_windows(run.need("windows.csv"))
+    plan = plan_folds(windows, max_k=run.opt("max_k", MAX_FOLDS_DEFAULT))
     write_plan(plan, run.file("splits.json"))
 
 
 def cmd_train_baseline(run: RunDir) -> None:
     dataset = _rebuild_dataset(run)
     plan = read_plan(run.need("splits.json"))
-    config = TrainConfig(step_size=run.opt("step_size", 0.1), epochs=run.opt("epochs", 200))
+    config = TrainConfig(
+        step_size=run.opt("step_size", TrainConfig.step_size),
+        epochs=run.opt("epochs", TrainConfig.epochs),
+    )
     records = baseline_prediction_records(
         dataset,
         plan,

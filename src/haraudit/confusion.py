@@ -58,8 +58,6 @@ class ClassConfusionRow:
     distribution_pct: float
     relative_pct: float | None
     absolute_pct: float | None
-    window_count: int
-    flagged_count: int
 
 
 @dataclass(frozen=True)
@@ -70,12 +68,13 @@ class ChordEdge:
 
 
 def fuse_probabilities(
-    table: PredictionTable, flagged_window_ids: Iterable[int]
+    table: PredictionTable, flagged_window_ids: Iterable[int], labels: Sequence[int]
 ) -> FusedTable:
     """Fuse records of flagged windows into one mean distribution per window.
 
     Every flagged window must carry at least one record from every model
-    present in ``table``. Argmax ties resolve to the lowest class id; when
+    present in ``table``. A window's true label is ``labels[window]``, taken
+    from the window table. Argmax ties resolve to the lowest class id; when
     the argmax equals the true label the window keeps its flag and the
     runner-up class is reported instead.
     """
@@ -88,7 +87,7 @@ def fuse_probabilities(
         (table.run[rows], table.config[rows], table.model[rows], table.window[rows])
     )]
     per_window = np.split(rows, np.searchsorted(table.window[rows], flagged[1:]))
-    labels = np.zeros(flagged.size, dtype=np.int64)
+    labels = np.asarray(labels, dtype=np.int64)[flagged]
     means = np.zeros((flagged.size, table.probs.shape[1]))
     for i, (window_id, here) in enumerate(zip(flagged.tolist(), per_window)):
         if not here.size:
@@ -96,10 +95,6 @@ def fuse_probabilities(
         missing = np.setdiff1d(all_models, table.model[here]).tolist()
         if missing:
             raise ValueError(f"flagged window {window_id} lacks records from models {missing}")
-        true_labels = np.unique(table.label[here]).tolist()
-        if len(true_labels) != 1:
-            raise ValueError(f"window {window_id} carries conflicting true labels {true_labels}")
-        labels[i] = true_labels[0]
         means[i] = np.mean(table.probs[here], axis=0)
     if not means.size:  # nothing flagged, maybe in a log with no class count to argmax over
         return FusedTable(flagged, labels, labels.copy(), labels.astype(bool), means)
@@ -139,8 +134,6 @@ def confusion_table(
                 distribution_pct=dist,
                 relative_pct=rel,
                 absolute_pct=None if rel is None else dist * rel / 100.0,
-                window_count=n_class,
-                flagged_count=n_flagged,
             )
         )
     check = sum(r.distribution_pct for r in rows)

@@ -18,7 +18,9 @@ from .confusion import (
 )
 from .ifc import IfcSummary, compute_ifc
 from .mask import MaskSequence, build_mask
-from .predictions import PredictionTable, best_hyperparams, filter_to_configs, merge_runs
+from .predictions import (
+    PredictionTable, RecordError, best_hyperparams, filter_to_configs, merge_runs,
+)
 from .splits import FoldPlan
 from .windowing import WindowedDataset, apply_normalizer, fit_normalizer
 
@@ -27,7 +29,6 @@ def baseline_prediction_records(
     dataset: WindowedDataset,
     plan: FoldPlan,
     dataset_id: str = "dataset",
-    model_id: str = "baseline",
     runs: int = 1,
     config: TrainConfig = TrainConfig(),
 ) -> PredictionTable:
@@ -63,7 +64,7 @@ def baseline_prediction_records(
     run, fold_id, window, probs = (np.concatenate(column) for column in zip(*blocks))
     return PredictionTable(
         dataset=np.full(window.size, dataset_id),
-        model=np.full(window.size, model_id),
+        model=np.full(window.size, "baseline"),
         config=np.full(window.size, f"gd_lr{config.step_size}_ep{config.epochs}"),
         run=run,
         fold=fold_id,
@@ -98,12 +99,22 @@ def audit_records(
     """Run the full audit over a prediction log.
 
     Windows in the log must be positions 0..W-1 matching ``window_bounds``
-    and ``labels``. Picks the best config per model, merges runs under
-    ``merge_policy``, computes the overlap summary, fuses probabilities of
-    the flagged windows, and builds confusion plus mask outputs. The CLI's
-    ``ifc`` command runs this once and persists the overlap summary and the
-    fused distributions; the other audit commands are views of those files.
+    and ``labels``, and a record whose label is not its window's label in
+    ``labels`` raises RecordError. Picks the best config per model, merges
+    runs under ``merge_policy``, computes the overlap summary, fuses the
+    probabilities of the flagged windows, and builds confusion plus mask
+    outputs. The CLI's ``ifc`` command runs this once and persists the
+    overlap summary and the fused distributions; the other audit commands
+    are views of those files.
     """
+    labels = np.asarray(labels, dtype=np.int64)
+    # Windows outside the table are left to the coverage check below.
+    inside = np.flatnonzero((records.window >= 0) & (records.window < labels.size))
+    wrong = inside[records.label[inside] != labels[records.window[inside]]]
+    if wrong.size:
+        i, window = int(wrong[0]), records.window[wrong[0]]
+        raise RecordError(f"label {records.label[i]} differs from window {window}'s label "
+                          f"{labels[window]} in the window table", i)
     chosen = best_hyperparams(records)
     kept = filter_to_configs(records, chosen)
     matrix = merge_runs(kept, policy=merge_policy)
@@ -115,7 +126,7 @@ def audit_records(
             f"{len(labels)} dense window ids"
         )
     summary = compute_ifc(matrix, merge_policy=merge_policy)
-    fused = fuse_probabilities(kept, summary.window_ids[summary.ifc_flags])
+    fused = fuse_probabilities(kept, summary.window_ids[summary.ifc_flags], labels)
     table = confusion_table(summary.ifc_flags, labels, num_classes=num_classes)
     edges = chord_edges(fused)
     mask = build_mask(

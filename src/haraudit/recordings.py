@@ -38,7 +38,6 @@ class SensorRecording:
     """
 
     channels: np.ndarray
-    sample_rate: float
     labels: np.ndarray
     subject_id: str
     session_id: str
@@ -56,8 +55,6 @@ class SensorRecording:
                 f"labels length {self.labels.shape} does not match "
                 f"{self.num_samples} samples"
             )
-        if self.sample_rate <= 0:
-            raise ValueError("sample_rate must be positive")
         if len(self.channel_names) != self.num_channels:
             raise ValueError("channel_names must name every channel")
         if self.num_samples and int(self.labels.min()) < 0:
@@ -93,9 +90,7 @@ def _fill_missing(column: np.ndarray) -> tuple[np.ndarray, int]:
     return filled, n_missing
 
 
-def parse_canonical(
-    source, sample_rate: float = 100.0
-) -> tuple[list[SensorRecording], int]:
+def parse_canonical(source) -> tuple[list[SensorRecording], int]:
     """Parse a canonical recording CSV into recordings grouped by (subject, session).
 
     ``source`` may be a path or a text stream. Returns the recordings in
@@ -172,7 +167,6 @@ def parse_canonical(
         recordings.append(
             SensorRecording(
                 channels=channels,
-                sample_rate=sample_rate,
                 labels=np.asarray(labels, dtype=int),
                 subject_id=subject,
                 session_id=session,
@@ -199,9 +193,8 @@ def corpus_num_classes(recordings: list[SensorRecording]) -> int:
     """Number of classes across a corpus; ids must form a contiguous 0..C-1 set."""
     if not recordings:
         raise ValueError("empty corpus")
-    seen: set[int] = set()
-    for rec in recordings:
-        seen.update(int(v) for v in np.unique(rec.labels))
+    # bincount, not np.unique: in numpy 2 that imports numpy.ma.
+    seen = {c for rec in recordings for c in np.flatnonzero(np.bincount(rec.labels)).tolist()}
     if not seen:
         raise ValueError("corpus holds no labelled samples")
     c = max(seen) + 1

@@ -60,40 +60,24 @@ def group_k_fold(
         raise ValueError("need at least 2 groups for a leave-out split")
     if max_k < 2:
         raise ValueError("max_k must be at least 2")
-    items = sorted(group_windows.items(), key=lambda kv: (-len(kv[1]), kv[0]))
-    if len(items) <= max_k:
-        folds = []
-        for fold_id, (key, wins) in enumerate(sorted(group_windows.items())):
-            folds.append(
-                Fold(
-                    fold_id=fold_id,
-                    test_group_keys=(key,),
-                    test_window_ids=tuple(sorted(int(w) for w in wins)),
-                )
-            )
-        plan = FoldPlan(folds=folds, k=len(folds))
-        plan.validate()
-        return plan
-
-    bins: list[list[str]] = [[] for _ in range(max_k)]
-    sizes = [0] * max_k
-    for key, wins in items:
-        target = min(range(max_k), key=lambda i: (sizes[i], i))
-        bins[target].append(key)
-        sizes[target] += len(wins)
-    folds = []
-    for fold_id, keys in enumerate(bins):
-        wins: list[int] = []
-        for key in keys:
-            wins.extend(int(w) for w in group_windows[key])
-        folds.append(
-            Fold(
-                fold_id=fold_id,
-                test_group_keys=tuple(sorted(keys)),
-                test_window_ids=tuple(sorted(wins)),
-            )
+    if len(group_windows) <= max_k:
+        bins = [[key] for key in sorted(group_windows)]
+    else:
+        bins = [[] for _ in range(max_k)]
+        sizes = [0] * max_k
+        for key, wins in sorted(group_windows.items(), key=lambda kv: (-len(kv[1]), kv[0])):
+            target = min(range(max_k), key=lambda i: (sizes[i], i))
+            bins[target].append(key)
+            sizes[target] += len(wins)
+    folds = [
+        Fold(
+            fold_id=fold_id,
+            test_group_keys=tuple(sorted(keys)),
+            test_window_ids=tuple(sorted(int(w) for key in keys for w in group_windows[key])),
         )
-    plan = FoldPlan(folds=folds, k=max_k)
+        for fold_id, keys in enumerate(bins)
+    ]
+    plan = FoldPlan(folds=folds, k=len(folds))
     plan.validate()
     return plan
 

@@ -31,18 +31,14 @@ def _document(width: int, height: int, body: list[str]) -> str:
     return "\n".join([head, *body, "</svg>"]) + "\n"
 
 
-def condensed_view_svg(
-    window_means: np.ndarray,
-    flags: Sequence[bool],
-    width: int = 1200,
-    height: int = 300,
-) -> str:
+def condensed_view_svg(window_means: np.ndarray, flags: Sequence[bool]) -> str:
     """Window-averaged channel traces over a red/green correctness underlay.
 
     ``window_means`` is [num_windows, num_channels]: one point per window,
     the mean channel value over that window's samples. Flagged windows get a
     red background band, the rest green.
     """
+    width, height = 1200, 300
     means = np.atleast_2d(np.asarray(window_means, dtype=float))
     flags = np.asarray(flags, dtype=bool)
     n, n_channels = means.shape
@@ -79,11 +75,10 @@ def condensed_view_svg(
     return _document(width, height, body)
 
 
-def histogram_svg(
-    bins: Sequence[tuple[int, int, int]], width: int = 600, height: int = 400
-) -> str:
+def histogram_svg(bins: Sequence[tuple[int, int, int]]) -> str:
     """Bar chart of run-length bins; bar height scales with log2(count + 1)
     to keep the long tail readable."""
+    width, height = 600, 400
     body = []
     margin = 40
     plot_w, plot_h = width - 2 * margin, height - 2 * margin
@@ -114,14 +109,11 @@ def histogram_svg(
     return _document(width, height, body)
 
 
-def chord_svg(
-    edges: Sequence[tuple[int, int, int]],
-    class_names: Sequence[str],
-    size: int = 500,
-) -> str:
+def chord_svg(edges: Sequence[tuple[int, int, int]], class_names: Sequence[str]) -> str:
     """Circular confusion-flow layout: classes on a circle, one curved ribbon
     per (true -> confused) pair, stroke width proportional to its weight and
     colored by the true class."""
+    size = 500
     n = len(class_names)
     if n == 0:
         return _document(size, size, ["<!-- no classes -->"])

@@ -121,12 +121,9 @@ def default_scenario() -> ScenarioSpec:
 
 
 def generate(
-    spec: ScenarioSpec,
-    subject_id: str = "s0",
-    session_id: str = "r0",
-    sample_rate: float = 100.0,
+    spec: ScenarioSpec, subject_id: str = "s0"
 ) -> tuple[SensorRecording, list[InjectionSpan]]:
-    """Generate one recording plus the exact sample ranges each injection hit.
+    """Generate session r0 of ``subject_id`` and the exact sample ranges each injection hit.
 
     The seed fully determines the output; identical specs give byte-identical
     recordings.
@@ -161,26 +158,22 @@ def generate(
     channels = base + rng.normal(0.0, spec.noise_std, size=(n, spec.num_channels))
     rec = SensorRecording(
         channels=channels,
-        sample_rate=sample_rate,
         labels=labels,
         subject_id=subject_id,
-        session_id=session_id,
+        session_id="r0",
         channel_names=[f"ch{c}" for c in range(spec.num_channels)],
     )
     return rec, spans
 
 
 def generate_corpus(
-    spec: ScenarioSpec,
-    num_subjects: int = 4,
-    inject_subject: int = 0,
-    sample_rate: float = 100.0,
+    spec: ScenarioSpec, num_subjects: int = 4
 ) -> tuple[list[SensorRecording], list[list[InjectionSpan]]]:
-    """Generate one recording per subject, injections only for one of them.
+    """Generate one recording per subject, injections only for the first.
 
-    Subject k reuses the spec with seed ``spec.seed + k``; only
-    ``inject_subject`` receives the spec's injections so the other subjects
-    provide clean training material.
+    Subject k reuses the spec with seed ``spec.seed + k``; only subject 0
+    receives the spec's injections so the other subjects provide clean
+    training material.
     """
     if num_subjects < 2:
         raise ValueError("need at least 2 subjects for a grouped split")
@@ -189,11 +182,9 @@ def generate_corpus(
         sub_spec = replace(
             spec,
             seed=spec.seed + k,
-            injections=list(spec.injections) if k == inject_subject else [],
+            injections=list(spec.injections) if k == 0 else [],
         )
-        rec, spans = generate(
-            sub_spec, subject_id=f"s{k}", session_id="r0", sample_rate=sample_rate
-        )
+        rec, spans = generate(sub_spec, subject_id=f"s{k}")
         recordings.append(rec)
         annotations.append(spans)
     return recordings, annotations

@@ -81,7 +81,6 @@ class WindowedDataset:
     windows: WindowTable
     blocks: np.ndarray
     num_classes: int
-    config: WindowConfig
     recording_spans: list[tuple[int, int]] = field(default_factory=list)
 
     @property
@@ -200,7 +199,6 @@ def slice_corpus(
         windows=windows,
         blocks=blocks,
         num_classes=num_classes,
-        config=config,
         recording_spans=spans,
     )
 

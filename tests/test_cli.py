@@ -1,7 +1,10 @@
 import hashlib
 import json
+import os
 import re
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -150,6 +153,60 @@ class TestErrors:
         assert not (out / "windows_meta.json").exists()
 
 
+class TestSampleRate:
+    """The sample rate is recorded but not computed with; it must be positive."""
+
+    @pytest.mark.parametrize("command, flags", [
+        ("ingest", ["--sample-rate", "0"]),
+        ("windows", ["--sample-rate", "-1"]),
+        ("ingest", "config"),
+        ("windows", "config"),
+    ], ids=["ingest-flag", "windows-flag", "ingest-config", "windows-config"])
+    def test_nonpositive_sample_rate_is_refused(self, tmp_path, capsys, command, flags):
+        source = tmp_path / "source"
+        assert run(source, ["synth", "--subjects", "2"]) == 0
+        out = tmp_path / "run"
+        assert run(out, ["synth", "--subjects", "2"]) == 0
+        if flags == "config":
+            config = tmp_path / "config.json"
+            config.write_text('{"sample_rate": 0}')
+            flags = ["--config", str(config)]
+        if command == "ingest":
+            flags = flags + ["--recordings", str(source / "recordings.csv")]
+        before = snapshot(out)
+        capsys.readouterr()
+        assert run(out, [command, *flags]) == 1
+        assert "--sample-rate must be positive" in capsys.readouterr().err
+        assert snapshot(out) == before
+
+
+def test_commands_before_the_audit_do_not_load_numpy_ma(tmp_path):
+    """In numpy 2, np.unique imports numpy.ma (about 16 ms and 1.3 MiB per
+    process); ingest, windows, split and train-baseline have no need of it."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(Path(__file__).resolve().parent.parent / "src"), env.get("PYTHONPATH"))
+        if p
+    )
+
+    def loads_numpy_ma(code, *argv):
+        proc = subprocess.run(
+            [sys.executable, "-c", code + "; print('numpy.ma' in sys.modules)", *argv],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, (argv, proc.stderr)
+        return proc.stdout.split()[-1] == "True"
+
+    if loads_numpy_ma("import sys, numpy"):
+        pytest.skip("this numpy loads numpy.ma on import")
+    source, out = tmp_path / "source", str(tmp_path / "run")
+    assert run(source, ["synth", "--subjects", "2"]) == 0
+    command = "import sys; from haraudit.cli import main; assert main(sys.argv[1:]) == 0"
+    for argv in (["ingest", "--recordings", str(source / "recordings.csv")],
+                 ["windows"], ["split"], ["train-baseline"]):
+        assert not loads_numpy_ma(command, *argv, "--out", out), argv
+
+
 def import_one_hot_log(tmp_path, out, covered, models=("m1",), misses=((),)):
     """Import a one-hot log over the windows in ``covered``: one run per entry of
     ``misses``, in which every model is correct except on that entry's windows."""
@@ -210,6 +267,25 @@ class TestOneAuditCore:
         assert "disagrees" in capsys.readouterr().err
         assert run(out, ["report", "--merge-policy", "majority"]) == 1
         assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+    def test_log_labels_must_match_the_window_table(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        for argv in (["synth", "--subjects", "2"], ["windows"], ["split"], ["train-baseline"]):
+            assert run(out, argv) == 0, argv
+        lines = (out / "predictions.jsonl").read_text().splitlines()
+        records = [json.loads(line) for line in lines]
+        for record in records:
+            if record["window"] == 5:
+                record["label"] = (record["label"] + 1) % 3
+        logs = tmp_path / "relabelled.jsonl"
+        logs.write_text("".join(json.dumps(record) + "\n" for record in records))
+        assert run(out, ["import-logs", "--logs", str(logs)]) == 0
+        before = snapshot(out)
+        capsys.readouterr()
+        assert run(out, ["ifc"]) == 1
+        first = next(i for i, record in enumerate(records) if record["window"] == 5)
+        assert f"record {first}: label" in capsys.readouterr().err
+        assert snapshot(out) == before
 
     def test_sparse_log_fails_at_ifc(self, tmp_path, capsys):
         out = tmp_path / "run"

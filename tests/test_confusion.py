@@ -27,20 +27,28 @@ def rec(window, probs, label=0, model="m1", run=0, config="c"):
     return dict(model=model, config=config, run=run, window=window, label=label, probs=probs)
 
 
+def fuse(records, flagged):
+    """``fuse_probabilities`` over a window table whose labels are the records' own."""
+    labels = np.zeros(max(r["window"] for r in records) + 1, dtype=int)
+    for r in records:
+        labels[r["window"]] = r["label"]
+    return fuse_probabilities(table_of(records), flagged, labels)
+
+
 class TestFusion:
     def test_two_model_mean(self):
         records = [
             rec(0, (0.8, 0.2), label=1, model="a"),
             rec(0, (0.4, 0.6), label=1, model="b"),
         ]
-        fused = fuse_probabilities(table_of(records), [0])
+        fused = fuse(records, [0])
         assert np.allclose(fused.mean_probs[0], [0.6, 0.4])
         assert fused.confused[0] == 0
         assert not fused.agrees[0]
 
     def test_identical_records_fuse_to_themselves(self):
         records = [rec(0, (0.3, 0.5, 0.2), label=0, model=m) for m in ("a", "b", "c")]
-        fused = fuse_probabilities(table_of(records), [0])
+        fused = fuse(records, [0])
         assert np.allclose(fused.mean_probs[0], [0.3, 0.5, 0.2])
 
     def test_matches_summation_oracle_on_random_simplexes(self):
@@ -55,7 +63,7 @@ class TestFusion:
                 expected += np.asarray(records[-1]["probs"])
                 count += 1
         expected /= count
-        fused = fuse_probabilities(table_of(records), [0])
+        fused = fuse(records, [0])
         assert np.max(np.abs(fused.mean_probs[0] - expected)) < 1e-12
 
     def test_argmax_tie_takes_lowest_class(self):
@@ -63,7 +71,7 @@ class TestFusion:
             rec(0, (0.4, 0.4, 0.2), label=2, model="a"),
             rec(0, (0.4, 0.4, 0.2), label=2, model="b"),
         ]
-        assert fuse_probabilities(table_of(records), [0]).confused[0] == 0
+        assert fuse(records, [0]).confused[0] == 0
 
     def test_fused_agreeing_with_truth_reports_runner_up(self):
         # each model wrong individually, but the mean favors the true class
@@ -72,14 +80,14 @@ class TestFusion:
             rec(0, (0.3, 0.1, 0.6), label=0, model="b"),
         ]
         # mean = [0.375, 0.1, 0.525] -> argmax 2 != 0, normal case
-        fused = fuse_probabilities(table_of(records), [0])
+        fused = fuse(records, [0])
         assert fused.confused[0] == 2
         records = [
             rec(0, (0.6, 0.4, 0.0), label=0, model="a"),
             rec(0, (0.4, 0.1, 0.5), label=0, model="b"),
         ]
         # mean = [0.5, 0.25, 0.25] -> argmax equals truth; runner-up is class 1
-        fused = fuse_probabilities(table_of(records), [0])
+        fused = fuse(records, [0])
         assert fused.agrees[0]
         assert fused.confused[0] == 1
 
@@ -91,7 +99,7 @@ class TestFusion:
             for w in range(60) for m in ("a", "b") for r in range(2)
         ]
         flagged = rng.permutation(60)[:40]
-        fused = fuse_probabilities(table_of(records), flagged)
+        fused = fuse(records, flagged)
         assert fused.window.tolist() == sorted(flagged.tolist())
         for i, w in enumerate(fused.window.tolist()):
             rows = sorted((r for r in records if r["window"] == w),
@@ -103,6 +111,13 @@ class TestFusion:
             assert fused.mean_probs[i].tobytes() == mean.tobytes()
             assert (fused.label[i], fused.confused[i], fused.agrees[i]) == (w % 3, want, top == w % 3)
 
+    def test_label_comes_from_the_window_table(self):
+        records = [rec(0, (0.2, 0.3, 0.5), label=1), rec(1, (0.5, 0.3, 0.2), label=1)]
+        fused = fuse_probabilities(table_of(records), [0, 1], [2, 0])
+        assert fused.label.tolist() == [2, 0]
+        assert fused.agrees.tolist() == [True, True]
+        assert fused.confused.tolist() == [1, 1]
+
     def test_missing_model_rejected(self):
         records = [
             rec(0, (0.8, 0.2), label=1, model="a"),
@@ -110,7 +125,7 @@ class TestFusion:
             rec(1, (0.8, 0.2), label=1, model="a"),
         ]
         with pytest.raises(ValueError, match="lacks records"):
-            fuse_probabilities(table_of(records), [0, 1])
+            fuse(records, [0, 1])
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(3)
@@ -119,10 +134,10 @@ class TestFusion:
             for m in range(3)
             for r in range(2)
         ]
-        fused_a = fuse_probabilities(table_of(records), [0]).mean_probs[0]
+        fused_a = fuse(records, [0]).mean_probs[0]
         shuffled = list(records)
         rng.shuffle(shuffled)
-        fused_b = fuse_probabilities(table_of(shuffled), [0]).mean_probs[0]
+        fused_b = fuse(shuffled, [0]).mean_probs[0]
         assert np.array_equal(fused_a, fused_b)
 
     def test_mean_sums_rows_in_model_config_run_order(self):
@@ -134,13 +149,13 @@ class TestFusion:
         ordered = sorted(records, key=lambda r: (r["model"], r["config"], r["run"]))
         want = np.mean([r["probs"] for r in ordered], axis=0)
         for order in (records, ordered, records[::-1]):
-            got = fuse_probabilities(table_of(order), [0]).mean_probs[0]
+            got = fuse(order, [0]).mean_probs[0]
             assert got.tobytes() == want.tobytes()
 
     def test_no_flagged_windows_gives_empty_list(self):
-        fused = fuse_probabilities(table_of([rec(0, (0.9, 0.1))]), [])
+        fused = fuse([rec(0, (0.9, 0.1))], [])
         assert len(fused) == 0 and fused.mean_probs.shape == (0, 2)
-        assert len(fuse_probabilities(read_records(io.StringIO("")), [])) == 0
+        assert len(fuse_probabilities(read_records(io.StringIO("")), [], [])) == 0
 
     def test_round_trip_jsonl(self, tmp_path):
         rng = np.random.default_rng(5)
@@ -148,7 +163,7 @@ class TestFusion:
             rec(w, tuple(rng.dirichlet(np.ones(4))), label=w % 4, model=m, run=r)
             for w in range(6) for m in ("a", "b") for r in range(2)
         ]
-        fused = fuse_probabilities(table_of(records), [4, 0, 2, 5])
+        fused = fuse(records, [4, 0, 2, 5])
         path = tmp_path / "fused.jsonl"
         write_fused_jsonl(fused, path)
         assert path.read_text().splitlines()[0].startswith(
@@ -157,7 +172,7 @@ class TestFusion:
         assert_same_fused(read_fused_jsonl(path), fused)
 
     def test_round_trip_of_zero_windows(self, tmp_path):
-        fused = fuse_probabilities(table_of([rec(0, (0.9, 0.1))]), [])
+        fused = fuse([rec(0, (0.9, 0.1))], [])
         path = tmp_path / "fused.jsonl"
         write_fused_jsonl(fused, path)
         assert path.read_text() == ""
@@ -215,7 +230,7 @@ class TestChordEdges:
             probs = np.zeros(4)
             probs[confused] = 1.0
             records.append(rec(i, tuple(probs), label=true, model="a"))
-        return fuse_probabilities(table_of(records or [rec(0, (1, 0, 0, 0))]), range(len(pairs)))
+        return fuse(records or [rec(0, (1, 0, 0, 0))], range(len(pairs)))
 
     def test_counting(self):
         edges = chord_edges(self.fused([(0, 1), (0, 1), (2, 0)]))

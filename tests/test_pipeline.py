@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 
 from haraudit.pipeline import audit_records, baseline_prediction_records
-from haraudit.predictions import merge_runs
+from haraudit.predictions import RecordError, merge_runs
 from haraudit.splits import plan_folds
 from haraudit.synth import Injection, ScenarioSpec, generate_corpus
 from haraudit.windowing import WindowConfig, slice_corpus
-from prediction_rows import table_of
+from prediction_rows import concat, table_of
 
 
 @pytest.fixture(scope="module")
@@ -74,9 +74,28 @@ def test_all_correct_log_audits_to_zero_ifc():
 def test_partial_window_coverage_rejected():
     records = all_correct_records(10)
     bounds = np.array([[i * 100, i * 100 + 200] for i in range(20)])
-    labels = np.zeros(20, dtype=int)
+    labels = np.arange(20) % 3  # the log's own labels, so only coverage fails
     with pytest.raises(ValueError, match="dense window ids"):
         audit_records(records, bounds, labels, 2100, num_classes=3)
+
+
+def test_record_labels_must_match_the_window_table():
+    n = 30
+    bounds = np.array([[i * 100, i * 100 + 200] for i in range(n)])
+    labels = np.arange(n) % 3
+    # m0's config c1 covers folds 0 and 1 and its config c2 only fold 0, so
+    # config choice would fail; the label check comes before it.
+    records = concat(all_correct_records(n), table_of(
+        dict(model="m0", config="c2", window=w, label=w % 3, probs=np.eye(3)[w % 3])
+        for w in range(n)
+    ))
+    records.fold[:n] = np.arange(n) % 2
+    records.label[2 * n + 7] = 2
+    with pytest.raises(RecordError, match="record 67: label 2 differs from window 7's label 1"):
+        audit_records(records, bounds, labels, n * 100 + 100, num_classes=3)
+    records.label[2 * n + 7] = 1
+    with pytest.raises(ValueError, match="lacks folds"):
+        audit_records(records, bounds, labels, n * 100 + 100, num_classes=3)
 
 
 def test_composite_overlap_windows_land_in_the_intersect():

@@ -134,7 +134,6 @@ def test_round_trip_through_canonical_csv():
     rng = np.random.default_rng(7)
     rec = SensorRecording(
         channels=rng.normal(size=(20, 3)),
-        sample_rate=50.0,
         labels=rng.integers(0, 3, size=20),
         subject_id="s1",
         session_id="r1",
@@ -143,7 +142,7 @@ def test_round_trip_through_canonical_csv():
     buf = io.StringIO()
     write_canonical([rec], buf)
     buf.seek(0)
-    back, repaired = parse_canonical(buf, sample_rate=50.0)
+    back, repaired = parse_canonical(buf)
     assert repaired == 0
     assert np.array_equal(back[0].channels, rec.channels)
     assert np.array_equal(back[0].labels, rec.labels)
@@ -153,20 +152,19 @@ def test_invariants_enforced_on_construction():
     with pytest.raises(ValueError, match="labels"):
         SensorRecording(
             channels=np.zeros((3, 1)),
-            sample_rate=1.0,
             labels=np.zeros(2, dtype=int),
             subject_id="s",
             session_id="r",
             channel_names=["a"],
         )
-    with pytest.raises(ValueError, match="sample_rate"):
+    # A recording holds no sample rate; test_cli.py covers the --sample-rate check.
+    with pytest.raises(ValueError, match="channel_names"):
         SensorRecording(
             channels=np.zeros((3, 1)),
-            sample_rate=0.0,
             labels=np.zeros(3, dtype=int),
             subject_id="s",
             session_id="r",
-            channel_names=["a"],
+            channel_names=["a", "b"],
         )
 
 
@@ -175,7 +173,6 @@ def test_corpus_num_classes_requires_contiguous_ids():
         labels = np.asarray(labels)
         return SensorRecording(
             channels=np.zeros((len(labels), 1)),
-            sample_rate=1.0,
             labels=labels,
             subject_id="s",
             session_id="r",

@@ -22,7 +22,6 @@ def make_recording(n, subject="s1", session="r1", labels=None, channels=None):
         labels = np.zeros(n, dtype=int)
     return SensorRecording(
         channels=channels,
-        sample_rate=100.0,
         labels=np.asarray(labels),
         subject_id=subject,
         session_id=session,
