@@ -16,11 +16,10 @@ from haraudit import (
 )
 
 # ---------------------------------------------------------------------------
-# A tiny ensemble: three models, five windows.
+# A tiny ensemble: three models, five windows. Column w is window w.
 # ---------------------------------------------------------------------------
 matrix = CorrectnessMatrix(
     model_ids=("cnn", "gru", "lstm"),
-    window_ids=np.arange(5),
     values=np.array(
         [
             [1, 0, 0, 0, 1],
@@ -54,9 +53,7 @@ for m, share in enumerate(singles):
     count = round(share * n / 100)
     values[m, pos : pos + count] = True
     pos += count
-big = CorrectnessMatrix(
-    model_ids=tuple(f"m{i}" for i in range(6)), window_ids=np.arange(n), values=values
-)
+big = CorrectnessMatrix(model_ids=tuple(f"m{i}" for i in range(6)), values=values)
 print(f"\nreconstructed 10k-window ensemble -> ifc {compute_ifc(big).ifc:.2f}%")
 
 # ---------------------------------------------------------------------------

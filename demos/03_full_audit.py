@@ -19,6 +19,8 @@ from haraudit import (
     WindowConfig,
     audit_records,
     baseline_prediction_records,
+    chord_edges,
+    confusion_table,
     default_scenario,
     generate_corpus,
     plan_folds,
@@ -57,16 +59,17 @@ print(f"\nifc: {result.ifc.ifc:.2f}%  common ground: {result.ifc.common_ground:.
 for model, share in result.ifc.single_contribution.items():
     print(f"  single contribution {model}: {share:.2f}%")
 
+# The confusion table and chord edges are views of the flags and the fused
+# distributions; the CLI's ``confusion`` command builds them the same way.
 print("\nconfusion by true class:")
-for row in result.table:
+for row in confusion_table(result.ifc.ifc_flags, dataset.windows.label, dataset.num_classes):
     rel = "-" if row.relative_pct is None else f"{row.relative_pct:.2f}"
     absolute = "-" if row.absolute_pct is None else f"{row.absolute_pct:.3f}"
     print(f"  {row.name}: dist {row.distribution_pct:.2f}%  rel {rel}%  abs {absolute}%")
 
 print("\nheaviest confusion flows:")
-for edge in result.edges[:3]:
-    print(f"  class {edge.true_class} -> class {edge.confused_class} "
-          f"({edge.weight} windows)")
+for true_class, confused_class, weight in chord_edges(result.fused)[:3]:
+    print(f"  class {true_class} -> class {confused_class} ({weight} windows)")
 
 dist = result.mask.distribution
 print(f"\nmask: clean {dist['clean_pct']:.2f}%  minor {dist['minor_pct']:.2f}%  "

@@ -77,9 +77,10 @@ for key, m in sorted(model_metrics(filtered).items()):
 
 # ---------------------------------------------------------------------------
 # Run merging: a window only counts as correct for a model per the policy.
+# The log must cover windows 0..59, which become the matrix columns.
 # ---------------------------------------------------------------------------
 for policy in ("any", "majority", "all"):
-    matrix = merge_runs(filtered, policy=policy)
+    matrix = merge_runs(filtered, 60, policy)
     shares = 100 * matrix.values.mean(axis=1)
     line = "  ".join(f"{m}: {s:.1f}%" for m, s in zip(matrix.model_ids, shares))
     print(f"windows correct under {policy:>8}: {line}")

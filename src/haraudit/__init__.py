@@ -28,7 +28,6 @@ from .baseline import (
     train_baseline,
 )
 from .confusion import (
-    ChordEdge,
     ClassConfusionRow,
     FusedTable,
     chord_edges,

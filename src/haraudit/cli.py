@@ -19,6 +19,7 @@ import argparse
 import hashlib
 import json
 import os
+import shutil
 import sys
 from dataclasses import asdict, replace
 from pathlib import Path
@@ -31,7 +32,7 @@ from ._io import write_csv, write_json
 from .baseline import TrainConfig
 from .pipeline import audit_records, baseline_prediction_records
 from .predictions import (
-    MERGE_POLICIES, PredictionTable, model_metrics, read_records, write_records,
+    MERGE_POLICIES, PredictionTable, check_labels, model_metrics, read_records, write_records,
 )
 from .recordings import corpus_num_classes, parse_canonical, write_canonical
 from .splits import MAX_FOLDS_DEFAULT, plan_folds, read_plan, write_plan
@@ -345,21 +346,25 @@ def cmd_import_logs(run: RunDir) -> None:
     logs = run.source("logs")
     if logs is None:
         raise CommandError("import-logs needs --logs <jsonl>")
-    write_records(_load_records(logs, *_windows(run)), run.file("predictions.jsonl"))
+    windows, meta = _windows(run)
+    check_labels(_load_records(logs, windows, meta), windows.label)
+    # The file as validated, byte for byte; ``ifc`` parses it the same way.
+    shutil.copyfile(logs, run.file("predictions.jsonl"))
 
 
 def cmd_ifc(run: RunDir) -> None:
     path = run.need("predictions.jsonl")
     windows, meta = _windows(run)
     records = _load_records(path, windows, meta)
+    policy = run.opt("merge_policy", "majority")
     result = audit_records(
         records, windows.bounds, windows.label, meta["total_samples"],
-        num_classes=meta["num_classes"], merge_policy=run.opt("merge_policy", "majority"),
+        num_classes=meta["num_classes"], merge_policy=policy,
     )
     ifc_mod.write_ifc_windows_csv(
         result.ifc, windows.bounds, windows.label, run.file("ifc_windows.csv")
     )
-    ifc_mod.write_ifc_summary_json(result.ifc, run.file("ifc_summary.json"))
+    ifc_mod.write_ifc_summary_json(result.ifc, policy, run.file("ifc_summary.json"))
     conf.write_fused_jsonl(result.fused, run.file("fused.jsonl"))
     metrics = model_metrics(result.kept)
     write_json(
@@ -391,21 +396,21 @@ def cmd_confusion(run: RunDir) -> None:
 
 
 def _ifc_mask(run: RunDir):
-    """ifc_summary.json, the mask under ifc's merge policy, and ``_ifc_view``."""
+    """ifc_summary.json, the mask of ifc's flags, and ``_ifc_view``."""
     summary = _read_meta(run.need("ifc_summary.json"))
     # --merge-policy may only repeat the policy ifc ran under (checked on commit).
-    policy = run.opt("merge_policy", summary["merge_policy"])
+    run.opt("merge_policy", summary["merge_policy"])
     view = windows, meta, flags = _ifc_view(run)
     fused = conf.read_fused_jsonl(run.need("fused.jsonl"))
-    mask = mask_mod.build_mask(flags, fused, windows.bounds, meta["total_samples"], policy=policy)
+    mask = mask_mod.build_mask(flags, fused, windows.bounds, meta["total_samples"])
     return summary, mask, view
 
 
 def cmd_mask(run: RunDir) -> None:
-    _, mask, (windows, _, _) = _ifc_mask(run)
+    summary, mask, (windows, _, _) = _ifc_mask(run)
     mask_mod.write_window_mask_csv(mask, windows.bounds, run.file("mask_windows.csv"))
     mask_mod.write_sample_mask_csv(mask, run.file("mask_samples.csv"))
-    mask_mod.write_mask_summary_json(mask, run.file("mask_summary.json"))
+    mask_mod.write_mask_summary_json(mask, summary["merge_policy"], run.file("mask_summary.json"))
 
 
 def cmd_plot(run: RunDir) -> None:

@@ -60,13 +60,6 @@ class ClassConfusionRow:
     absolute_pct: float | None
 
 
-@dataclass(frozen=True)
-class ChordEdge:
-    true_class: int
-    confused_class: int
-    weight: int
-
-
 def fuse_probabilities(
     table: PredictionTable, flagged_window_ids: Iterable[int], labels: Sequence[int]
 ) -> FusedTable:
@@ -107,7 +100,7 @@ def fuse_probabilities(
 
 
 def confusion_table(
-    ifc_flags: np.ndarray, labels: Sequence[int], num_classes: int | None = None
+    ifc_flags: np.ndarray, labels: Sequence[int], num_classes: int
 ) -> list[ClassConfusionRow]:
     """Per-class distribution, relative confusion, and absolute confusion.
 
@@ -119,8 +112,6 @@ def confusion_table(
         raise ValueError("ifc_flags and labels must align")
     if flags.size == 0:
         raise ValueError("no windows")
-    if num_classes is None:
-        num_classes = int(labels.max()) + 1
     counts = np.bincount(labels, minlength=num_classes)[:num_classes].tolist()
     flagged = np.bincount(labels[flags], minlength=num_classes)[:num_classes].tolist()
     rows = []
@@ -142,20 +133,18 @@ def confusion_table(
     return rows
 
 
-def chord_edges(fused: FusedTable) -> list[ChordEdge]:
+def chord_edges(fused: FusedTable) -> list[tuple[int, int, int]]:
     """Count flagged windows per (true class -> confused class) pair.
 
-    Edges come back sorted by descending weight, then by class ids, so the
-    heaviest confusion flow leads the export.
+    Edges are (true class, confused class, weight) tuples, sorted by
+    descending weight, then by class ids, so the heaviest confusion flow
+    leads the export.
     """
     pairs, weights = np.unique(
         np.stack([fused.label, fused.confused], axis=1), axis=0, return_counts=True
     )
     order = np.argsort(-weights, kind="stable")  # pairs come sorted by class ids
-    return [
-        ChordEdge(true_class=t, confused_class=c, weight=w)
-        for (t, c), w in zip(pairs[order].tolist(), weights[order].tolist())
-    ]
+    return [(t, c, w) for (t, c), w in zip(pairs[order].tolist(), weights[order].tolist())]
 
 
 def write_confusion_csv(rows: Sequence[ClassConfusionRow], dest) -> None:
@@ -173,14 +162,11 @@ def write_confusion_csv(rows: Sequence[ClassConfusionRow], dest) -> None:
 
 
 def write_chord_json(
-    edges: Sequence[ChordEdge], class_names: Sequence[str], dest
+    edges: Sequence[tuple[int, int, int]], class_names: Sequence[str], dest
 ) -> None:
     payload = {
         "classes": list(class_names),
-        "edges": [
-            {"from": e.true_class, "to": e.confused_class, "weight": e.weight}
-            for e in edges
-        ],
+        "edges": [{"from": t, "to": c, "weight": w} for t, c, w in edges],
     }
     write_json(payload, dest)
 

@@ -27,24 +27,21 @@ class ConsistencyError(RuntimeError):
 
 @dataclass
 class CorrectnessMatrix:
-    """Boolean [models x windows] correctness, fully populated."""
+    """Boolean [models x windows] correctness, fully populated; column w is window w."""
 
     model_ids: tuple[str, ...]
-    window_ids: np.ndarray
     values: np.ndarray
 
     def __post_init__(self):
-        self.window_ids = np.asarray(self.window_ids, dtype=int)
         self.values = np.asarray(self.values, dtype=bool)
-        if self.values.shape != (len(self.model_ids), self.window_ids.size):
+        if self.values.ndim != 2 or self.values.shape[0] != len(self.model_ids):
             raise ValueError(
-                f"matrix shape {self.values.shape} does not match "
-                f"{len(self.model_ids)} models x {self.window_ids.size} windows"
+                f"matrix shape {self.values.shape} does not match {len(self.model_ids)} models"
             )
 
     @property
     def num_windows(self) -> int:
-        return int(self.window_ids.size)
+        return self.values.shape[1]
 
 
 @dataclass
@@ -55,8 +52,6 @@ class IfcSummary:
     common_ground: float
     ifc: float
     ifc_flags: np.ndarray
-    window_ids: np.ndarray
-    merge_policy: str | None = None
 
 
 @dataclass(frozen=True)
@@ -89,9 +84,7 @@ def common_ground(matrix: CorrectnessMatrix) -> float:
     return 100.0 * float((counts >= 2).sum()) / matrix.num_windows
 
 
-def compute_ifc(
-    matrix: CorrectnessMatrix, merge_policy: str | None = None
-) -> IfcSummary:
+def compute_ifc(matrix: CorrectnessMatrix) -> IfcSummary:
     """Compute the IFC both directly and through the closure identity.
 
     The direct count (windows no model classifies correctly) must agree with
@@ -113,8 +106,6 @@ def compute_ifc(
         common_ground=cg,
         ifc=direct,
         ifc_flags=flags,
-        window_ids=matrix.window_ids.copy(),
-        merge_policy=merge_policy,
     )
 
 
@@ -157,7 +148,7 @@ def write_ifc_windows_csv(
     dest,
 ) -> None:
     """Window-level export: window_id,start_sample,end_sample,true_label,ifc_flag."""
-    rows = zip(summary.window_ids.tolist(), *np.asarray(window_bounds).T.tolist(),
+    rows = zip(range(summary.ifc_flags.size), *np.asarray(window_bounds).T.tolist(),
                np.asarray(labels).tolist(), summary.ifc_flags.astype(int).tolist())
     write_csv(IFC_WINDOWS_HEADER, rows, dest)
 
@@ -167,15 +158,15 @@ def read_ifc_windows_csv(src) -> np.ndarray:
     return np.array(read_csv(IFC_WINDOWS_HEADER, src)[-1], dtype=np.int64).astype(bool)
 
 
-def write_ifc_summary_json(summary: IfcSummary, dest) -> None:
+def write_ifc_summary_json(summary: IfcSummary, merge_policy: str, dest) -> None:
     payload = {
         "single_contributions": {
             m: summary.single_contribution[m] for m in sorted(summary.single_contribution)
         },
         "common_ground": summary.common_ground,
         "ifc": summary.ifc,
-        "num_windows": int(summary.window_ids.size),
-        "merge_policy": summary.merge_policy,
+        "num_windows": summary.ifc_flags.size,
+        "merge_policy": merge_policy,
     }
     write_json(payload, dest)
 

@@ -27,7 +27,6 @@ class MaskSequence:
     window_mask: np.ndarray
     sample_mask: np.ndarray
     distribution: dict[str, float]
-    policy: str | None = None
 
 
 def build_mask(
@@ -35,7 +34,6 @@ def build_mask(
     fused: FusedTable,
     window_bounds: np.ndarray,
     total_samples: int,
-    policy: str | None = None,
 ) -> MaskSequence:
     """Window categories plus a sample-level mask merged by maximum severity.
 
@@ -76,7 +74,6 @@ def build_mask(
         window_mask=window_mask,
         sample_mask=sample_mask,
         distribution=distribution,
-        policy=policy,
     )
 
 
@@ -93,8 +90,8 @@ def write_sample_mask_csv(mask: MaskSequence, dest) -> None:
     write_csv(["sample_index", "category"], rows, dest)
 
 
-def write_mask_summary_json(mask: MaskSequence, dest) -> None:
+def write_mask_summary_json(mask: MaskSequence, policy: str, dest) -> None:
     payload = dict(mask.distribution)
-    payload["policy"] = mask.policy
+    payload["policy"] = policy
     write_json(payload, dest)
 

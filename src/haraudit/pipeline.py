@@ -8,18 +8,11 @@ from typing import Sequence
 import numpy as np
 
 from .baseline import TrainConfig, extract_feature_matrix, predict_proba, train_baseline
-from .confusion import (
-    ChordEdge,
-    ClassConfusionRow,
-    FusedTable,
-    chord_edges,
-    confusion_table,
-    fuse_probabilities,
-)
+from .confusion import FusedTable, fuse_probabilities
 from .ifc import IfcSummary, compute_ifc
 from .mask import MaskSequence, build_mask
 from .predictions import (
-    PredictionTable, RecordError, best_hyperparams, filter_to_configs, merge_runs,
+    PredictionTable, best_hyperparams, check_labels, filter_to_configs, merge_runs,
 )
 from .splits import FoldPlan
 from .windowing import WindowedDataset, apply_normalizer, fit_normalizer
@@ -80,8 +73,6 @@ class AuditResult:
 
     ifc: IfcSummary
     fused: FusedTable
-    table: list[ClassConfusionRow]
-    edges: list[ChordEdge]
     mask: MaskSequence
     chosen_configs: dict[tuple[str, str], str]
     #: The records of the chosen configs, as ``filter_to_configs`` kept them.
@@ -93,54 +84,40 @@ def audit_records(
     window_bounds: np.ndarray,
     labels: Sequence[int],
     total_samples: int,
-    num_classes: int | None = None,
+    num_classes: int,
     merge_policy: str = "majority",
 ) -> AuditResult:
     """Run the full audit over a prediction log.
 
     Windows in the log must be positions 0..W-1 matching ``window_bounds``
-    and ``labels``, and a record whose label is not its window's label in
-    ``labels`` raises RecordError. Picks the best config per model, merges
-    runs under ``merge_policy``, computes the overlap summary, fuses the
-    probabilities of the flagged windows, and builds confusion plus mask
-    outputs. The CLI's ``ifc`` command runs this once and persists the
-    overlap summary and the fused distributions; the other audit commands
-    are views of those files.
+    and ``labels``, the log must hold ``num_classes`` classes, and a record
+    whose label is not its window's label in ``labels`` raises RecordError.
+    Picks the best config per model, merges runs under ``merge_policy``,
+    computes the overlap summary, fuses the probabilities of the flagged
+    windows, and builds the mask. The CLI's ``ifc`` command runs this once
+    and persists the overlap summary and the fused distributions; the other
+    audit commands are views of those files.
     """
     labels = np.asarray(labels, dtype=np.int64)
-    # Windows outside the table are left to the coverage check below.
-    inside = np.flatnonzero((records.window >= 0) & (records.window < labels.size))
-    wrong = inside[records.label[inside] != labels[records.window[inside]]]
-    if wrong.size:
-        i, window = int(wrong[0]), records.window[wrong[0]]
-        raise RecordError(f"label {records.label[i]} differs from window {window}'s label "
-                          f"{labels[window]} in the window table", i)
+    if records.probs.shape[1] != num_classes:
+        raise ValueError(
+            f"log holds {records.probs.shape[1]} classes but the dataset defines {num_classes}"
+        )
+    check_labels(records, labels)
     chosen = best_hyperparams(records)
     kept = filter_to_configs(records, chosen)
-    matrix = merge_runs(kept, policy=merge_policy)
-    if matrix.num_windows != len(labels) or not np.array_equal(
-        matrix.window_ids, np.arange(len(labels))
-    ):
-        raise ValueError(
-            f"log covers {matrix.num_windows} windows but the dataset defines "
-            f"{len(labels)} dense window ids"
-        )
-    summary = compute_ifc(matrix, merge_policy=merge_policy)
-    fused = fuse_probabilities(kept, summary.window_ids[summary.ifc_flags], labels)
-    table = confusion_table(summary.ifc_flags, labels, num_classes=num_classes)
-    edges = chord_edges(fused)
+    matrix = merge_runs(kept, labels.size, policy=merge_policy)
+    summary = compute_ifc(matrix)
+    fused = fuse_probabilities(kept, np.flatnonzero(summary.ifc_flags), labels)
     mask = build_mask(
         summary.ifc_flags,
         fused,
         window_bounds,
         total_samples,
-        policy=merge_policy,
     )
     return AuditResult(
         ifc=summary,
         fused=fused,
-        table=table,
-        edges=edges,
         mask=mask,
         chosen_configs=chosen,
         kept=kept,

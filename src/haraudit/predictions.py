@@ -123,6 +123,17 @@ def validate_records(
         raise RecordError(next(message(i) for failed, message in checks if failed[i]), i)
 
 
+def check_labels(table: PredictionTable, labels: np.ndarray) -> None:
+    """Raise RecordError for the first record whose label is not ``labels[window]``;
+    records whose window is outside ``labels`` are left to the window checks."""
+    inside = np.flatnonzero((table.window >= 0) & (table.window < labels.size))
+    wrong = inside[table.label[inside] != labels[table.window[inside]]]
+    if wrong.size:
+        i, window = int(wrong[0]), table.window[wrong[0]]
+        raise RecordError(f"label {table.label[i]} differs from window {window}'s label "
+                          f"{labels[window]} in the window table", i)
+
+
 def read_records(
     src,
     valid_window_ids: Iterable[int] | None = None,
@@ -227,12 +238,13 @@ def filter_to_configs(
     return table.take(keep[group])
 
 
-def merge_runs(table: PredictionTable, policy: str = "majority") -> CorrectnessMatrix:
+def merge_runs(table: PredictionTable, num_windows: int, policy: str) -> CorrectnessMatrix:
     """Collapse per-run correctness into a [models x windows] correctness matrix.
 
     ``any`` counts a window correct if any run got it right, ``majority``
     needs strictly more than half of the runs (an exact half is incorrect),
-    ``all`` needs every run. Records must already be filtered to one config
+    ``all`` needs every run. Column w is window w: the log must cover exactly
+    windows 0..num_windows-1. Records must already be filtered to one config
     per model, every window of a model must carry the same run count, and
     every model must cover every window.
     """
@@ -240,8 +252,14 @@ def merge_runs(table: PredictionTable, policy: str = "majority") -> CorrectnessM
         raise ValueError(f"unknown merge policy {policy!r}")
     if not len(table):
         raise ValueError("no models to build a matrix from")
+    window = table.window
+    inside = (window >= 0) & (window < num_windows)
+    if not inside.all() or not np.bincount(window, minlength=num_windows).all():
+        raise ValueError(
+            f"log covers {np.unique(window).size} windows but the dataset defines "
+            f"{num_windows} dense window ids"
+        )
     models, model = np.unique(table.model, return_inverse=True)
-    windows, window = np.unique(table.window, return_inverse=True)
     names = models.tolist()
 
     def first_model(failed: np.ndarray) -> int | None:
@@ -262,9 +280,9 @@ def merge_runs(table: PredictionTable, policy: str = "majority") -> CorrectnessM
             f"model {names[m]!r} has differing run counts per window: "
             f"{sorted(set(runs[cell_model == m].tolist()))}"
         )
-    m = first_model(np.bincount(cell_model) < windows.size)
+    m = first_model(np.bincount(cell_model) < num_windows)
     if m is not None:
-        missing = sorted(set(windows.tolist()) - set(table.window[model == m].tolist()))
+        missing = sorted(set(range(num_windows)) - set(window[model == m].tolist()))
         raise ValueError(
             f"model {names[m]!r} lacks correctness for windows "
             f"{missing[:10]}{'...' if len(missing) > 10 else ''}"
@@ -276,9 +294,9 @@ def merge_runs(table: PredictionTable, policy: str = "majority") -> CorrectnessM
         verdict = hits * 2 > runs
     else:
         verdict = hits == runs
-    values = np.zeros((models.size, windows.size), dtype=bool)
+    values = np.zeros((models.size, num_windows), dtype=bool)
     values[cell_model, window[cell_first]] = verdict
-    return CorrectnessMatrix(model_ids=tuple(names), window_ids=windows, values=values)
+    return CorrectnessMatrix(model_ids=tuple(names), values=values)
 
 
 def _scores_per_run(table: PredictionTable):

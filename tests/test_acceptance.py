@@ -45,7 +45,6 @@ def matrix_from_percentages(singles_pct, cg_pct, n_windows=10_000):
     assert pos <= n_windows
     return CorrectnessMatrix(
         model_ids=tuple(f"m{i}" for i in range(n_models)),
-        window_ids=np.arange(n_windows),
         values=values,
     )
 
@@ -78,7 +77,6 @@ def test_c01_closure_property_on_random_matrices():
         n_windows = int(rng.integers(1, 5001))
         matrix = CorrectnessMatrix(
             model_ids=tuple(f"m{i}" for i in range(n_models)),
-            window_ids=np.arange(n_windows),
             values=rng.integers(0, 2, size=(n_models, n_windows)).astype(bool),
         )
         s = compute_ifc(matrix)
@@ -114,7 +112,7 @@ def test_c02_published_row_reconstruction(name):
 def test_c03_clean_share_complements_ifc():
     singles, cg, expected_ifc = PUBLISHED_OVERLAP_ROWS["PAMAP2"]
     summary = compute_ifc(matrix_from_percentages(singles, cg))
-    n = summary.window_ids.size
+    n = summary.ifc_flags.size
     bounds = np.array([[i * 100, i * 100 + 200] for i in range(n)])
     rng = np.random.default_rng(3)
     flagged = np.flatnonzero(summary.ifc_flags)
@@ -152,7 +150,7 @@ def test_c06_confusion_self_consistency():
     rng = np.random.default_rng(60)
     labels = rng.integers(0, 6, size=5000)
     flags = rng.random(5000) < 0.1
-    rows = confusion_table(flags, labels)
+    rows = confusion_table(flags, labels, num_classes=6)
     for row in rows:
         if row.relative_pct is not None:
             assert row.absolute_pct == row.distribution_pct * row.relative_pct / 100.0

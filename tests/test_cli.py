@@ -279,13 +279,32 @@ class TestOneAuditCore:
                 record["label"] = (record["label"] + 1) % 3
         logs = tmp_path / "relabelled.jsonl"
         logs.write_text("".join(json.dumps(record) + "\n" for record in records))
-        assert run(out, ["import-logs", "--logs", str(logs)]) == 0
         before = snapshot(out)
         capsys.readouterr()
-        assert run(out, ["ifc"]) == 1
+        assert run(out, ["import-logs", "--logs", str(logs)]) == 1
         first = next(i for i, record in enumerate(records) if record["window"] == 5)
         assert f"record {first}: label" in capsys.readouterr().err
         assert snapshot(out) == before
+
+    def test_import_logs_keeps_the_bytes_it_validated(self, tmp_path, full_run):
+        # The same log twice: as train-baseline wrote it, and with its keys
+        # reordered and extra spaces. Each is stored as it is, and ifc reads
+        # both alike.
+        canonical = full_run / "predictions.jsonl"
+        loose = tmp_path / "loose.jsonl"
+        loose.write_text("".join(
+            json.dumps(dict(reversed(json.loads(line).items())), separators=(" ,  ", " :  "))
+            + "  \n" for line in canonical.read_text().splitlines()
+        ))
+        audits = []
+        for name, logs in (("canonical", canonical), ("loose", loose)):
+            out = tmp_path / name
+            for argv in (["ingest", "--recordings", str(full_run / "recordings.csv")],
+                         ["windows"], ["split"], ["import-logs", "--logs", str(logs)], ["ifc"]):
+                assert run(out, argv) == 0, argv
+            assert (out / "predictions.jsonl").read_bytes() == logs.read_bytes()
+            audits.append({a: (out / a).read_bytes() for a in COMMANDS["ifc"][3]})
+        assert audits[0] == audits[1]
 
     def test_sparse_log_fails_at_ifc(self, tmp_path, capsys):
         out = tmp_path / "run"

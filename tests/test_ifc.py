@@ -19,7 +19,6 @@ def matrix(rows, model_ids=None):
         model_ids = tuple(f"m{i}" for i in range(values.shape[0]))
     return CorrectnessMatrix(
         model_ids=tuple(model_ids),
-        window_ids=np.arange(values.shape[1]),
         values=values,
     )
 
@@ -68,17 +67,17 @@ class TestBuildMatrix:
     def test_explicit_booleans(self):
         m = merge_runs(verdict_table(
             {"a": {0: True, 1: False, 2: True}, "b": {0: False, 1: False, 2: True}}
-        ))
+        ), 3, "majority")
         assert m.model_ids == ("a", "b")
         assert m.values.tolist() == [[True, False, True], [False, False, True]]
 
     def test_missing_cell_rejected(self):
         with pytest.raises(ValueError, match="lacks correctness"):
-            merge_runs(verdict_table({"a": {0: True, 1: True}, "b": {0: True}}))
+            merge_runs(verdict_table({"a": {0: True, 1: True}, "b": {0: True}}), 2, "majority")
 
     def test_six_model_shape(self):
         by_model = {f"m{i}": {w: True for w in range(40)} for i in range(6)}
-        m = merge_runs(verdict_table(by_model), "any")
+        m = merge_runs(verdict_table(by_model), 40, "any")
         assert m.values.shape == (6, 40)
 
 

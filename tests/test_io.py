@@ -8,6 +8,8 @@ import numpy as np
 import pytest
 
 from haraudit.confusion import (
+    chord_edges,
+    confusion_table,
     read_fused_jsonl,
     write_chord_json,
     write_confusion_csv,
@@ -64,14 +66,21 @@ CASES = {
         lambda a, d: write_ifc_windows_csv(a.result.ifc, a.bounds, a.windows.label, d),
         read_ifc_windows_csv,
     ),
-    "write_ifc_summary_json": (lambda a, d: write_ifc_summary_json(a.result.ifc, d), None),
+    "write_ifc_summary_json": (
+        lambda a, d: write_ifc_summary_json(a.result.ifc, "majority", d), None
+    ),
     "write_histogram_csv": (
         lambda a, d: write_histogram_csv(run_lengths(a.result.ifc.ifc_flags), d),
         read_histogram_csv,
     ),
-    "write_confusion_csv": (lambda a, d: write_confusion_csv(a.result.table, d), None),
+    "write_confusion_csv": (
+        lambda a, d: write_confusion_csv(
+            confusion_table(a.result.ifc.ifc_flags, a.windows.label, num_classes=3), d
+        ),
+        None,
+    ),
     "write_chord_json": (
-        lambda a, d: write_chord_json(a.result.edges, ["c0", "c1", "c2"], d), None
+        lambda a, d: write_chord_json(chord_edges(a.result.fused), ["c0", "c1", "c2"], d), None
     ),
     "write_fused_jsonl": (lambda a, d: write_fused_jsonl(a.result.fused, d), read_fused_jsonl),
     "write_window_mask_csv": (
@@ -80,7 +89,9 @@ CASES = {
     "write_sample_mask_csv": (
         lambda a, d: write_sample_mask_csv(a.result.mask, d), read_sample_mask_csv
     ),
-    "write_mask_summary_json": (lambda a, d: write_mask_summary_json(a.result.mask, d), None),
+    "write_mask_summary_json": (
+        lambda a, d: write_mask_summary_json(a.result.mask, "majority", d), None
+    ),
 }
 
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from haraudit.confusion import chord_edges, confusion_table
 from haraudit.pipeline import audit_records, baseline_prediction_records
 from haraudit.predictions import RecordError, merge_runs
 from haraudit.splits import plan_folds
@@ -68,7 +69,7 @@ def test_all_correct_log_audits_to_zero_ifc():
     assert result.ifc.ifc == 0.0
     assert result.ifc.common_ground == 100.0
     assert result.mask.distribution["clean_pct"] == 100.0
-    assert len(result.fused) == 0 and result.edges == []
+    assert len(result.fused) == 0 and chord_edges(result.fused) == []
 
 
 def test_partial_window_coverage_rejected():
@@ -77,6 +78,14 @@ def test_partial_window_coverage_rejected():
     labels = np.arange(20) % 3  # the log's own labels, so only coverage fails
     with pytest.raises(ValueError, match="dense window ids"):
         audit_records(records, bounds, labels, 2100, num_classes=3)
+
+
+def test_class_count_must_match_the_dataset():
+    n = 30
+    bounds = np.array([[i * 100, i * 100 + 200] for i in range(n)])
+    labels = np.arange(n) % 3
+    with pytest.raises(ValueError, match="log holds 3 classes but the dataset defines 4"):
+        audit_records(all_correct_records(n), bounds, labels, n * 100 + 100, num_classes=4)
 
 
 def test_record_labels_must_match_the_window_table():
@@ -133,7 +142,7 @@ def test_merge_policy_monotonicity_propagates_to_ifc():
         for w in range(80)
     )
     ifc_by_policy = {
-        policy: compute_ifc(merge_runs(records, policy)).ifc
+        policy: compute_ifc(merge_runs(records, 80, policy)).ifc
         for policy in ("any", "majority", "all")
     }
     assert ifc_by_policy["all"] >= ifc_by_policy["majority"] >= ifc_by_policy["any"]
@@ -147,6 +156,8 @@ def test_clean_pct_complements_ifc(small_audit):
         num_classes=ds.num_classes,
     )
     assert abs(result.mask.distribution["clean_pct"] - (100.0 - result.ifc.ifc)) <= 1e-9
-    total_abs = sum(r.absolute_pct or 0.0 for r in result.table)
+    table = confusion_table(result.ifc.ifc_flags, ds.windows.label, ds.num_classes)
+    total_abs = sum(r.absolute_pct or 0.0 for r in table)
     assert abs(total_abs - result.ifc.ifc) <= 1e-9
-    assert sum(e.weight for e in result.edges) == int(result.ifc.ifc_flags.sum())
+    edges = chord_edges(result.fused)
+    assert sum(weight for _, _, weight in edges) == int(result.ifc.ifc_flags.sum())

@@ -157,9 +157,10 @@ def correctness_records(model, config, flags_per_run, label=0):
 
 def merged(records, policy="majority"):
     """Run-merged verdicts of model m1 per window id."""
-    matrix = merge_runs(table_of(records), policy)
+    table = table_of(records)
+    matrix = merge_runs(table, int(table.window.max()) + 1, policy)
     assert matrix.model_ids == ("m1",)
-    return dict(zip(matrix.window_ids.tolist(), matrix.values[0].tolist()))
+    return dict(enumerate(matrix.values[0].tolist()))
 
 
 class TestBestHyperparams:
@@ -231,13 +232,21 @@ class TestMergeRuns:
         records = correctness_records("m1", "c", [[1, 1], [1, 1]])
         records.append(rec(window=2, model="m1", config="c", run=0))
         with pytest.raises(ValueError, match="differing run counts"):
-            merge_runs(table_of(records))
+            merge_runs(table_of(records), 3, "majority")
+
+    @pytest.mark.parametrize("window", [-1, 3])
+    def test_window_ids_outside_the_dataset_rejected(self, window):
+        records = correctness_records("m1", "c", [[1, 1, 1]])
+        records.append(rec(window=window, model="m1", config="c", run=0))
+        with pytest.raises(ValueError, match="log covers 4 windows but the dataset defines 3 "
+                                             "dense window ids"):
+            merge_runs(table_of(records), 3, "majority")
 
     def test_multiple_configs_rejected(self):
         records = correctness_records("m1", "A", [[1]])
         records += correctness_records("m1", "B", [[1]])
         with pytest.raises(ValueError, match="filter"):
-            merge_runs(table_of(records))
+            merge_runs(table_of(records), 1, "majority")
 
     def test_policy_monotonicity_property(self):
         rng = np.random.default_rng(2024)
