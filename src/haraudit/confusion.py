@@ -71,23 +71,30 @@ def fuse_probabilities(
     the argmax equals the true label the window keeps its flag and the
     runner-up class is reported instead.
     """
-    flagged = np.unique(np.fromiter(flagged_window_ids, dtype=np.int64))
-    all_models = np.unique(table.model)
+    # return_inverse keeps np.unique off its hash path, which in numpy 2 imports numpy.ma.
+    flagged = np.unique(np.fromiter(flagged_window_ids, dtype=np.int64), return_inverse=True)[0]
+    all_models, model = np.unique(table.model, return_inverse=True)
     rows = np.flatnonzero(np.isin(table.window, flagged))
     # Sort by window, then in a canonical order within the window, so each
     # mean is bit-for-bit independent of record order.
     rows = rows[np.lexsort(
         (table.run[rows], table.config[rows], table.model[rows], table.window[rows])
     )]
-    per_window = np.split(rows, np.searchsorted(table.window[rows], flagged[1:]))
+    window = table.window[rows]
+    per_window = np.split(rows, np.searchsorted(window, flagged[1:]))
     labels = np.asarray(labels, dtype=np.int64)[flagged]
+    # One pass over the coverage of every flagged window; the first that fails is named.
+    covered = np.zeros((flagged.size, all_models.size), dtype=bool)
+    covered[np.searchsorted(flagged, window), model[rows]] = True
+    failed = np.flatnonzero(~covered.all(axis=1) | ~covered.any(axis=1))
+    if failed.size:
+        i = failed[0]
+        if not covered[i].any():
+            raise ValueError(f"flagged window {flagged[i]} has no records")
+        missing = all_models[~covered[i]].tolist()
+        raise ValueError(f"flagged window {flagged[i]} lacks records from models {missing}")
     means = np.zeros((flagged.size, table.probs.shape[1]))
-    for i, (window_id, here) in enumerate(zip(flagged.tolist(), per_window)):
-        if not here.size:
-            raise ValueError(f"flagged window {window_id} has no records")
-        missing = np.setdiff1d(all_models, table.model[here]).tolist()
-        if missing:
-            raise ValueError(f"flagged window {window_id} lacks records from models {missing}")
+    for i, here in enumerate(per_window[:flagged.size]):
         means[i] = np.mean(table.probs[here], axis=0)
     if not means.size:  # nothing flagged, maybe in a log with no class count to argmax over
         return FusedTable(flagged, labels, labels.copy(), labels.astype(bool), means)

@@ -141,19 +141,24 @@ def read_records(
 ) -> PredictionTable:
     """Read and validate a JSONL prediction log into a table.
 
-    Records stream straight into columns. Malformed records and probability
-    vectors of the wrong length are rejected as they are read: the length is
-    ``num_classes``, or else the first record's. ``validate_records`` then
-    checks the rest.
+    Records stream into typed buffers, which the integer and probability
+    columns wrap without a copy; a text field keeps one string per distinct
+    value. So memory scales with the table, not with the log's text.
+    Malformed records, integers outside int64, probability vectors of the
+    wrong length and a second dataset id are rejected as they are read: the
+    length is ``num_classes``, or else the first record's, and the dataset id
+    is the first record's. ``validate_records`` then checks the rest.
     """
-    columns = {name: [] for name in TEXT_FIELDS + INT_FIELDS}
+    texts = {name: ({}, array("q")) for name in TEXT_FIELDS}  # value -> code, codes
+    ints = {name: array("q") for name in INT_FIELDS}
     probs = array("d")
+    dataset = None
+    i = 0
     with open_text(src) as fh:
         for line in fh:
             line = line.strip()
             if not line:
                 continue
-            i = len(columns["label"])
             try:
                 obj = json.loads(line)
                 values = [obj[name] for name in TEXT_FIELDS + INT_FIELDS]
@@ -161,8 +166,8 @@ def read_records(
             except (KeyError, ValueError, TypeError) as exc:
                 raise RecordError(f"malformed record: {exc}", i) from None
             if tuple(map(type, values)) != FIELD_TYPES:
-                name, value = next((n, v) for n, v, t in zip(columns, values, FIELD_TYPES)
-                                   if type(v) is not t)
+                name, value = next((n, v) for n, v, t in zip(TEXT_FIELDS + INT_FIELDS, values,
+                                                             FIELD_TYPES) if type(v) is not t)
                 kind = "string" if name in TEXT_FIELDS else "integer"
                 raise RecordError(f"malformed record: {name} {value!r} is not a JSON {kind}", i)
             if len(row) < 2:
@@ -170,13 +175,27 @@ def read_records(
             num_classes = num_classes or len(row)
             if len(row) != num_classes:
                 raise RecordError(f"expected {num_classes} classes, found {len(row)}", i)
-            for column, value in zip(columns.values(), values):
-                column.append(value)
+            dataset = values[0] if dataset is None else dataset
+            if values[0] != dataset:
+                raise RecordError(
+                    f"dataset {values[0]!r} differs from the log's dataset {dataset!r}", i
+                )
+            for name, value in zip(INT_FIELDS, values[len(TEXT_FIELDS):]):
+                try:
+                    ints[name].append(value)
+                except OverflowError:
+                    raise RecordError(
+                        f"malformed record: {name} {value} does not fit in int64", i
+                    ) from None
+            for (codes, column), value in zip(texts.values(), values):
+                column.append(codes.setdefault(value, len(codes)))
             probs.extend(row)
+            i += 1
     table = PredictionTable(
-        **{name: np.array(columns[name], dtype=str) for name in TEXT_FIELDS},
-        **{name: np.array(columns[name], dtype=np.int64) for name in INT_FIELDS},
-        probs=np.frombuffer(probs).reshape(len(columns["label"]), num_classes or 0),
+        **{name: np.array(list(codes), dtype=str)[np.frombuffer(column, dtype=np.int64)]
+           for name, (codes, column) in texts.items()},
+        **{name: np.frombuffer(column, dtype=np.int64) for name, column in ints.items()},
+        probs=np.frombuffer(probs).reshape(i, num_classes or 0),
     )
     validate_records(table, valid_window_ids)
     return table

@@ -9,6 +9,7 @@ are repaired by forward-fill then backward-fill within each recording.
 from __future__ import annotations
 
 import csv
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -95,9 +96,12 @@ def parse_canonical(source) -> tuple[list[SensorRecording], int]:
 
     ``source`` may be a path or a text stream. Returns the recordings in
     order of first appearance plus the total count of repaired (filled) cells.
+    Rows stream into one typed buffer per recording, which the returned arrays
+    wrap without a copy, so memory scales with those arrays.
 
     Raises CanonicalFormatError for an empty file, a malformed header, a
-    non-integer label, or a channel cell that is neither numeric nor empty.
+    non-integer label or one outside int64, or a channel cell that is neither
+    numeric nor empty.
     """
     with open_text(source) as fh:
         reader = csv.reader(fh)
@@ -113,9 +117,8 @@ def parse_canonical(source) -> tuple[list[SensorRecording], int]:
         channel_names = header[3:]
         n_channels = len(channel_names)
 
-        # key -> (labels, rows of channel values)
-        groups: dict[tuple[str, str], tuple[list[int], list[list[float]]]] = {}
-        n_rows = 0
+        # key -> (labels, channel values row after row)
+        groups: dict[tuple[str, str], tuple[array, array]] = {}
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
@@ -132,7 +135,13 @@ def parse_canonical(source) -> tuple[list[SensorRecording], int]:
                 ) from None
             if label < 0:
                 raise CanonicalFormatError(f"label {label} is negative", line=lineno)
-            values = []
+            labels, values = groups.setdefault((subject, session), (array("q"), array("d")))
+            try:
+                labels.append(label)
+            except OverflowError:
+                raise CanonicalFormatError(
+                    f"label {label} does not fit in int64", line=lineno
+                ) from None
             for name, cell in zip(channel_names, row[3:]):
                 cell = cell.strip()
                 if cell == "":
@@ -144,17 +153,13 @@ def parse_canonical(source) -> tuple[list[SensorRecording], int]:
                     raise CanonicalFormatError(
                         f"channel {name!r} cell {cell!r} is not numeric", line=lineno
                     ) from None
-            labels, rows = groups.setdefault((subject, session), ([], []))
-            labels.append(label)
-            rows.append(values)
-            n_rows += 1
-    if n_rows == 0:
+    if not groups:
         raise CanonicalFormatError("file contains a header but no samples")
 
     recordings = []
     repaired = 0
-    for (subject, session), (labels, rows) in groups.items():
-        channels = np.asarray(rows, dtype=float)
+    for (subject, session), (labels, values) in groups.items():
+        channels = np.frombuffer(values).reshape(len(labels), n_channels)
         for c in range(n_channels):
             channels[:, c], n = _fill_missing(channels[:, c])
             repaired += n
@@ -167,7 +172,7 @@ def parse_canonical(source) -> tuple[list[SensorRecording], int]:
         recordings.append(
             SensorRecording(
                 channels=channels,
-                labels=np.asarray(labels, dtype=int),
+                labels=np.frombuffer(labels, dtype=np.int64),
                 subject_id=subject,
                 session_id=session,
                 channel_names=list(channel_names),

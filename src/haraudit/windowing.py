@@ -127,8 +127,9 @@ def _window_labels(labels: np.ndarray, starts: np.ndarray, config: WindowConfig)
     ends = starts + config.size
     classes = np.flatnonzero(np.bincount(labels))  # ascending: ties go to the lowest id
     counts = np.empty((starts.size, classes.size), dtype=np.int64)
+    cumulative = np.zeros(labels.size + 1, dtype=np.int64)
     for i, c in enumerate(classes):
-        cumulative = np.concatenate(([0], np.cumsum(labels == c)))
+        np.cumsum(labels == c, out=cumulative[1:])
         counts[:, i] = cumulative[ends] - cumulative[starts]
     transition = counts.max(axis=1) < config.size
     if config.label_policy == "last_sample":
@@ -155,13 +156,23 @@ def slice_corpus(
         raise ValueError("empty corpus")
     if num_classes is None:
         num_classes = corpus_num_classes(list(recordings))
-    columns = []  # per recording: starts, labels, transitions, recording, group, blocks
-    spans: list[tuple[int, int]] = []
-    offset = 0
     for rec_index, rec in enumerate(recordings):
+        if rec.num_channels != recordings[0].num_channels:
+            raise ValueError(
+                f"recording {rec_index} has {rec.num_channels} channels, "
+                f"recording 0 has {recordings[0].num_channels}"
+            )
+    counts = [(rec.num_samples - config.size) // config.stride + 1
+              if rec.num_samples >= config.size else 0 for rec in recordings]
+    # Each window is copied once, straight into its rows of ``blocks``.
+    blocks = np.empty((sum(counts), config.size, recordings[0].num_channels))
+    columns = []  # per recording: starts, labels, transitions, recording, group
+    spans: list[tuple[int, int]] = []
+    offset = first = 0
+    for rec_index, (rec, n_windows) in enumerate(zip(recordings, counts)):
         n = rec.num_samples
         spans.append((offset, offset + n))
-        if n < config.size:
+        if not n_windows:
             warnings.warn(
                 f"recording {rec_index} has {n} samples, shorter than one "
                 f"window of {config.size}; no windows emitted",
@@ -169,21 +180,21 @@ def slice_corpus(
             )
             offset += n
             continue
-        n_windows = (n - config.size) // config.stride + 1
-        # [n-size+1, size, channels] view; take every stride-th start.
+        # [n_windows, channels, size] view of every stride-th window.
         view = np.lib.stride_tricks.sliding_window_view(
             rec.channels, config.size, axis=0
-        ).transpose(0, 2, 1)
+        )[::config.stride]
+        blocks[first:first + n_windows] = view.transpose(0, 2, 1)
         starts = np.arange(n_windows) * config.stride
         label, transition = _window_labels(rec.labels, starts, config)
         key = _group_key(rec, group_by)
         columns.append((offset + starts, label, transition, np.full(n_windows, rec_index),
-                        np.full(n_windows, key), view[starts].copy()))
+                        np.full(n_windows, key)))
         offset += n
+        first += n_windows
     if not columns:  # every recording is shorter than one window
-        blocks = np.empty((0, config.size, recordings[0].num_channels))
-        columns = [(np.zeros(0, dtype=int),) * 5 + (blocks,)]
-    start, label, transition, recording, group, blocks = map(np.concatenate, zip(*columns))
+        columns = [(np.zeros(0, dtype=int),) * 5]
+    start, label, transition, recording, group = map(np.concatenate, zip(*columns))
     if np.any(label >= num_classes):
         raise ValueError(
             f"window label {label[label >= num_classes][0]} outside 0..{num_classes - 1}"

@@ -180,31 +180,51 @@ class TestSampleRate:
         assert snapshot(out) == before
 
 
-def test_commands_before_the_audit_do_not_load_numpy_ma(tmp_path):
-    """In numpy 2, np.unique imports numpy.ma (about 16 ms and 1.3 MiB per
-    process); ingest, windows, split and train-baseline have no need of it."""
+CLI_CODE = "import sys; from haraudit.cli import main; assert main(sys.argv[1:]) == 0"
+
+
+def loads_numpy_ma(code, *argv):
+    """Whether ``python -c code *argv``, run with src on the path, ends with
+    numpy.ma imported."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(Path(__file__).resolve().parent.parent / "src"), env.get("PYTHONPATH"))
         if p
     )
+    proc = subprocess.run(
+        [sys.executable, "-c", code + "; print('numpy.ma' in sys.modules)", *argv],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, (argv, proc.stderr)
+    return proc.stdout.split()[-1] == "True"
 
-    def loads_numpy_ma(code, *argv):
-        proc = subprocess.run(
-            [sys.executable, "-c", code + "; print('numpy.ma' in sys.modules)", *argv],
-            env=env, capture_output=True, text=True, timeout=120,
-        )
-        assert proc.returncode == 0, (argv, proc.stderr)
-        return proc.stdout.split()[-1] == "True"
 
+@pytest.fixture
+def numpy_without_ma():
     if loads_numpy_ma("import sys, numpy"):
         pytest.skip("this numpy loads numpy.ma on import")
+
+
+def test_commands_before_the_audit_do_not_load_numpy_ma(tmp_path, numpy_without_ma):
+    """In numpy 2, np.unique imports numpy.ma (about 16 ms and 1.3 MiB per
+    process); ingest, windows, split and train-baseline have no need of it."""
     source, out = tmp_path / "source", str(tmp_path / "run")
     assert run(source, ["synth", "--subjects", "2"]) == 0
-    command = "import sys; from haraudit.cli import main; assert main(sys.argv[1:]) == 0"
     for argv in (["ingest", "--recordings", str(source / "recordings.csv")],
                  ["windows"], ["split"], ["train-baseline"]):
-        assert not loads_numpy_ma(command, *argv, "--out", out), argv
+        assert not loads_numpy_ma(CLI_CODE, *argv, "--out", out), argv
+
+
+def test_audit_commands_do_not_load_numpy_ma(tmp_path, full_run, numpy_without_ma):
+    """Nor do import-logs and the audit; fusion once called np.unique and
+    np.setdiff1d, which import it, once per flagged window."""
+    out = tmp_path / "run"
+    shutil.copytree(full_run, out)
+    logs = shutil.copyfile(out / "predictions.jsonl", tmp_path / "logs.jsonl")
+    for argv in (["import-logs", "--logs", str(logs)], ["ifc"], ["confusion"],
+                 ["histogram"], ["mask"], ["plot"], ["report"]):
+        assert not loads_numpy_ma(CLI_CODE, *argv, "--out", str(out)), argv
+    assert json.loads((out / "ifc_summary.json").read_text())["ifc"] > 0
 
 
 def import_one_hot_log(tmp_path, out, covered, models=("m1",), misses=((),)):
@@ -284,6 +304,36 @@ class TestOneAuditCore:
         assert run(out, ["import-logs", "--logs", str(logs)]) == 1
         first = next(i for i, record in enumerate(records) if record["window"] == 5)
         assert f"record {first}: label" in capsys.readouterr().err
+        assert snapshot(out) == before
+
+    def test_a_log_with_a_second_dataset_is_refused(self, tmp_path, full_run, capsys):
+        # The log again under dataset "zzz", probabilities rolled by one class.
+        # ifc once merged the runs of both datasets as one model's.
+        out = tmp_path / "run"
+        shutil.copytree(full_run, out)
+        lines = (out / "predictions.jsonl").read_text().splitlines()
+        records = [json.loads(line) for line in lines]
+        for record in records:
+            record["dataset"], record["probs"] = "zzz", np.roll(record["probs"], 1).tolist()
+        logs = tmp_path / "two_datasets.jsonl"
+        logs.write_text("".join(line + "\n" for line in lines + list(map(json.dumps, records))))
+        before = snapshot(out)
+        capsys.readouterr()
+        assert run(out, ["import-logs", "--logs", str(logs)]) == 1
+        assert (f"record {len(lines)}: dataset 'zzz' differs from the log's dataset "
+                "'synthetic'") in capsys.readouterr().err
+        assert snapshot(out) == before
+
+    @pytest.mark.parametrize("text", ["", "\n \n\n"], ids=["empty", "blank-lines"])
+    def test_a_log_without_records_is_refused(self, tmp_path, full_run, capsys, text):
+        out = tmp_path / "run"
+        shutil.copytree(full_run, out)
+        logs = tmp_path / "logs.jsonl"
+        logs.write_text(text)
+        before = snapshot(out)
+        capsys.readouterr()
+        assert run(out, ["import-logs", "--logs", str(logs)]) == 1
+        assert "holds no prediction records" in capsys.readouterr().err
         assert snapshot(out) == before
 
     def test_import_logs_keeps_the_bytes_it_validated(self, tmp_path, full_run):

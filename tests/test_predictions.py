@@ -1,10 +1,12 @@
 import io
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from haraudit.predictions import (
+    PredictionTable,
     RecordError,
     best_hyperparams,
     filter_to_configs,
@@ -14,6 +16,7 @@ from haraudit.predictions import (
     write_records,
 )
 from prediction_rows import assert_same_table, table_of
+from traced_memory import peak_bytes
 
 
 def rec(
@@ -140,6 +143,61 @@ class TestValidationRules:
         with pytest.raises(RecordError, match=f"record 1: malformed record: {field} "
                                               f".* is not a JSON {kind}"):
             read_back(rows)
+
+    @pytest.mark.parametrize("field, value", [
+        ("window", 10**20), ("run", -2**63 - 1), ("label", 2**63),
+    ])
+    def test_integers_must_fit_in_int64(self, field, value):
+        # Before, numpy raised a bare OverflowError that named no record.
+        rows = [rec(), {**rec(window=1), field: value}]
+        with pytest.raises(RecordError, match=f"record 1: malformed record: {field} "
+                                              f"{value} does not fit in int64"):
+            read_back(rows)
+
+    def test_a_log_holds_one_dataset(self):
+        rows = [rec(), rec(window=1), rec(window=2, dataset="e")]
+        with pytest.raises(RecordError,
+                           match="record 2: dataset 'e' differs from the log's dataset 'd'"):
+            read_back(rows)
+
+
+class TestTypedBuffers:
+    @pytest.mark.parametrize("text", ["", "\n  \n\n"], ids=["empty", "blank-lines"])
+    @pytest.mark.parametrize("num_classes", [None, 3])
+    def test_a_log_without_records_gives_an_empty_table(self, text, num_classes):
+        table = read_records(io.StringIO(text), num_classes=num_classes)
+        assert len(table) == 0
+        assert table.probs.shape == (0, num_classes or 0)
+        for f in fields(table):
+            column = getattr(table, f.name)
+            assert len(column) == 0, f.name
+            assert column.dtype.kind == {"dataset": "U", "model": "U", "config": "U",
+                                         "probs": "f"}.get(f.name, "i"), f.name
+
+    def test_text_columns_keep_the_width_of_the_longest_value(self):
+        rows = [rec(model="m"), rec(window=1, model="a-long-model-id", probs=(0.5, 0.5))]
+        table = read_back(rows)
+        assert table.model.tolist() == ["m", "a-long-model-id"]
+        assert table.model.dtype == np.dtype("<U15")
+
+    def test_parse_memory_scales_with_the_table(self, tmp_path):
+        # About 20k records; the parse once held 2.9-3.6 times the table in
+        # Python objects.
+        rng = np.random.default_rng(5)
+        n, k = 20_000, 6
+        models = np.array(["cnn", "lstm", "mlp", "attend"])
+        table = PredictionTable(
+            dataset=np.full(n, "bench"), model=models[np.arange(n) % 4],
+            config=np.full(n, "cfg-a"), run=np.zeros(n, dtype=np.int64),
+            fold=np.arange(n) // 4 % 5, window=np.arange(n) // 4,
+            label=rng.integers(0, k, n), probs=rng.dirichlet(np.ones(k), n),
+        )
+        path = tmp_path / "log.jsonl"
+        write_records(table, path)
+        got, peak = peak_bytes(lambda: read_records(path))
+        assert_same_table(got, table)
+        table_bytes = sum(getattr(got, f.name).nbytes for f in fields(got))
+        assert peak <= 2.5 * table_bytes, peak / table_bytes
 
 
 def correctness_records(model, config, flags_per_run, label=0):

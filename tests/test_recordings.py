@@ -10,6 +10,7 @@ from haraudit.recordings import (
     parse_canonical,
     write_canonical,
 )
+from traced_memory import peak_bytes
 
 
 def make_csv(text: str) -> io.StringIO:
@@ -97,6 +98,54 @@ s1,r1,0,oops
 def test_non_integer_label_rejected():
     with pytest.raises(CanonicalFormatError, match="label"):
         parse_canonical(make_csv("subject_id,session_id,label,ax\ns1,r1,walk,1.0"))
+
+
+def test_label_outside_int64_reports_line():
+    # Before, numpy raised a bare OverflowError that named no line.
+    with pytest.raises(CanonicalFormatError,
+                       match="line 3: label 99999999999999999999999 does not fit in int64"):
+        parse_canonical(make_csv(
+            "subject_id,session_id,label,ax\ns1,r1,0,1.0\ns1,r1,99999999999999999999999,2.0"
+        ))
+
+
+def test_rows_with_empty_cells_keep_every_other_value_in_place():
+    # Rows of two recordings interleave; each recording's buffer keeps its own
+    # rows, and an empty cell is filled from its own channel.
+    recs, repaired = parse_canonical(make_csv(
+        """
+subject_id,session_id,label,ax,ay,az
+s1,r1,0,1.0,2.0,3.0
+s2,r1,1,9.0,8.0,7.0
+s1,r1,0,4.0,,6.0
+s2,r1,1,6.0,5.0,
+s1,r1,1, 7.0 ,8.0,9.0
+"""
+    ))
+    assert repaired == 2
+    assert recs[0].channels.tolist() == [[1.0, 2.0, 3.0], [4.0, 2.0, 6.0], [7.0, 8.0, 9.0]]
+    assert recs[0].labels.tolist() == [0, 0, 1]
+    assert recs[1].channels.tolist() == [[9.0, 8.0, 7.0], [6.0, 5.0, 7.0]]
+    assert recs[1].labels.tolist() == [1, 1]
+
+
+def test_parse_memory_scales_with_the_recordings(tmp_path):
+    # About 20k rows; the parse once held 5.3-6.7 times the recordings as
+    # Python lists of floats.
+    rng = np.random.default_rng(3)
+    recs = [
+        SensorRecording(channels=rng.normal(size=(10_000, 3)), labels=rng.integers(0, 4, 10_000),
+                        subject_id=f"s{i}", session_id="r1", channel_names=["a", "b", "c"])
+        for i in range(2)
+    ]
+    path = tmp_path / "recordings.csv"
+    write_canonical(recs, path)
+    (back, _), peak = peak_bytes(lambda: parse_canonical(path))
+    for got, want in zip(back, recs):
+        assert np.array_equal(got.channels, want.channels)
+        assert np.array_equal(got.labels, want.labels)
+    output = sum(rec.channels.nbytes + rec.labels.nbytes for rec in back)
+    assert peak <= 2 * output, peak / output
 
 
 def test_fully_missing_channel_cannot_be_repaired():

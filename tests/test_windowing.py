@@ -13,6 +13,7 @@ from haraudit.windowing import (
     slice_corpus,
     write_windows,
 )
+from traced_memory import peak_bytes
 
 
 def make_recording(n, subject="s1", session="r1", labels=None, channels=None):
@@ -83,6 +84,47 @@ class TestSlicing:
             WindowConfig(size=200, stride=201)
         with pytest.raises(ValueError):
             WindowConfig(label_policy="mode")
+
+
+class TestBlocks:
+    """Each window is copied once into a preallocated ``blocks``."""
+
+    @pytest.mark.parametrize("size, stride", [(4, 3), (4, 4), (5, 1)])
+    def test_blocks_equal_a_copy_of_each_window(self, size, stride):
+        rng = np.random.default_rng(size * 10 + stride)
+        recs = [make_recording(n, subject=f"s{n}", channels=rng.normal(size=(n, 2)))
+                for n in (23, size - 1, 17)]
+        with pytest.warns(UserWarning, match="recording 1 has"):
+            ds = slice_corpus(recs, WindowConfig(size, stride))
+        offsets = np.cumsum([0] + [rec.num_samples for rec in recs])
+        naive = [recs[r].channels[start - offsets[r]:end - offsets[r]]
+                 for (start, end), r in zip(ds.windows.bounds, ds.windows.recording)]
+        assert 1 not in ds.windows.recording.tolist()
+        assert ds.blocks.shape == (len(naive), size, 2)
+        assert np.array_equal(ds.blocks, np.array(naive))
+
+    def test_a_corpus_of_short_recordings_has_no_blocks(self):
+        recs = [make_recording(n, subject=f"s{n}", channels=np.ones((n, 2))) for n in (3, 4)]
+        with pytest.warns(UserWarning, match="shorter"):
+            ds = slice_corpus(recs, WindowConfig(5, 2))
+        assert ds.blocks.shape == (0, 5, 2)
+        assert len(ds.windows) == 0
+        assert ds.total_samples == 7
+
+    def test_recordings_must_share_a_channel_count(self):
+        # A one-channel recording would otherwise broadcast into every channel of blocks.
+        recs = [make_recording(10, channels=np.zeros((10, 3))),
+                make_recording(10, subject="s2", channels=np.zeros((10, 1)))]
+        with pytest.raises(ValueError, match="recording 1 has 1 channels, recording 0 has 3"):
+            slice_corpus(recs, WindowConfig(4, 2))
+
+    def test_slicing_memory_scales_with_the_blocks(self):
+        # About 20k samples; slicing once held every block twice.
+        rng = np.random.default_rng(9)
+        recs = [make_recording(10_000, subject=f"s{i}", labels=rng.integers(0, 4, 10_000),
+                               channels=rng.normal(size=(10_000, 3))) for i in range(2)]
+        ds, peak = peak_bytes(lambda: slice_corpus(recs, WindowConfig(50, 25)))
+        assert peak <= 1.5 * ds.blocks.nbytes, peak / ds.blocks.nbytes
 
 
 def assign_window_label(labels, policy):

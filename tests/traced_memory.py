@@ -1,0 +1,17 @@
+"""Peak traced allocation of one call, for bounds on what a parser holds."""
+
+import tracemalloc
+
+
+def peak_bytes(call):
+    """``call()``'s result and the peak of the memory it allocated while running.
+
+    Inputs should come from files, not from in-memory streams: a StringIO
+    made inside ``call`` would count as the call's own memory.
+    """
+    tracemalloc.start()
+    try:
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
