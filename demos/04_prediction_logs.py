@@ -39,7 +39,7 @@ correct = rng.random(len(keys)) < np.array([QUALITY[m, c] for m, c, _, _ in keys
 probs = np.full((len(keys), 3), 0.1)
 probs[np.arange(len(keys)), np.where(correct, label, (label + 1) % 3)] = 0.8
 records = PredictionTable(
-    dataset=np.full(len(keys), "demo"), model=model, config=config, run=run,
+    dataset="demo", model=model, config=config, run=run,
     fold=window % 4, window=window, label=label, probs=probs,
 )
 

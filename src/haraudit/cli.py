@@ -369,7 +369,7 @@ def cmd_ifc(run: RunDir) -> None:
     metrics = model_metrics(result.kept)
     write_json(
         {
-            "dataset_id": records.dataset[0].item(),
+            "dataset_id": records.dataset,
             "chosen_configs": {
                 f"{d}/{m}": c for (d, m), c in sorted(result.chosen_configs.items())
             },

@@ -32,6 +32,8 @@ def baseline_prediction_records(
     deterministic, so all runs carry identical probabilities; they exist to
     exercise the run-merging interfaces.
     """
+    if runs < 1:
+        raise ValueError(f"runs must be at least 1, got {runs}")
     labels = dataset.windows.label
     # One (run, fold, window ids, probs) block per fold and run, in record order.
     blocks = []
@@ -56,7 +58,7 @@ def baseline_prediction_records(
                            test_ids, probs))
     run, fold_id, window, probs = (np.concatenate(column) for column in zip(*blocks))
     return PredictionTable(
-        dataset=np.full(window.size, dataset_id),
+        dataset=dataset_id,
         model=np.full(window.size, "baseline"),
         config=np.full(window.size, f"gd_lr{config.step_size}_ep{config.epochs}"),
         run=run,

@@ -8,16 +8,16 @@ format is one object per line:
      "fold": 0, "window": 123, "label": 4, "probs": [...]}
 
 In memory a log is a ``PredictionTable``: one array per wire field, row i
-holding record i. A log holds one class count. Config choice, run merging and
-metrics work on whole columns and loop in Python only over (dataset, model,
-config) groups.
+holding record i, and the dataset id once, since a log holds one dataset (and
+one class count). Config choice, run merging and metrics work on whole columns
+and loop in Python only over (model, config) groups.
 """
 
 from __future__ import annotations
 
 import json
 from array import array
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
@@ -27,11 +27,13 @@ from .ifc import CorrectnessMatrix
 
 SIMPLEX_TOL = 1e-6
 MERGE_POLICIES = ("any", "majority", "all")
-TEXT_FIELDS = ("dataset", "model", "config")
+TEXT_FIELDS = ("model", "config")
 INT_FIELDS = ("run", "fold", "window", "label")
-KEY_FIELDS = ("dataset", "model", "config", "run", "window")
-# JSON types of the scalar fields; bool is not int here, and a float is no id.
-FIELD_TYPES = (str,) * len(TEXT_FIELDS) + (int,) * len(INT_FIELDS)
+COLUMNS = TEXT_FIELDS + INT_FIELDS + ("probs",)  # per record; the dataset id is per log
+KEY_FIELDS = ("model", "config", "run", "window")
+# The scalar wire fields and their JSON types; bool is not int here, and a float is no id.
+SCALAR_FIELDS = ("dataset",) + TEXT_FIELDS + INT_FIELDS
+FIELD_TYPES = (str,) * (1 + len(TEXT_FIELDS)) + (int,) * len(INT_FIELDS)
 
 
 class RecordError(ValueError):
@@ -46,9 +48,10 @@ class RecordError(ValueError):
 
 @dataclass(eq=False)  # arrays have no single truth value; tables compare by identity
 class PredictionTable:
-    """A prediction log as columns; ``probs`` is [records, classes] float64."""
+    """A prediction log as columns, ``probs`` [records, classes] float64, and
+    ``dataset``, the log's one id ("" for a log without records)."""
 
-    dataset: np.ndarray
+    dataset: str
     model: np.ndarray
     config: np.ndarray
     run: np.ndarray
@@ -67,7 +70,7 @@ class PredictionTable:
 
     def take(self, rows) -> PredictionTable:
         """The records at ``rows`` (indices or a boolean mask) as a new table."""
-        return PredictionTable(**{f.name: getattr(self, f.name)[rows] for f in fields(self)})
+        return PredictionTable(self.dataset, **{n: getattr(self, n)[rows] for n in COLUMNS})
 
 
 def _group(*columns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -85,9 +88,9 @@ def _group(*columns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _config_groups(table: PredictionTable):
-    """(dataset, model, config) groups: row group numbers, first rows, and keys."""
-    group, first = _group(table.dataset, table.model, table.config)
-    keys = list(zip(*(getattr(table, name)[first].tolist() for name in TEXT_FIELDS)))
+    """(model, config) groups: row group numbers, first rows, and keys."""
+    group, first = _group(table.model, table.config)
+    keys = list(zip(table.model[first].tolist(), table.config[first].tolist()))
     return group, first, keys
 
 
@@ -113,7 +116,7 @@ def validate_records(
          lambda i: f"probabilities sum to {sums[i]:.8f}, not 1"),
         ((table.label < 0) | (table.label >= table.probs.shape[1]),
          lambda i: f"label {table.label[i]} outside class range"),
-        (duplicate, lambda i: "duplicate (model, config, run, window) key "
+        (duplicate, lambda i: f"duplicate ({', '.join(KEY_FIELDS)}) key "
                               f"{tuple(column[i].item() for column in key)}"),
         (unknown, lambda i: f"unknown window_id {table.window[i]}"),
     ]
@@ -161,14 +164,14 @@ def read_records(
                 continue
             try:
                 obj = json.loads(line)
-                values = [obj[name] for name in TEXT_FIELDS + INT_FIELDS]
+                values = [obj[name] for name in SCALAR_FIELDS]
                 row = array("d", obj["probs"])
             except (KeyError, ValueError, TypeError) as exc:
                 raise RecordError(f"malformed record: {exc}", i) from None
             if tuple(map(type, values)) != FIELD_TYPES:
-                name, value = next((n, v) for n, v, t in zip(TEXT_FIELDS + INT_FIELDS, values,
-                                                             FIELD_TYPES) if type(v) is not t)
-                kind = "string" if name in TEXT_FIELDS else "integer"
+                name, value = next((n, v) for n, v, t in zip(SCALAR_FIELDS, values, FIELD_TYPES)
+                                   if type(v) is not t)
+                kind = "integer" if name in INT_FIELDS else "string"
                 raise RecordError(f"malformed record: {name} {value!r} is not a JSON {kind}", i)
             if len(row) < 2:
                 raise RecordError("probs must hold at least two classes", i)
@@ -180,18 +183,19 @@ def read_records(
                 raise RecordError(
                     f"dataset {values[0]!r} differs from the log's dataset {dataset!r}", i
                 )
-            for name, value in zip(INT_FIELDS, values[len(TEXT_FIELDS):]):
+            for name, value in zip(INT_FIELDS, values[-len(INT_FIELDS):]):
                 try:
                     ints[name].append(value)
                 except OverflowError:
                     raise RecordError(
                         f"malformed record: {name} {value} does not fit in int64", i
                     ) from None
-            for (codes, column), value in zip(texts.values(), values):
+            for (codes, column), value in zip(texts.values(), values[1:]):
                 column.append(codes.setdefault(value, len(codes)))
             probs.extend(row)
             i += 1
     table = PredictionTable(
+        dataset or "",
         **{name: np.array(list(codes), dtype=str)[np.frombuffer(column, dtype=np.int64)]
            for name, (codes, column) in texts.items()},
         **{name: np.frombuffer(column, dtype=np.int64) for name, column in ints.items()},
@@ -204,56 +208,51 @@ def read_records(
 def write_records(table: PredictionTable, dest) -> None:
     """Write a table as JSONL, one record per line; float text is exact
     (shortest round-trip)."""
-    names = TEXT_FIELDS + INT_FIELDS + ("probs",)
     with open_text(dest, "w") as fh:
         # A few thousand rows at a time, so no full copy of the log is held
         # as Python objects.
         for start in range(0, len(table), 4096):
             part = table.take(slice(start, start + 4096))
-            for row in zip(*(getattr(part, name).tolist() for name in names)):
-                fh.write(json.dumps(dict(zip(names, row))))
-                fh.write("\n")
+            for row in zip(*(getattr(part, name).tolist() for name in COLUMNS)):
+                fh.write(json.dumps({"dataset": table.dataset, **dict(zip(COLUMNS, row))}) + "\n")
 
 
 def best_hyperparams(table: PredictionTable) -> dict[tuple[str, str], str]:
-    """Pick the config with the best mean out-of-fold accuracy per (dataset, model).
+    """Pick the config with the best mean out-of-fold accuracy per model.
 
-    Accuracy is pooled over all folds within a run and averaged across runs.
-    Ties go to the lexicographically smallest config id. Every config must
-    cover every fold seen for its (dataset, model); missing folds raise.
+    Keys are (dataset, model), with the table's one dataset id. Accuracy is
+    pooled over all folds within a run and averaged across runs. Ties go to
+    the lexicographically smallest config id. Every config must cover every
+    fold seen for its model; missing folds raise.
     """
     group, first, keys = _config_groups(table)
-    slot_of_group = _group(table.dataset[first], table.model[first])[0]
-    slot = slot_of_group[group]
+    model_of_group = _group(table.model[first])[0]
+    model = model_of_group[group]
     folds = np.bincount(group[_group(group, table.fold)[1]], minlength=len(first))
-    slot_folds = np.bincount(slot[_group(slot, table.fold)[1]])
-    lacking = np.flatnonzero(folds < slot_folds[slot_of_group])
+    model_folds = np.bincount(model[_group(model, table.fold)[1]])
+    lacking = np.flatnonzero(folds < model_folds[model_of_group])
     if lacking.size:
         g = lacking[0]
-        missing = set(table.fold[slot == slot_of_group[g]].tolist())
-        missing -= set(table.fold[group == g].tolist())
-        dataset, model, config = keys[g]
-        raise ValueError(
-            f"config {config!r} of ({dataset!r}, {model!r}) lacks folds {sorted(missing)}"
-        )
-    best: dict[tuple[str, str], str] = {}
-    scores: dict[tuple[str, str], float] = {}
-    for (dataset, model, config), accuracies, _ in zip(*_scores_per_run(table)):
+        missing = sorted(set(table.fold[model == model_of_group[g]].tolist())
+                         - set(table.fold[group == g].tolist()))
+        raise ValueError(f"config {keys[g][1]!r} of model {keys[g][0]!r} lacks folds {missing}")
+    best: dict[str, tuple[float, str]] = {}
+    for (model_id, config), accuracies, _ in zip(*_scores_per_run(table)):
         mean_acc = float(np.mean(accuracies))
-        slot_key = (dataset, model)
         # Configs iterate in ascending id order, so a strict > keeps the
         # lexicographically smallest config on ties.
-        if slot_key not in best or mean_acc > scores[slot_key]:
-            best[slot_key], scores[slot_key] = config, mean_acc
-    return best
+        if model_id not in best or mean_acc > best[model_id][0]:
+            best[model_id] = mean_acc, config
+    return {(table.dataset, model_id): config for model_id, (_, config) in best.items()}
 
 
 def filter_to_configs(
     table: PredictionTable, chosen: dict[tuple[str, str], str]
 ) -> PredictionTable:
-    """Keep only records belonging to the chosen config of their (dataset, model)."""
+    """Keep only records of the chosen config of their model, keyed as
+    ``best_hyperparams`` returns it."""
     group, _, keys = _config_groups(table)
-    keep = np.array([chosen.get((d, m)) == c for d, m, c in keys], dtype=bool)
+    keep = np.array([chosen.get((table.dataset, m)) == c for m, c in keys], dtype=bool)
     return table.take(keep[group])
 
 
@@ -319,7 +318,7 @@ def merge_runs(table: PredictionTable, num_windows: int, policy: str) -> Correct
 
 
 def _scores_per_run(table: PredictionTable):
-    """Sorted (dataset, model, config) keys, and per key the accuracy and the
+    """Sorted (model, config) keys, and per key the accuracy and the
     support-weighted F1 of each run, in run order.
 
     A class without support weighs nothing; one with support but no predicted
@@ -354,7 +353,7 @@ class ModelMetrics:
 def model_metrics(table: PredictionTable) -> dict[tuple[str, str, str], ModelMetrics]:
     """Accuracy and weighted F1 as mean +/- std over runs, per (dataset, model, config)."""
     return {
-        key: ModelMetrics(
+        (table.dataset, *key): ModelMetrics(
             accuracy_mean=float(np.mean(acc)),
             accuracy_std=float(np.std(acc)),
             weighted_f1_mean=float(np.mean(f1)),

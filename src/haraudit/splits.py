@@ -21,12 +21,15 @@ class Fold:
 
 @dataclass
 class FoldPlan:
-    """Partition of windows into held-out test folds, one group set per fold."""
+    """Held-out test folds, one group set each; no group or window is in two folds."""
 
     folds: list[Fold]
-    k: int
 
-    def validate(self) -> None:
+    @property
+    def k(self) -> int:
+        return len(self.folds)
+
+    def __post_init__(self) -> None:
         seen_windows: set[int] = set()
         seen_groups: set[str] = set()
         for fold in self.folds:
@@ -38,8 +41,6 @@ class FoldPlan:
                 if w in seen_windows:
                     raise ValueError(f"window {w} appears in two test folds")
                 seen_windows.add(w)
-        if self.k != len(self.folds):
-            raise ValueError("k does not match the number of folds")
 
     def train_windows(self, fold_id: int, num_windows: int) -> list[int]:
         held_out = set(self.folds[fold_id].test_window_ids)
@@ -77,9 +78,7 @@ def group_k_fold(
         )
         for fold_id, keys in enumerate(bins)
     ]
-    plan = FoldPlan(folds=folds, k=len(folds))
-    plan.validate()
-    return plan
+    return FoldPlan(folds=folds)
 
 
 def plan_folds(windows: WindowTable, max_k: int = MAX_FOLDS_DEFAULT) -> FoldPlan:
@@ -116,6 +115,6 @@ def read_plan(src) -> FoldPlan:
         )
         for f in payload["folds"]
     ]
-    plan = FoldPlan(folds=folds, k=int(payload["k"]))
-    plan.validate()
-    return plan
+    if payload["k"] != len(folds):
+        raise ValueError(f"splits.json gives k={payload['k']} but lists {len(folds)} folds")
+    return FoldPlan(folds=folds)

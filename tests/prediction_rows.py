@@ -1,11 +1,9 @@
 """Prediction and fused tables for tests, built from one row per record."""
 
-from dataclasses import fields
-
 import numpy as np
 
 from haraudit.confusion import FusedTable
-from haraudit.predictions import PredictionTable
+from haraudit.predictions import COLUMNS, PredictionTable
 
 DEFAULTS = dict(
     dataset="d", model="m1", config="c1", run=0, fold=0, window=0, label=0, probs=(0.6, 0.4)
@@ -13,11 +11,17 @@ DEFAULTS = dict(
 
 
 def table_of(rows) -> PredictionTable:
-    """One record per row; a row is a dict of wire fields, missing ones defaulted."""
+    """One record per row; a row is a dict of wire fields, missing ones defaulted.
+
+    The rows must agree on their dataset id, which the table holds once.
+    """
     rows = [{**DEFAULTS, **row} for row in rows]
-    column = {f.name: [row[f.name] for row in rows] for f in fields(PredictionTable)}
+    datasets = {row["dataset"] for row in rows}
+    assert len(datasets) == 1, f"rows of one table name datasets {sorted(datasets)}"
+    column = {name: [row[name] for row in rows] for name in COLUMNS}
     return PredictionTable(
-        **{name: np.array(column[name], dtype=str) for name in ("dataset", "model", "config")},
+        datasets.pop(),
+        **{name: np.array(column[name], dtype=str) for name in ("model", "config")},
         **{name: np.array(column[name], dtype=np.int64)
            for name in ("run", "fold", "window", "label")},
         probs=np.array(column["probs"], dtype=float),
@@ -25,17 +29,22 @@ def table_of(rows) -> PredictionTable:
 
 
 def concat(*tables: PredictionTable) -> PredictionTable:
-    return PredictionTable(**{
-        f.name: np.concatenate([getattr(t, f.name) for t in tables]) for f in fields(PredictionTable)
+    """The tables' records in order; they must hold one dataset id."""
+    datasets = {t.dataset for t in tables}
+    assert len(datasets) == 1, f"tables of datasets {sorted(datasets)}"
+    return PredictionTable(datasets.pop(), **{
+        name: np.concatenate([getattr(t, name) for t in tables]) for name in COLUMNS
     })
 
 
 def assert_same_table(got: PredictionTable, want: PredictionTable) -> None:
-    """Column by column: equal values, and the same kind of column."""
-    for f in fields(PredictionTable):
-        a, b = getattr(got, f.name), getattr(want, f.name)
-        assert a.dtype.kind == b.dtype.kind, f.name
-        assert np.array_equal(a, b), f.name
+    """The same dataset id, then column by column: equal values, and the same
+    kind of column."""
+    assert type(got.dataset) is str and got.dataset == want.dataset, (got.dataset, want.dataset)
+    for name in COLUMNS:
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype.kind == b.dtype.kind, name
+        assert np.array_equal(a, b), name
 
 
 def fused_of(windows, probs, label=1) -> FusedTable:

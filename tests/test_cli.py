@@ -152,6 +152,18 @@ class TestErrors:
         assert not (out / "windows.csv").exists()
         assert not (out / "windows_meta.json").exists()
 
+    @pytest.mark.parametrize("runs", ["0", "-2"])
+    def test_train_baseline_needs_a_run(self, tmp_path, capsys, runs):
+        # Before, this exited 1 with "not enough values to unpack".
+        out = tmp_path / "run"
+        for argv in (["synth", "--subjects", "2"], ["windows"], ["split"]):
+            assert run(out, argv) == 0, argv
+        before = snapshot(out)
+        capsys.readouterr()
+        assert run(out, ["train-baseline", "--runs", runs]) == 1
+        assert f"runs must be at least 1, got {runs}" in capsys.readouterr().err
+        assert snapshot(out) == before
+
 
 class TestSampleRate:
     """The sample rate is recorded but not computed with; it must be positive."""

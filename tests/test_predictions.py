@@ -1,11 +1,12 @@
 import io
 import json
-from dataclasses import fields
+import re
 
 import numpy as np
 import pytest
 
 from haraudit.predictions import (
+    COLUMNS,
     PredictionTable,
     RecordError,
     best_hyperparams,
@@ -76,7 +77,9 @@ class TestRoundTrip:
             read_back([rec(probs=(0.5, 0.5)), rec(window=1, probs=(0.6, 0.5))])
 
     def test_duplicate_key_rejected(self):
-        with pytest.raises(RecordError, match="duplicate"):
+        # The key names four fields and gives four values; the dataset id is the log's.
+        with pytest.raises(RecordError, match=re.escape(
+                "record 1: duplicate (model, config, run, window) key ('m1', 'c1', 0, 0)")):
             read_back([rec(probs=(0.5, 0.5)), rec(probs=(0.4, 0.6))])
 
     def test_unknown_window_rejected(self):
@@ -168,11 +171,12 @@ class TestTypedBuffers:
         table = read_records(io.StringIO(text), num_classes=num_classes)
         assert len(table) == 0
         assert table.probs.shape == (0, num_classes or 0)
-        for f in fields(table):
-            column = getattr(table, f.name)
-            assert len(column) == 0, f.name
-            assert column.dtype.kind == {"dataset": "U", "model": "U", "config": "U",
-                                         "probs": "f"}.get(f.name, "i"), f.name
+        assert table.dataset == ""
+        for name in COLUMNS:
+            column = getattr(table, name)
+            assert len(column) == 0, name
+            assert column.dtype.kind == {"model": "U", "config": "U",
+                                         "probs": "f"}.get(name, "i"), name
 
     def test_text_columns_keep_the_width_of_the_longest_value(self):
         rows = [rec(model="m"), rec(window=1, model="a-long-model-id", probs=(0.5, 0.5))]
@@ -187,7 +191,7 @@ class TestTypedBuffers:
         n, k = 20_000, 6
         models = np.array(["cnn", "lstm", "mlp", "attend"])
         table = PredictionTable(
-            dataset=np.full(n, "bench"), model=models[np.arange(n) % 4],
+            dataset="bench", model=models[np.arange(n) % 4],
             config=np.full(n, "cfg-a"), run=np.zeros(n, dtype=np.int64),
             fold=np.arange(n) // 4 % 5, window=np.arange(n) // 4,
             label=rng.integers(0, k, n), probs=rng.dirichlet(np.ones(k), n),
@@ -196,7 +200,7 @@ class TestTypedBuffers:
         write_records(table, path)
         got, peak = peak_bytes(lambda: read_records(path))
         assert_same_table(got, table)
-        table_bytes = sum(getattr(got, f.name).nbytes for f in fields(got))
+        table_bytes = sum(getattr(got, name).nbytes for name in COLUMNS)
         assert peak <= 2.5 * table_bytes, peak / table_bytes
 
 

@@ -1,8 +1,9 @@
 import io
+import json
 
 import pytest
 
-from haraudit.splits import group_k_fold, read_plan, write_plan
+from haraudit.splits import Fold, FoldPlan, group_k_fold, read_plan, write_plan
 
 
 def equal_groups(n_groups, windows_per_group):
@@ -74,3 +75,22 @@ def test_plan_round_trips_through_json():
     assert [f.test_window_ids for f in back.folds] == [
         f.test_window_ids for f in plan.folds
     ]
+
+
+def test_a_plan_whose_k_differs_from_its_fold_count_is_refused():
+    plan = group_k_fold(equal_groups(3, 2), max_k=5)
+    buf = io.StringIO()
+    write_plan(plan, buf)
+    payload = json.loads(buf.getvalue())
+    payload["k"] = 4
+    with pytest.raises(ValueError, match="splits.json gives k=4 but lists 3 folds"):
+        read_plan(io.StringIO(json.dumps(payload)))
+
+
+@pytest.mark.parametrize("second, message", [
+    (Fold(1, ("g0",), (2,)), "group 'g0' appears in two folds"),
+    (Fold(1, ("g1",), (1,)), "window 1 appears in two test folds"),
+])
+def test_a_plan_with_a_group_or_window_in_two_folds_is_refused(second, message):
+    with pytest.raises(ValueError, match=message):
+        FoldPlan([Fold(0, ("g0",), (0, 1)), second])
