@@ -73,8 +73,8 @@ print(f"normalized corpus mean ~ {normalized.blocks.mean():.4f}")
 # Grouped folds: one fold per subject up to the cap, merged beyond it.
 # ---------------------------------------------------------------------------
 plan = plan_folds(windows)
-for fold in plan.folds:
-    print(f"fold {fold.fold_id}: groups={fold.test_group_keys} "
+for i, fold in enumerate(plan.folds):
+    print(f"fold {i}: groups={fold.test_group_keys} "
           f"({len(fold.test_window_ids)} test windows)")
 
 many_groups = {f"subject{g:02d}": list(range(g * 10, g * 10 + 10)) for g in range(24)}

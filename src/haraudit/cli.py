@@ -32,12 +32,15 @@ from ._io import write_csv, write_json
 from .baseline import TrainConfig
 from .pipeline import audit_records, baseline_prediction_records
 from .predictions import (
-    MERGE_POLICIES, PredictionTable, check_labels, model_metrics, read_records, write_records,
+    MERGE_POLICIES, PredictionTable, check_labels, read_records, write_records,
 )
 from .recordings import corpus_num_classes, parse_canonical, write_canonical
 from .splits import MAX_FOLDS_DEFAULT, plan_folds, read_plan, write_plan
 from .synth import default_scenario, generate_corpus, load_scenario, save_scenario
-from .windowing import WindowConfig, WindowTable, read_windows, slice_corpus, write_windows
+from .windowing import (
+    GROUP_UNITS, LABEL_POLICIES, WindowConfig, WindowTable, read_windows, slice_corpus,
+    write_windows,
+)
 
 OUT_ENV = "HAR_AUDIT_OUT"
 
@@ -115,8 +118,8 @@ class RunDir:
         return path
 
     def need(self, name: str) -> Path:
-        """An input, refused when it has no lineage record or a file it was
-        built from has changed since."""
+        """An input, refused when it has no lineage record, differs from the
+        file its command wrote, or a file it was built from has changed since."""
         path = self.out / name
         if not path.exists():
             raise CommandError(f"missing input {path}; run the producing command first")
@@ -124,6 +127,9 @@ class RunDir:
         if record is None:
             producers = " or ".join(c for c, spec in COMMANDS.items() if name in spec[3])
             raise CommandError(f"manifest.json records no lineage for {name}; rerun {producers}")
+        if self.sha256(path) != self.artifacts.get(name):
+            rerun = record["command"]
+            raise CommandError(f"{name} differs from the file {rerun} wrote; rerun {rerun}")
         for source, digest in record["inputs"].items():
             if (self.out / source).exists() and self.sha256(self.out / source) != digest:
                 raise CommandError(
@@ -366,7 +372,6 @@ def cmd_ifc(run: RunDir) -> None:
     )
     ifc_mod.write_ifc_summary_json(result.ifc, policy, run.file("ifc_summary.json"))
     conf.write_fused_jsonl(result.fused, run.file("fused.jsonl"))
-    metrics = model_metrics(result.kept)
     write_json(
         {
             "dataset_id": records.dataset,
@@ -374,7 +379,7 @@ def cmd_ifc(run: RunDir) -> None:
                 f"{d}/{m}": c for (d, m), c in sorted(result.chosen_configs.items())
             },
             "model_metrics": {
-                f"{d}/{m}/{c}": asdict(v) for (d, m, c), v in sorted(metrics.items())
+                f"{d}/{m}/{c}": asdict(v) for (d, m, c), v in sorted(result.metrics.items())
             },
         },
         run.file("models.json"),
@@ -477,8 +482,9 @@ COMMANDS = {
               {"--scenario": {}, "--subjects": INT, "--seed": INT},
               ("scenario.json", "recordings.csv", "injections.json")),
     "windows": (cmd_windows, "slice recordings into labelled windows",
-                {"--window-size": INT, "--stride": INT, "--label-policy": {},
-                 "--group-by": {"choices": ["subject", "subject_session"]},
+                {"--window-size": INT, "--stride": INT,
+                 "--label-policy": {"choices": list(LABEL_POLICIES)},
+                 "--group-by": {"choices": list(GROUP_UNITS)},
                  "--sample-rate": FLOAT}, ("windows.csv", "windows_meta.json")),
     "split": (cmd_split, "plan grouped cross-validation folds", {"--max-k": INT},
               ("splits.json",)),

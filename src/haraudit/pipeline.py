@@ -12,7 +12,8 @@ from .confusion import FusedTable, fuse_probabilities
 from .ifc import IfcSummary, compute_ifc
 from .mask import MaskSequence, build_mask
 from .predictions import (
-    PredictionTable, best_hyperparams, check_labels, filter_to_configs, merge_runs,
+    ModelMetrics, PredictionTable, best_hyperparams, check_labels, filter_to_configs,
+    merge_runs, model_metrics,
 )
 from .splits import FoldPlan
 from .windowing import WindowedDataset, apply_normalizer, fit_normalizer
@@ -37,11 +38,9 @@ def baseline_prediction_records(
     labels = dataset.windows.label
     # One (run, fold, window ids, probs) block per fold and run, in record order.
     blocks = []
-    for fold in plan.folds:
+    for i, fold in enumerate(plan.folds):
         test_ids = np.asarray(fold.test_window_ids, dtype=int)
-        train_ids = np.asarray(
-            plan.train_windows(fold.fold_id, dataset.num_windows), dtype=int
-        )
+        train_ids = np.asarray(plan.train_windows(i, dataset.num_windows), dtype=int)
         stats = fit_normalizer(dataset, train_ids)
         # No name holds the normalized copy, so each fold's copy is freed
         # before the next fold makes its own.
@@ -54,15 +53,15 @@ def baseline_prediction_records(
         )
         probs = predict_proba(model, features[test_ids])
         for run in range(runs):
-            blocks.append((np.full(test_ids.size, run), np.full(test_ids.size, fold.fold_id),
+            blocks.append((np.full(test_ids.size, run), np.full(test_ids.size, i),
                            test_ids, probs))
-    run, fold_id, window, probs = (np.concatenate(column) for column in zip(*blocks))
+    run, fold, window, probs = (np.concatenate(column) for column in zip(*blocks))
     return PredictionTable(
         dataset=dataset_id,
         model=np.full(window.size, "baseline"),
         config=np.full(window.size, f"gd_lr{config.step_size}_ep{config.epochs}"),
         run=run,
-        fold=fold_id,
+        fold=fold,
         window=window,
         label=labels[window],
         probs=probs,
@@ -77,8 +76,8 @@ class AuditResult:
     fused: FusedTable
     mask: MaskSequence
     chosen_configs: dict[tuple[str, str], str]
-    #: The records of the chosen configs, as ``filter_to_configs`` kept them.
-    kept: PredictionTable
+    #: ``model_metrics`` of the records of the chosen configs.
+    metrics: dict[tuple[str, str, str], ModelMetrics]
 
 
 def audit_records(
@@ -96,9 +95,10 @@ def audit_records(
     whose label is not its window's label in ``labels`` raises RecordError.
     Picks the best config per model, merges runs under ``merge_policy``,
     computes the overlap summary, fuses the probabilities of the flagged
-    windows, and builds the mask. The CLI's ``ifc`` command runs this once
-    and persists the overlap summary and the fused distributions; the other
-    audit commands are views of those files.
+    windows, builds the mask, and scores the chosen configs. The CLI's ``ifc``
+    command runs this once and persists the overlap summary, the fused
+    distributions and the metrics; the other audit commands are views of
+    those files.
     """
     labels = np.asarray(labels, dtype=np.int64)
     if records.probs.shape[1] != num_classes:
@@ -122,5 +122,5 @@ def audit_records(
         fused=fused,
         mask=mask,
         chosen_configs=chosen,
-        kept=kept,
+        metrics=model_metrics(kept),
     )

@@ -237,12 +237,11 @@ def best_hyperparams(table: PredictionTable) -> dict[tuple[str, str], str]:
                          - set(table.fold[group == g].tolist()))
         raise ValueError(f"config {keys[g][1]!r} of model {keys[g][0]!r} lacks folds {missing}")
     best: dict[str, tuple[float, str]] = {}
-    for (model_id, config), accuracies, _ in zip(*_scores_per_run(table)):
-        mean_acc = float(np.mean(accuracies))
+    for (_, model_id, config), metrics in model_metrics(table).items():
         # Configs iterate in ascending id order, so a strict > keeps the
         # lexicographically smallest config on ties.
-        if model_id not in best or mean_acc > best[model_id][0]:
-            best[model_id] = mean_acc, config
+        if model_id not in best or metrics.accuracy_mean > best[model_id][0]:
+            best[model_id] = metrics.accuracy_mean, config
     return {(table.dataset, model_id): config for model_id, (_, config) in best.items()}
 
 
@@ -317,9 +316,18 @@ def merge_runs(table: PredictionTable, num_windows: int, policy: str) -> Correct
     return CorrectnessMatrix(model_ids=tuple(names), values=values)
 
 
-def _scores_per_run(table: PredictionTable):
-    """Sorted (model, config) keys, and per key the accuracy and the
-    support-weighted F1 of each run, in run order.
+@dataclass(frozen=True)
+class ModelMetrics:
+    accuracy_mean: float
+    accuracy_std: float
+    weighted_f1_mean: float
+    weighted_f1_std: float
+    num_runs: int
+
+
+def model_metrics(table: PredictionTable) -> dict[tuple[str, str, str], ModelMetrics]:
+    """Accuracy and support-weighted F1 as mean +/- std over runs, per
+    (dataset, model, config), in ascending (model, config) order.
 
     A class without support weighs nothing; one with support but no predicted
     positives scores an F1 of 0.
@@ -338,20 +346,7 @@ def _scores_per_run(table: PredictionTable):
         f1 = 2 * hits[:, c] / np.maximum(support[:, c] + predicted[:, c], 1)
         f1s += np.where(support[:, c] > 0, (support[:, c] / total) * f1, 0.0)
     bounds = np.flatnonzero(np.diff(group[run_first])) + 1
-    return keys, np.split(hits.sum(axis=1) / total, bounds), np.split(f1s, bounds)
-
-
-@dataclass(frozen=True)
-class ModelMetrics:
-    accuracy_mean: float
-    accuracy_std: float
-    weighted_f1_mean: float
-    weighted_f1_std: float
-    num_runs: int
-
-
-def model_metrics(table: PredictionTable) -> dict[tuple[str, str, str], ModelMetrics]:
-    """Accuracy and weighted F1 as mean +/- std over runs, per (dataset, model, config)."""
+    accuracy = np.split(hits.sum(axis=1) / total, bounds)
     return {
         (table.dataset, *key): ModelMetrics(
             accuracy_mean=float(np.mean(acc)),
@@ -360,5 +355,5 @@ def model_metrics(table: PredictionTable) -> dict[tuple[str, str, str], ModelMet
             weighted_f1_std=float(np.std(f1)),
             num_runs=acc.size,
         )
-        for key, acc, f1 in zip(*_scores_per_run(table))
+        for key, acc, f1 in zip(keys, accuracy, np.split(f1s, bounds))
     }

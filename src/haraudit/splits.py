@@ -14,14 +14,14 @@ MAX_FOLDS_DEFAULT = 10
 
 @dataclass(frozen=True)
 class Fold:
-    fold_id: int
     test_group_keys: tuple[str, ...]
     test_window_ids: tuple[int, ...]
 
 
 @dataclass
 class FoldPlan:
-    """Held-out test folds, one group set each; no group or window is in two folds."""
+    """Held-out test folds, one group set each and numbered by position; no group
+    or window is in two folds."""
 
     folds: list[Fold]
 
@@ -42,8 +42,8 @@ class FoldPlan:
                     raise ValueError(f"window {w} appears in two test folds")
                 seen_windows.add(w)
 
-    def train_windows(self, fold_id: int, num_windows: int) -> list[int]:
-        held_out = set(self.folds[fold_id].test_window_ids)
+    def train_windows(self, position: int, num_windows: int) -> list[int]:
+        held_out = set(self.folds[position].test_window_ids)
         return [w for w in range(num_windows) if w not in held_out]
 
 
@@ -72,11 +72,10 @@ def group_k_fold(
             sizes[target] += len(wins)
     folds = [
         Fold(
-            fold_id=fold_id,
             test_group_keys=tuple(sorted(keys)),
             test_window_ids=tuple(sorted(int(w) for key in keys for w in group_windows[key])),
         )
-        for fold_id, keys in enumerate(bins)
+        for keys in bins
     ]
     return FoldPlan(folds=folds)
 
@@ -94,11 +93,11 @@ def write_plan(plan: FoldPlan, dest) -> None:
         "k": plan.k,
         "folds": [
             {
-                "fold_id": f.fold_id,
+                "fold_id": i,
                 "groups": list(f.test_group_keys),
                 "test_windows": list(f.test_window_ids),
             }
-            for f in plan.folds
+            for i, f in enumerate(plan.folds)
         ],
     }
     write_json(payload, dest)
@@ -107,14 +106,11 @@ def write_plan(plan: FoldPlan, dest) -> None:
 def read_plan(src) -> FoldPlan:
     with open_text(src) as fh:
         payload = json.load(fh)
-    folds = [
-        Fold(
-            fold_id=int(f["fold_id"]),
-            test_group_keys=tuple(f["groups"]),
-            test_window_ids=tuple(int(w) for w in f["test_windows"]),
-        )
-        for f in payload["folds"]
-    ]
+    folds = payload["folds"]
     if payload["k"] != len(folds):
         raise ValueError(f"splits.json gives k={payload['k']} but lists {len(folds)} folds")
-    return FoldPlan(folds=folds)
+    for i, f in enumerate(folds):
+        if f["fold_id"] != i:
+            raise ValueError(f"splits.json lists fold_id {f['fold_id']} at position {i}")
+    return FoldPlan([Fold(tuple(f["groups"]), tuple(int(w) for w in f["test_windows"]))
+                     for f in folds])

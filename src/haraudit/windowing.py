@@ -12,8 +12,11 @@ from ._io import read_csv, write_csv
 from .recordings import SensorRecording, corpus_num_classes
 
 LABEL_POLICIES = ("majority", "last_sample")
-GROUP_UNITS = ("subject", "subject_session")
-GROUP_KEY_SEPARATOR = "::"
+#: Split-group unit -> the group key of a recording's windows.
+GROUP_UNITS = {
+    "subject": lambda rec: rec.subject_id,
+    "subject_session": lambda rec: f"{rec.subject_id}::{rec.session_id}",
+}
 WINDOW_HEADER = (
     "window_id", "start_sample", "end_sample", "label",
     "group_key", "recording_index", "transition",
@@ -137,14 +140,6 @@ def _window_labels(labels: np.ndarray, starts: np.ndarray, config: WindowConfig)
     return classes[counts.argmax(axis=1)], transition
 
 
-def _group_key(rec: SensorRecording, group_by: str) -> str:
-    if group_by == "subject":
-        return rec.subject_id
-    if group_by == "subject_session":
-        return rec.subject_id + GROUP_KEY_SEPARATOR + rec.session_id
-    raise ValueError(f"unknown group unit {group_by!r}")
-
-
 def slice_corpus(
     recordings: Sequence[SensorRecording],
     config: WindowConfig,
@@ -154,6 +149,8 @@ def slice_corpus(
     """Slice every recording into windows with dense ids in recording order."""
     if not recordings:
         raise ValueError("empty corpus")
+    if group_by not in GROUP_UNITS:
+        raise ValueError(f"unknown group unit {group_by!r}")
     if num_classes is None:
         num_classes = corpus_num_classes(list(recordings))
     for rec_index, rec in enumerate(recordings):
@@ -187,9 +184,8 @@ def slice_corpus(
         blocks[first:first + n_windows] = view.transpose(0, 2, 1)
         starts = np.arange(n_windows) * config.stride
         label, transition = _window_labels(rec.labels, starts, config)
-        key = _group_key(rec, group_by)
         columns.append((offset + starts, label, transition, np.full(n_windows, rec_index),
-                        np.full(n_windows, key)))
+                        np.full(n_windows, GROUP_UNITS[group_by](rec))))
         offset += n
         first += n_windows
     if not columns:  # every recording is shorter than one window

@@ -13,6 +13,7 @@ import pytest
 from haraudit import cli, pipeline
 from haraudit.cli import COMMANDS, main
 from haraudit.predictions import write_records
+from haraudit.synth import ScenarioSpec, default_scenario, save_scenario
 from prediction_rows import table_of
 
 PIPELINE = [
@@ -31,6 +32,15 @@ PIPELINE = [
 
 def run(out, argv):
     return main(argv + ["--out", str(out)])
+
+
+def record_edit(out, name):
+    """Write a hand-edited artifact's hash into manifest.json, so that the
+    commands reading it get past the hash check to the checks after it."""
+    path = out / "manifest.json"
+    manifest = json.loads(path.read_text())
+    manifest["artifacts"][name] = hashlib.sha256((out / name).read_bytes()).hexdigest()
+    path.write_text(json.dumps(manifest))
 
 
 @pytest.fixture(scope="module")
@@ -105,6 +115,33 @@ class TestReruns:
 
 
 class TestErrors:
+    @pytest.mark.parametrize("flag, value", [("--label-policy", "mode"), ("--group-by", "session")])
+    def test_windows_flags_take_only_the_library_vocabularies(self, tmp_path, flag, value):
+        out = tmp_path / "run"
+        assert run(out, ["synth", "--subjects", "2"]) == 0
+        before = snapshot(out)
+        with pytest.raises(SystemExit) as exc:
+            run(out, ["windows", flag, value])
+        assert exc.value.code == 2
+        assert snapshot(out) == before
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("group_by", "session", "unknown group unit 'session'"),
+        ("label_policy", "mode", "unknown label policy 'mode'"),
+    ])
+    def test_config_file_values_are_checked_by_the_library(
+        self, tmp_path, capsys, key, value, message
+    ):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({key: value}))
+        out = tmp_path / "run"
+        assert run(out, ["synth", "--subjects", "2"]) == 0
+        before = snapshot(out)
+        capsys.readouterr()
+        assert run(out, ["windows", "--config", str(config)]) == 1
+        assert message in capsys.readouterr().err
+        assert snapshot(out) == before
+
     def test_ifc_without_predictions_names_the_missing_file(self, tmp_path, capsys):
         out = tmp_path / "empty"
         out.mkdir()
@@ -260,6 +297,25 @@ def import_one_hot_log(tmp_path, out, covered, models=("m1",), misses=((),)):
     assert run(out, ["import-logs", "--logs", str(logs)]) == 0
 
 
+def test_a_two_class_audit_flags_only_major_windows(tmp_path):
+    """With two classes the gap rule has one gap, so every flagged window is major."""
+    scenario = tmp_path / "two_classes.json"
+    save_scenario(
+        ScenarioSpec(num_classes=2, num_segments=6, injections=default_scenario().injections),
+        scenario,
+    )
+    out = tmp_path / "run"
+    for argv in (["synth", "--scenario", str(scenario), "--subjects", "3"], ["windows"],
+                 ["split"], ["train-baseline", "--runs", "2"], ["ifc"], ["mask"], ["report"]):
+        assert run(out, argv) == 0, argv
+    report = json.loads((out / "report.json").read_text())
+    assert report["num_classes"] == 2
+    assert report["two_class_major_only"] is True
+    assert report["overlap"]["ifc"] > 0
+    assert report["mask"]["minor_pct"] == 0.0
+    assert report["mask"]["major_pct"] == report["overlap"]["ifc"]
+
+
 class TestImportedLogs:
     def test_report_on_all_correct_logs(self, tmp_path, capsys):
         out = tmp_path / "run"
@@ -396,6 +452,7 @@ class TestOneAuditCore:
         flags = out / "ifc_windows.csv"
         rows = flags.read_text().splitlines(keepends=True)
         flags.write_text("".join(rows[: 1 + total // 2]))
+        record_edit(out, "ifc_windows.csv")
         capsys.readouterr()
         for command, artifact in (("histogram", "ifc_histogram.csv"), ("plot", "condensed.csv")):
             assert run(out, [command]) == 1
@@ -501,6 +558,7 @@ class TestAuditRunsOnceAtIfc:
         path = out / name
         lines = path.read_text().splitlines(keepends=True)
         path.write_text("window,flag\n" + "".join(lines[1:]))
+        record_edit(out, name)
         before = snapshot(out)
         capsys.readouterr()
         assert run(out, [command]) == 1
@@ -522,6 +580,22 @@ class TestAuditRunsOnceAtIfc:
 
 def records_in(out):
     return json.loads((out / "manifest.json").read_text())["lineage"]
+
+
+def swap_first_fold_ids(text):
+    """splits.json with the ids of its first two folds swapped."""
+    plan = json.loads(text)
+    plan["folds"][0]["fold_id"], plan["folds"][1]["fold_id"] = 1, 0
+    return json.dumps(plan)
+
+
+def relabel_first_window(text):
+    """windows.csv with the first window moved to the next of three classes."""
+    rows = text.splitlines(keepends=True)
+    cells = rows[1].split(",")
+    cells[3] = str((int(cells[3]) + 1) % 3)
+    rows[1] = ",".join(cells)
+    return "".join(rows)
 
 
 class TestLineage:
@@ -573,14 +647,41 @@ class TestLineage:
             "recordings.csv", "scenario.json", "injections.json", "manifest.json"
         }
 
+    @pytest.mark.parametrize("name, edit, command, producer", [
+        ("splits.json", swap_first_fold_ids, "train-baseline", "split"),
+        ("windows.csv", relabel_first_window, "split", "windows"),
+    ])
+    def test_an_input_edited_since_its_command_wrote_it_is_refused(
+        self, tmp_path, full_run, capsys, name, edit, command, producer
+    ):
+        out = tmp_path / "run"
+        shutil.copytree(full_run, out)
+        (out / name).write_text(edit((out / name).read_text()))
+        before = snapshot(out)
+        capsys.readouterr()
+        assert run(out, [command]) == 1
+        assert (f"{name} differs from the file {producer} wrote; rerun {producer}"
+                in capsys.readouterr().err)
+        assert snapshot(out) == before
+
+    def test_a_plan_that_would_test_a_fold_on_its_training_windows_is_refused(
+        self, tmp_path, full_run, capsys
+    ):
+        out = tmp_path / "run"
+        shutil.copytree(full_run, out)
+        (out / "splits.json").write_text(swap_first_fold_ids((out / "splits.json").read_text()))
+        record_edit(out, "splits.json")
+        before = snapshot(out)
+        capsys.readouterr()
+        assert run(out, ["train-baseline"]) == 1
+        assert "splits.json lists fold_id 1 at position 0" in capsys.readouterr().err
+        assert snapshot(out) == before
+
     def test_hand_edited_windows_table_is_refused(self, tmp_path, full_run, capsys):
         out = tmp_path / "run"
         shutil.copytree(full_run, out)
-        rows = (out / "windows.csv").read_text().splitlines(keepends=True)
-        cells = rows[1].split(",")
-        cells[3] = str((int(cells[3]) + 1) % 3)
-        rows[1] = ",".join(cells)
-        (out / "windows.csv").write_text("".join(rows))
+        (out / "windows.csv").write_text(relabel_first_window((out / "windows.csv").read_text()))
+        record_edit(out, "windows.csv")
         before = snapshot(out)
         assert run(out, ["confusion"]) == 1
         err = capsys.readouterr().err

@@ -1,4 +1,4 @@
-"""Smoke test: every demo script runs to completion."""
+"""Smoke test: every demo script, and README's library example, runs to completion."""
 
 import os
 import subprocess
@@ -15,19 +15,33 @@ def test_all_demos_found():
     assert len(DEMOS) == 4
 
 
-@pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
-def test_demo_exits_zero(demo, tmp_path):
+def run_python(argv, cwd):
+    """Run Python with argv under src/; the finished process."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
     )
-    proc = subprocess.run(
-        [sys.executable, str(demo)],
-        cwd=tmp_path,
+    return subprocess.run(
+        [sys.executable, *argv],
+        cwd=cwd,
         env=env,
         capture_output=True,
         text=True,
         timeout=120,
     )
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
+def test_demo_exits_zero(demo, tmp_path):
+    proc = run_python([str(demo)], tmp_path)
     assert proc.returncode == 0, proc.stderr
     assert not any(tmp_path.iterdir()), "demos write no files"
+
+
+def test_readme_library_example_runs(tmp_path):
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Library use\n")[1]
+    example = section.split("```python\n")[1].split("```")[0]
+    proc = run_python(["-c", example], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert 0 < float(proc.stdout.split()[0]) < 100  # the IFC percentage

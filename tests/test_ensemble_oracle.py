@@ -47,7 +47,8 @@ def run(out, *argv):
 
 
 def library_audit(out, policy):
-    """The audit the way the benchmark's library path calls it."""
+    """The audit the way the benchmark's library path calls it, and the metrics
+    the benchmark computes from it."""
     meta = json.loads((out / "windows_meta.json").read_text(encoding="utf-8"))
     with open(out / "windows.csv", encoding="utf-8", newline="") as fh:
         rows = list(csv.DictReader(fh))
@@ -57,8 +58,7 @@ def library_audit(out, policy):
                            num_classes=meta["num_classes"])
     result = audit_records(records, bounds, labels, meta["total_samples"],
                            num_classes=meta["num_classes"], merge_policy=policy)
-    model_metrics(filter_to_configs(records, result.chosen_configs))
-    return result
+    return result, model_metrics(filter_to_configs(records, result.chosen_configs))
 
 
 @pytest.fixture(scope="module")
@@ -94,7 +94,9 @@ def test_run_directory_agrees_with_the_oracle(audits, policy):
 @pytest.mark.parametrize("policy", MERGE_POLICIES)
 def test_library_audit_agrees_with_the_oracle(audits, policy):
     run_dir, want = audits[policy]
-    assert oracle.check_library(library_audit(run_dir, policy), want) == []
+    result, metrics = library_audit(run_dir, policy)
+    assert oracle.check_library(result, want) == []
+    assert result.metrics == metrics
 
 
 def test_stricter_merge_policies_flag_more_windows(audits):

@@ -38,7 +38,7 @@ def test_predictions_come_from_the_held_out_fold(small_audit):
     ds, plan = small_audit
     records = baseline_prediction_records(ds, plan, runs=1)
     test_fold = {
-        w: f.fold_id for f in plan.folds for w in f.test_window_ids
+        w: i for i, f in enumerate(plan.folds) for w in f.test_window_ids
     }
     assert records.fold.tolist() == [test_fold[w] for w in records.window.tolist()]
 

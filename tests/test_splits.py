@@ -77,20 +77,36 @@ def test_plan_round_trips_through_json():
     ]
 
 
-def test_a_plan_whose_k_differs_from_its_fold_count_is_refused():
-    plan = group_k_fold(equal_groups(3, 2), max_k=5)
+def written_plan(n_groups):
+    """The splits.json payload of a plan with one fold per group."""
     buf = io.StringIO()
-    write_plan(plan, buf)
-    payload = json.loads(buf.getvalue())
+    write_plan(group_k_fold(equal_groups(n_groups, 2), max_k=5), buf)
+    return json.loads(buf.getvalue())
+
+
+def test_a_plan_whose_k_differs_from_its_fold_count_is_refused():
+    payload = written_plan(3)
     payload["k"] = 4
     with pytest.raises(ValueError, match="splits.json gives k=4 but lists 3 folds"):
         read_plan(io.StringIO(json.dumps(payload)))
 
 
+@pytest.mark.parametrize("fold_ids, message", [
+    ([1, 0], "splits.json lists fold_id 1 at position 0"),  # swapped
+    ([0, 0], "splits.json lists fold_id 0 at position 1"),  # duplicate
+])
+def test_a_plan_whose_fold_ids_are_not_their_positions_is_refused(fold_ids, message):
+    payload = written_plan(2)
+    for fold, fold_id in zip(payload["folds"], fold_ids):
+        fold["fold_id"] = fold_id
+    with pytest.raises(ValueError, match=message):
+        read_plan(io.StringIO(json.dumps(payload)))
+
+
 @pytest.mark.parametrize("second, message", [
-    (Fold(1, ("g0",), (2,)), "group 'g0' appears in two folds"),
-    (Fold(1, ("g1",), (1,)), "window 1 appears in two test folds"),
+    (Fold(("g0",), (2,)), "group 'g0' appears in two folds"),
+    (Fold(("g1",), (1,)), "window 1 appears in two test folds"),
 ])
 def test_a_plan_with_a_group_or_window_in_two_folds_is_refused(second, message):
     with pytest.raises(ValueError, match=message):
-        FoldPlan([Fold(0, ("g0",), (0, 1)), second])
+        FoldPlan([Fold(("g0",), (0, 1)), second])

@@ -77,6 +77,11 @@ class TestSlicing:
         ds = slice_corpus([rec], WindowConfig(200, 100), group_by="subject_session")
         assert ds.windows.group.tolist() == ["s1::morning"]
 
+    def test_unknown_group_unit_is_refused_before_slicing(self):
+        short = make_recording(50)  # yields no window, so no group key is ever made
+        with pytest.raises(ValueError, match="unknown group unit 'session'"):
+            slice_corpus([short], WindowConfig(200, 100), group_by="session")
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             WindowConfig(size=200, stride=0)
