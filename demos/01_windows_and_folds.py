@@ -41,7 +41,7 @@ for k in range(3):
 # (200-sample windows, stride 100, majority labels).
 config = WindowConfig()
 dataset = slice_corpus(recordings, config)
-print(f"{dataset.num_windows} windows of {config.size} samples "
+print(f"{dataset.num_windows} windows of {config.window_size} samples "
       f"(stride {config.stride}) over {dataset.total_samples} samples")
 
 # The windows are one table of columns; those spanning the label change carry

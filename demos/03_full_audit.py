@@ -38,7 +38,7 @@ print(f"scenario: {spec.num_classes} classes, {spec.num_channels} channels, "
 for span in annotations[0]:
     print(f"  injected {span.kind} at samples [{span.start_sample}, {span.end_sample})")
 
-dataset = slice_corpus(recordings, WindowConfig(size=200, stride=100))
+dataset = slice_corpus(recordings, WindowConfig(window_size=200, stride=100))
 plan = plan_folds(dataset.windows, max_k=10)
 print(f"{dataset.num_windows} windows, {plan.k} leave-subject-out folds")
 
@@ -63,9 +63,9 @@ for model, share in result.ifc.single_contribution.items():
 # distributions; the CLI's ``confusion`` command builds them the same way.
 print("\nconfusion by true class:")
 for row in confusion_table(result.ifc.ifc_flags, dataset.windows.label, dataset.num_classes):
-    rel = "-" if row.relative_pct is None else f"{row.relative_pct:.2f}"
-    absolute = "-" if row.absolute_pct is None else f"{row.absolute_pct:.3f}"
-    print(f"  {row.name}: dist {row.distribution_pct:.2f}%  rel {rel}%  abs {absolute}%")
+    rel = "-" if row.rel_pct is None else f"{row.rel_pct:.2f}"
+    absolute = "-" if row.abs_pct is None else f"{row.abs_pct:.3f}"
+    print(f"  {row.name}: dist {row.dist_pct:.2f}%  rel {rel}%  abs {absolute}%")
 
 print("\nheaviest confusion flows:")
 for true_class, confused_class, weight in chord_edges(result.fused)[:3]:

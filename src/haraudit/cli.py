@@ -21,7 +21,7 @@ import json
 import os
 import shutil
 import sys
-from dataclasses import asdict, replace
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 from . import confusion as conf
@@ -87,18 +87,30 @@ class RunDir:
         return self.hashes[path]
 
     def opt(self, key: str, default):
-        """Command line beats config file beats ``default``, whose type the value
-        takes; the value is recorded in the lineage."""
+        """Command line beats config file beats ``default``; the value is recorded
+        in the lineage. A config value is parsed as if typed after its flag."""
         value = getattr(self.args, key, None)
-        if value is None and key in self.cfg:
-            value = self.cfg[key]
+        if value is None and self.cfg.get(key) is not None:
+            flag = "--" + key.replace("_", "-")
+            parse = COMMANDS[self.args.command][2].get(flag, {}).get("type", str)
+            try:
+                value = parse(str(self.cfg[key]))
+            except ValueError:
+                raise CommandError(
+                    f"config file value {json.dumps(self.cfg[key])} for {flag} is not "
+                    f"a valid {parse.__name__}"
+                ) from None
         if value is None:
             value = default
         else:
             self.explicit.add(key)
-            value = value if default is None else type(default)(value)
         self.params[key] = value
         return value
+
+    def recipe(self, kind):
+        """A recipe dataclass built from its fields' options, each defaulting to
+        the field's default."""
+        return kind(**{f.name: self.opt(f.name, f.default) for f in fields(kind)})
 
     def source(self, key: str) -> Path | None:
         """A file from outside the run directory, recorded by content hash."""
@@ -211,10 +223,8 @@ def _rebuild_dataset(run: RunDir):
     """Re-slice the canonical recordings with the recorded window config."""
     meta = _read_meta(run.need("windows_meta.json"))
     recordings, _ = parse_canonical(run.need("recordings.csv"))
-    config = WindowConfig(meta["window_size"], meta["stride"], meta["label_policy"])
-    return slice_corpus(
-        recordings, config, group_by=meta["group_by"], num_classes=meta["num_classes"]
-    )
+    config = WindowConfig(**{f.name: meta[f.name] for f in fields(WindowConfig)})
+    return slice_corpus(recordings, config, num_classes=meta["num_classes"])
 
 
 def _windows(run: RunDir) -> tuple[WindowTable, dict]:
@@ -279,21 +289,13 @@ def cmd_synth(run: RunDir) -> None:
     spec = load_scenario(scenario_path) if scenario_path else default_scenario()
     seed = run.opt("seed", None)
     if seed is not None:
-        spec = replace(spec, seed=int(seed))
+        spec = replace(spec, seed=seed)
     recordings, annotations = generate_corpus(spec, num_subjects=run.opt("subjects", 4))
     save_scenario(spec, run.file("scenario.json"))
     write_canonical(recordings, run.file("recordings.csv"))
     write_json(
-        [
-            {
-                "subject": rec.subject_id,
-                "kind": span.kind,
-                "start_sample": span.start_sample,
-                "end_sample": span.end_sample,
-            }
-            for rec, spans in zip(recordings, annotations)
-            for span in spans
-        ],
+        [{"subject": rec.subject_id, **asdict(span)}
+         for rec, spans in zip(recordings, annotations) for span in spans],
         run.file("injections.json"),
     )
 
@@ -301,23 +303,15 @@ def cmd_synth(run: RunDir) -> None:
 def cmd_windows(run: RunDir) -> None:
     sample_rate = _sample_rate(run)
     recordings, _ = parse_canonical(run.need("recordings.csv"))
-    config = WindowConfig(
-        size=run.opt("window_size", WindowConfig.size),
-        stride=run.opt("stride", WindowConfig.stride),
-        label_policy=run.opt("label_policy", WindowConfig.label_policy),
-    )
-    group_by = run.opt("group_by", "subject")
-    dataset = slice_corpus(recordings, config, group_by=group_by)
+    config = run.recipe(WindowConfig)
+    dataset = slice_corpus(recordings, config)
     write_windows(dataset.windows, run.file("windows.csv"))
     write_json(
         {
             "num_windows": dataset.num_windows,
             "num_classes": dataset.num_classes,
             "total_samples": dataset.total_samples,
-            "window_size": config.size,
-            "stride": config.stride,
-            "label_policy": config.label_policy,
-            "group_by": group_by,
+            **asdict(config),
             "sample_rate": sample_rate,
             "recording_spans": [list(span) for span in dataset.recording_spans],
         },
@@ -334,16 +328,12 @@ def cmd_split(run: RunDir) -> None:
 def cmd_train_baseline(run: RunDir) -> None:
     dataset = _rebuild_dataset(run)
     plan = read_plan(run.need("splits.json"))
-    config = TrainConfig(
-        step_size=run.opt("step_size", TrainConfig.step_size),
-        epochs=run.opt("epochs", TrainConfig.epochs),
-    )
     records = baseline_prediction_records(
         dataset,
         plan,
         dataset_id=run.opt("dataset_id", "dataset"),
         runs=run.opt("runs", 1),
-        config=config,
+        config=run.recipe(TrainConfig),
     )
     write_records(records, run.file("predictions.jsonl"))
 
@@ -457,16 +447,7 @@ def cmd_report(run: RunDir) -> None:
             key: summary[key] for key in ("single_contributions", "common_ground", "ifc")
         },
         "mask": mask.distribution,
-        "confusion": [
-            {
-                "class_id": row.class_id,
-                "name": row.name,
-                "dist_pct": row.distribution_pct,
-                "rel_pct": row.relative_pct,
-                "abs_pct": row.absolute_pct,
-            }
-            for row in table
-        ],
+        "confusion": [asdict(row) for row in table],
         "model_metrics": models["model_metrics"],
     }
     write_json(payload, run.file("report.json"))

@@ -10,7 +10,7 @@ Class-level rates and chord-diagram edge data are derived from it.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -45,19 +45,20 @@ class FusedTable:
 
 @dataclass(frozen=True)
 class ClassConfusionRow:
-    """Distribution and confusion percentages for one true class.
+    """Distribution and confusion percentages for one true class; the field
+    names are the confusion_table.csv columns and the report.json keys.
 
-    ``relative_pct`` is the share of the class's own windows that are
-    unclassifiable; ``absolute_pct`` is that confusion expressed against the
-    whole dataset and equals distribution * relative / 100 exactly. Classes
-    with no unclassifiable windows report both as None.
+    ``dist_pct`` is the class's share of all windows, ``rel_pct`` the share of
+    the class's own windows that are unclassifiable, and ``abs_pct`` that
+    confusion expressed against the whole dataset, equal to dist * rel / 100
+    exactly. Classes with no unclassifiable windows report both as None.
     """
 
     class_id: int
     name: str
-    distribution_pct: float
-    relative_pct: float | None
-    absolute_pct: float | None
+    dist_pct: float
+    rel_pct: float | None
+    abs_pct: float | None
 
 
 def fuse_probabilities(
@@ -129,12 +130,12 @@ def confusion_table(
             ClassConfusionRow(
                 class_id=c,
                 name=f"class_{c}",
-                distribution_pct=dist,
-                relative_pct=rel,
-                absolute_pct=None if rel is None else dist * rel / 100.0,
+                dist_pct=dist,
+                rel_pct=rel,
+                abs_pct=None if rel is None else dist * rel / 100.0,
             )
         )
-    check = sum(r.distribution_pct for r in rows)
+    check = sum(r.dist_pct for r in rows)
     if abs(check - 100.0) > PCT_SUM_TOL:
         raise RuntimeError(f"class distribution sums to {check!r}, not 100")
     return rows
@@ -155,15 +156,10 @@ def chord_edges(fused: FusedTable) -> list[tuple[int, int, int]]:
 
 
 def write_confusion_csv(rows: Sequence[ClassConfusionRow], dest) -> None:
-    """Table export: class_id,name,dist_pct,rel_pct,abs_pct (absent cells empty)."""
+    """Table export: one column per ClassConfusionRow field, absent cells empty."""
     write_csv(
-        ["class_id", "name", "dist_pct", "rel_pct", "abs_pct"],
-        (
-            [row.class_id, row.name, repr(row.distribution_pct),
-             "" if row.relative_pct is None else repr(row.relative_pct),
-             "" if row.absolute_pct is None else repr(row.absolute_pct)]
-            for row in rows
-        ),
+        [f.name for f in fields(ClassConfusionRow)],
+        (["" if cell is None else cell for cell in astuple(row)] for row in rows),
         dest,
     )
 

@@ -16,7 +16,8 @@ failure modes the audit is meant to surface:
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -24,6 +25,8 @@ from ._io import open_text, write_json
 from .recordings import SensorRecording
 
 INJECTION_KINDS = ("composite_overlap", "transient_irregularity", "transition_shift")
+#: How a scenario file's type errors name the JSON type a field needs.
+JSON_TYPES = {int: "an integer", float: "a number", str: "a string", list: "an array"}
 
 #: Burst shape for transient_irregularity spans (amplitude in raw signal
 #: units, period in samples, per-channel phase step in radians).
@@ -78,6 +81,7 @@ class ScenarioSpec:
                 f"class_signatures must be [{self.num_classes} x "
                 f"{self.num_channels}], got {sig.shape}"
             )
+        self.class_signatures = sig.tolist()  # floats, as scenario.json stores them
         total = self.samples_per_segment * self.num_segments
         for inj in self.injections:
             if inj.location + inj.extent > total:
@@ -191,37 +195,32 @@ def generate_corpus(
 
 
 def save_scenario(spec: ScenarioSpec, dest) -> None:
-    payload = {
-        "num_classes": spec.num_classes,
-        "num_channels": spec.num_channels,
-        "samples_per_segment": spec.samples_per_segment,
-        "num_segments": spec.num_segments,
-        "class_signatures": [[float(v) for v in row] for row in spec.class_signatures],
-        "noise_std": spec.noise_std,
-        "injections": [
-            {"kind": i.kind, "location": i.location, "extent": i.extent}
-            for i in spec.injections
-        ],
-        "seed": spec.seed,
-    }
-    write_json(payload, dest)
+    write_json(asdict(spec), dest)
 
 
 def load_scenario(src) -> ScenarioSpec:
+    """A scenario file, which must hold every ScenarioSpec field and no other key,
+    each value of the field's declared type (an int passes as a float)."""
     with open_text(src) as fh:
-        payload = json.load(fh)
-    return ScenarioSpec(
-        num_classes=int(payload["num_classes"]),
-        num_channels=int(payload["num_channels"]),
-        samples_per_segment=int(payload["samples_per_segment"]),
-        num_segments=int(payload["num_segments"]),
-        class_signatures=payload["class_signatures"],
-        noise_std=float(payload["noise_std"]),
-        injections=[
-            Injection(
-                kind=i["kind"], location=int(i["location"]), extent=int(i["extent"])
-            )
-            for i in payload["injections"]
-        ],
-        seed=int(payload["seed"]),
-    )
+        return _typed(json.load(fh), ScenarioSpec, "scenario")
+
+
+def _typed(value, kind, where: str):
+    """``value`` as ``kind``: a list type item by item, a dataclass field by field
+    from a JSON object, a float from an int; any other mismatch is refused."""
+    if get_origin(kind) is list and isinstance(value, list):
+        return [_typed(item, get_args(kind)[0], f"{where}[{i}]") for i, item in enumerate(value)]
+    if is_dataclass(kind) and isinstance(value, dict):
+        names = [f.name for f in fields(kind)]
+        for problem, keys in (("lacks", set(names) - value.keys()),
+                              ("has unknown", value.keys() - set(names))):
+            if keys:
+                raise ValueError(f"{where} {problem} keys {sorted(keys)}")
+        hints = get_type_hints(kind)
+        return kind(**{n: _typed(value[n], hints[n], f"{where}.{n}") for n in names})
+    if kind is float and type(value) is int:
+        return float(value)
+    if type(value) is not kind:
+        expected = "an object" if is_dataclass(kind) else JSON_TYPES[get_origin(kind) or kind]
+        raise ValueError(f"{where} must be {expected}, got {json.dumps(value)}")
+    return value

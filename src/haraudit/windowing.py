@@ -28,17 +28,24 @@ DEGENERATE_STD = 1e-9
 
 @dataclass(frozen=True)
 class WindowConfig:
-    """Window length and stride in samples plus the window-label policy."""
+    """The slicing recipe: window length and stride in samples, the window-label
+    policy and the split-group unit. The field names are the ``windows`` flags
+    and the windows_meta.json keys."""
 
-    size: int = 200
+    window_size: int = 200
     stride: int = 100
     label_policy: str = "majority"
+    group_by: str = "subject"
 
     def __post_init__(self):
-        if not 1 <= self.stride <= self.size:
-            raise ValueError(f"need 1 <= stride <= size, got {self.stride}/{self.size}")
+        if not 1 <= self.stride <= self.window_size:
+            raise ValueError(
+                f"need 1 <= stride <= window_size, got {self.stride}/{self.window_size}"
+            )
         if self.label_policy not in LABEL_POLICIES:
             raise ValueError(f"unknown label policy {self.label_policy!r}")
+        if self.group_by not in GROUP_UNITS:
+            raise ValueError(f"unknown group unit {self.group_by!r}")
 
 
 @dataclass(eq=False)  # arrays have no single truth value; tables compare by identity
@@ -127,14 +134,14 @@ def _window_labels(labels: np.ndarray, starts: np.ndarray, config: WindowConfig)
     ``last_sample`` the final sample. A window is a transition when no one
     class fills it, whatever the policy.
     """
-    ends = starts + config.size
+    ends = starts + config.window_size
     classes = np.flatnonzero(np.bincount(labels))  # ascending: ties go to the lowest id
     counts = np.empty((starts.size, classes.size), dtype=np.int64)
     cumulative = np.zeros(labels.size + 1, dtype=np.int64)
     for i, c in enumerate(classes):
         np.cumsum(labels == c, out=cumulative[1:])
         counts[:, i] = cumulative[ends] - cumulative[starts]
-    transition = counts.max(axis=1) < config.size
+    transition = counts.max(axis=1) < config.window_size
     if config.label_policy == "last_sample":
         return labels[ends - 1], transition
     return classes[counts.argmax(axis=1)], transition
@@ -143,14 +150,11 @@ def _window_labels(labels: np.ndarray, starts: np.ndarray, config: WindowConfig)
 def slice_corpus(
     recordings: Sequence[SensorRecording],
     config: WindowConfig,
-    group_by: str = "subject",
     num_classes: int | None = None,
 ) -> WindowedDataset:
     """Slice every recording into windows with dense ids in recording order."""
     if not recordings:
         raise ValueError("empty corpus")
-    if group_by not in GROUP_UNITS:
-        raise ValueError(f"unknown group unit {group_by!r}")
     if num_classes is None:
         num_classes = corpus_num_classes(list(recordings))
     for rec_index, rec in enumerate(recordings):
@@ -159,10 +163,10 @@ def slice_corpus(
                 f"recording {rec_index} has {rec.num_channels} channels, "
                 f"recording 0 has {recordings[0].num_channels}"
             )
-    counts = [(rec.num_samples - config.size) // config.stride + 1
-              if rec.num_samples >= config.size else 0 for rec in recordings]
+    counts = [(rec.num_samples - config.window_size) // config.stride + 1
+              if rec.num_samples >= config.window_size else 0 for rec in recordings]
     # Each window is copied once, straight into its rows of ``blocks``.
-    blocks = np.empty((sum(counts), config.size, recordings[0].num_channels))
+    blocks = np.empty((sum(counts), config.window_size, recordings[0].num_channels))
     columns = []  # per recording: starts, labels, transitions, recording, group
     spans: list[tuple[int, int]] = []
     offset = first = 0
@@ -172,20 +176,20 @@ def slice_corpus(
         if not n_windows:
             warnings.warn(
                 f"recording {rec_index} has {n} samples, shorter than one "
-                f"window of {config.size}; no windows emitted",
+                f"window of {config.window_size}; no windows emitted",
                 stacklevel=2,
             )
             offset += n
             continue
         # [n_windows, channels, size] view of every stride-th window.
         view = np.lib.stride_tricks.sliding_window_view(
-            rec.channels, config.size, axis=0
+            rec.channels, config.window_size, axis=0
         )[::config.stride]
         blocks[first:first + n_windows] = view.transpose(0, 2, 1)
         starts = np.arange(n_windows) * config.stride
         label, transition = _window_labels(rec.labels, starts, config)
         columns.append((offset + starts, label, transition, np.full(n_windows, rec_index),
-                        np.full(n_windows, GROUP_UNITS[group_by](rec))))
+                        np.full(n_windows, GROUP_UNITS[config.group_by](rec))))
         offset += n
         first += n_windows
     if not columns:  # every recording is shorter than one window
@@ -196,7 +200,7 @@ def slice_corpus(
             f"window label {label[label >= num_classes][0]} outside 0..{num_classes - 1}"
         )
     windows = WindowTable(
-        bounds=np.stack([start, start + config.size], axis=1),
+        bounds=np.stack([start, start + config.window_size], axis=1),
         label=label,
         group=group.astype(str),
         recording=recording,

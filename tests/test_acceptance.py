@@ -152,9 +152,9 @@ def test_c06_confusion_self_consistency():
     flags = rng.random(5000) < 0.1
     rows = confusion_table(flags, labels, num_classes=6)
     for row in rows:
-        if row.relative_pct is not None:
-            assert row.absolute_pct == row.distribution_pct * row.relative_pct / 100.0
-    total_abs = sum(r.absolute_pct or 0.0 for r in rows)
+        if row.rel_pct is not None:
+            assert row.abs_pct == row.dist_pct * row.rel_pct / 100.0
+    total_abs = sum(r.abs_pct or 0.0 for r in rows)
     assert abs(total_abs - 100.0 * flags.mean()) <= 1e-9
     # published MotionSense "Upstairs" row: dist 10.77, rel 2.109, abs 0.229;
     # the product reproduces the printed absolute value within its rounding

@@ -229,6 +229,130 @@ class TestSampleRate:
         assert snapshot(out) == before
 
 
+@pytest.fixture(scope="module")
+def windowed_run(tmp_path_factory):
+    """A run directory after ``synth --subjects 2`` and ``windows``."""
+    out = tmp_path_factory.mktemp("windowed")
+    for argv in (["synth", "--subjects", "2"], ["windows"]):
+        assert run(out, argv) == 0, argv
+    return out
+
+
+CANONICAL_HEADER = "subject_id,session_id,label,ax\n"
+ONE_CLASS_RECORD = ('{"dataset":"d","model":"m","config":"c","run":0,"fold":0,'
+                    '"window":0,"label":0,"probs":[1.0]}\n')
+# id: (argv, files written beside the run directory, message); "{d}" is their directory.
+REFUSALS = {
+    "windows-config-bool": (["windows", "--config", "{d}/c.json"], {"c.json": '{"stride": true}'},
+                            "config file value true for --stride is not a valid int"),
+    "split-config-float": (["split", "--config", "{d}/c.json"], {"c.json": '{"max_k": 3.9}'},
+                           "config file value 3.9 for --max-k is not a valid int"),
+    "synth-config-float": (["synth", "--config", "{d}/c.json"], {"c.json": '{"seed": 4.5}'},
+                           "config file value 4.5 for --seed is not a valid int"),
+    "config-missing": (["windows", "--config", "{d}/c.json"], {},
+                       "config file {d}/c.json does not exist"),
+    "config-not-json": (["windows", "--config", "{d}/c.json"], {"c.json": "{"},
+                        "config file {d}/c.json is not valid JSON"),
+    "config-not-object": (["windows", "--config", "{d}/c.json"], {"c.json": "[1]"},
+                          "config file {d}/c.json must hold a JSON object"),
+    "recordings-missing": (["ingest", "--recordings", "{d}/r.csv"], {},
+                           "recordings file {d}/r.csv does not exist"),
+    "logs-missing": (["import-logs", "--logs", "{d}/l.jsonl"], {},
+                     "logs file {d}/l.jsonl does not exist"),
+    "scenario-missing": (["synth", "--scenario", "{d}/s.json"], {},
+                         "scenario file {d}/s.json does not exist"),
+    "ingest-without-recordings": (["ingest"], {}, "ingest needs --recordings <csv>"),
+    "import-logs-without-logs": (["import-logs"], {}, "import-logs needs --logs <jsonl>"),
+    "recordings-cell-count": (["ingest", "--recordings", "{d}/r.csv"],
+                              {"r.csv": CANONICAL_HEADER + "s1,r1,0,1.0,2.0\n"},
+                              "line 2: expected 4 cells, found 5"),
+    "recordings-negative-label": (["ingest", "--recordings", "{d}/r.csv"],
+                                  {"r.csv": CANONICAL_HEADER + "s1,r1,-1,1.0\n"},
+                                  "line 2: label -1 is negative"),
+    "recordings-header-only": (["ingest", "--recordings", "{d}/r.csv"], {"r.csv": CANONICAL_HEADER},
+                               "file contains a header but no samples"),
+    "logs-one-class": (["import-logs", "--logs", "{d}/l.jsonl"], {"l.jsonl": ONE_CLASS_RECORD},
+                       "probs must hold at least two classes"),
+    "split-max-k": (["split", "--max-k", "1"], {}, "max_k must be at least 2"),
+}
+
+
+class TestRefusals:
+    """Each refused input exits 1 with its message and leaves the run directory as it was."""
+
+    @pytest.mark.parametrize("argv, files, message", REFUSALS.values(), ids=REFUSALS.keys())
+    def test_a_refused_input_changes_nothing(
+        self, tmp_path, windowed_run, capsys, argv, files, message
+    ):
+        for name, text in files.items():
+            (tmp_path / name).write_text(text)
+        out = tmp_path / "run"
+        shutil.copytree(windowed_run, out)
+        before = snapshot(out)
+        capsys.readouterr()
+        assert run(out, [arg.replace("{d}", str(tmp_path)) for arg in argv]) == 1
+        assert message.replace("{d}", str(tmp_path)) in capsys.readouterr().err
+        assert snapshot(out) == before
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda s: s.update(num_classes=3.9), "scenario.num_classes must be an integer, got 3.9"),
+        (lambda s: s.update(seed=True), "scenario.seed must be an integer, got true"),
+        (lambda s: s["injections"][0].update(location=3000.7),
+         "scenario.injections[0].location must be an integer, got 3000.7"),
+        (lambda s: s.pop("seed"), "scenario lacks keys ['seed']"),
+        (lambda s: s.update(noise=0.5), "scenario has unknown keys ['noise']"),
+        (lambda s: s["injections"][0].update(location=-5),
+         "injection needs location >= 0 and extent > 0"),
+    ], ids=["float-int", "bool-int", "float-location", "missing", "unknown", "negative-location"])
+    def test_a_scenario_file_must_match_the_scenario_fields(
+        self, tmp_path, windowed_run, capsys, edit, message
+    ):
+        payload = default_scenario_payload(tmp_path)
+        edit(payload)
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps(payload))
+        out = tmp_path / "run"
+        shutil.copytree(windowed_run, out)
+        before = snapshot(out)
+        capsys.readouterr()
+        assert run(out, ["synth", "--scenario", str(scenario)]) == 1
+        assert message in capsys.readouterr().err
+        assert snapshot(out) == before
+
+
+def default_scenario_payload(tmp_path):
+    path = tmp_path / "default_scenario.json"
+    save_scenario(default_scenario(), path)
+    return json.loads(path.read_text())
+
+
+class TestScenarioFiles:
+    def test_int_signatures_are_written_as_floats(self, tmp_path):
+        payload = default_scenario_payload(tmp_path)
+        payload["class_signatures"], payload["noise_std"] = [[0, 0], [2, -2], [-2, 2]], 1
+        scenario = tmp_path / "ints.json"
+        scenario.write_text(json.dumps(payload))
+        out = tmp_path / "run"
+        assert run(out, ["synth", "--scenario", str(scenario), "--subjects", "2"]) == 0
+        payload["class_signatures"] = [[0.0, 0.0], [2.0, -2.0], [-2.0, 2.0]]
+        payload["noise_std"] = 1.0
+        assert (out / "scenario.json").read_text() == json.dumps(payload, indent=2) + "\n"
+
+    def test_seed_flag_replaces_the_scenario_seed(self, tmp_path):
+        out = tmp_path / "flag"
+        assert run(out, ["synth", "--subjects", "2", "--seed", "7"]) == 0
+        assert json.loads((out / "scenario.json").read_text())["seed"] == 7
+        assert records_in(out)["scenario.json"]["params"]["seed"] == 7
+        payload = default_scenario_payload(tmp_path)
+        payload["seed"] = 7
+        scenario = tmp_path / "seed7.json"
+        scenario.write_text(json.dumps(payload))
+        other = tmp_path / "file"
+        assert run(other, ["synth", "--subjects", "2", "--scenario", str(scenario)]) == 0
+        for name in ("scenario.json", "recordings.csv", "injections.json"):
+            assert (out / name).read_bytes() == (other / name).read_bytes(), name
+
+
 CLI_CODE = "import sys; from haraudit.cli import main; assert main(sys.argv[1:]) == 0"
 
 

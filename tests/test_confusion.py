@@ -188,38 +188,38 @@ class TestConfusionTable:
         labels = np.array([0, 0, 0, 0, 1, 1, 1, 2, 2, 2])
         flags = np.array([1, 0, 0, 0, 0, 0, 0, 0, 0, 0], dtype=bool)
         rows = confusion_table(flags, labels, num_classes=3)
-        assert rows[0].distribution_pct == 40.0
-        assert rows[0].relative_pct == 25.0
-        assert rows[0].absolute_pct == 10.0
+        assert rows[0].dist_pct == 40.0
+        assert rows[0].rel_pct == 25.0
+        assert rows[0].abs_pct == 10.0
 
     def test_zero_flagged_class_reports_absent(self):
         labels = np.array([0, 0, 1, 1])
         flags = np.array([1, 0, 0, 0], dtype=bool)
         rows = confusion_table(flags, labels, num_classes=2)
-        assert rows[1].relative_pct is None
-        assert rows[1].absolute_pct is None
+        assert rows[1].rel_pct is None
+        assert rows[1].abs_pct is None
 
     def test_consistency_relation_is_exact(self):
         rng = np.random.default_rng(10)
         labels = rng.integers(0, 5, size=400)
         flags = rng.random(400) < 0.2
         for row in confusion_table(flags, labels, num_classes=5):
-            if row.relative_pct is not None:
-                assert row.absolute_pct == row.distribution_pct * row.relative_pct / 100.0
+            if row.rel_pct is not None:
+                assert row.abs_pct == row.dist_pct * row.rel_pct / 100.0
 
     def test_distribution_sums_to_100(self):
         rng = np.random.default_rng(20)
         labels = rng.integers(0, 7, size=333)
         flags = rng.random(333) < 0.3
         rows = confusion_table(flags, labels, num_classes=8)
-        assert abs(sum(r.distribution_pct for r in rows) - 100.0) <= 1e-9
+        assert abs(sum(r.dist_pct for r in rows) - 100.0) <= 1e-9
 
     def test_absolute_sums_to_flag_share(self):
         rng = np.random.default_rng(30)
         labels = rng.integers(0, 4, size=500)
         flags = rng.random(500) < 0.25
         rows = confusion_table(flags, labels, num_classes=4)
-        total_abs = sum(r.absolute_pct or 0.0 for r in rows)
+        total_abs = sum(r.abs_pct or 0.0 for r in rows)
         assert abs(total_abs - 100.0 * flags.mean()) <= 1e-9
 
 

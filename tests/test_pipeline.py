@@ -157,7 +157,7 @@ def test_clean_pct_complements_ifc(small_audit):
     )
     assert abs(result.mask.distribution["clean_pct"] - (100.0 - result.ifc.ifc)) <= 1e-9
     table = confusion_table(result.ifc.ifc_flags, ds.windows.label, ds.num_classes)
-    total_abs = sum(r.absolute_pct or 0.0 for r in table)
+    total_abs = sum(r.abs_pct or 0.0 for r in table)
     assert abs(total_abs - result.ifc.ifc) <= 1e-9
     edges = chord_edges(result.fused)
     assert sum(weight for _, _, weight in edges) == int(result.ifc.ifc_flags.sum())

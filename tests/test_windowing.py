@@ -69,24 +69,28 @@ class TestSlicing:
         for start, end in bounds:
             covered[start:end] = True
         assert covered.all()
-        assert (bounds[:-1, 1] - bounds[1:, 0] == cfg.size - cfg.stride).all()
+        assert (bounds[:-1, 1] - bounds[1:, 0] == cfg.window_size - cfg.stride).all()
 
     def test_group_key_units(self):
         rec = make_recording(200, subject="s1", session="morning")
         assert slice_corpus([rec], WindowConfig(200, 100)).windows.group.tolist() == ["s1"]
-        ds = slice_corpus([rec], WindowConfig(200, 100), group_by="subject_session")
+        ds = slice_corpus([rec], WindowConfig(200, 100, group_by="subject_session"))
         assert ds.windows.group.tolist() == ["s1::morning"]
 
     def test_unknown_group_unit_is_refused_before_slicing(self):
         short = make_recording(50)  # yields no window, so no group key is ever made
         with pytest.raises(ValueError, match="unknown group unit 'session'"):
-            slice_corpus([short], WindowConfig(200, 100), group_by="session")
+            slice_corpus([short], WindowConfig(200, 100, group_by="session"))
+
+    def test_the_config_refuses_an_unknown_group_unit(self):
+        with pytest.raises(ValueError, match="unknown group unit 'session'"):
+            WindowConfig(group_by="session")
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
-            WindowConfig(size=200, stride=0)
+            WindowConfig(window_size=200, stride=0)
         with pytest.raises(ValueError):
-            WindowConfig(size=200, stride=201)
+            WindowConfig(window_size=200, stride=201)
         with pytest.raises(ValueError):
             WindowConfig(label_policy="mode")
 
@@ -178,7 +182,7 @@ class TestWindowLabels:
 
     def test_empty_slice_rejected(self):
         with pytest.raises(ValueError):
-            WindowConfig(size=0, stride=1)
+            WindowConfig(window_size=0, stride=1)
 
     @pytest.mark.parametrize("policy", ["majority", "last_sample"])
     @pytest.mark.parametrize("num_classes", [2, 3, 6])
