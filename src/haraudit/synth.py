@@ -71,6 +71,10 @@ class ScenarioSpec:
     seed: int = 42
 
     def __post_init__(self):
+        for name, low in (("num_classes", 2), ("num_channels", 1), ("samples_per_segment", 1),
+                          ("num_segments", 1), ("noise_std", 0)):
+            if not getattr(self, name) >= low:
+                raise ValueError(f"{name} must be at least {low}, got {getattr(self, name)}")
         if not self.class_signatures:
             self.class_signatures = default_signatures(
                 self.num_classes, self.num_channels

@@ -271,6 +271,9 @@ REFUSALS = {
                                   "line 2: label -1 is negative"),
     "recordings-header-only": (["ingest", "--recordings", "{d}/r.csv"], {"r.csv": CANONICAL_HEADER},
                                "file contains a header but no samples"),
+    "recordings-one-class": (["ingest", "--recordings", "{d}/r.csv"],
+                             {"r.csv": CANONICAL_HEADER + "s1,r1,0,1.0\ns2,r1,0,2.0\n"},
+                             "corpus holds one class; an audit needs at least two"),
     "logs-one-class": (["import-logs", "--logs", "{d}/l.jsonl"], {"l.jsonl": ONE_CLASS_RECORD},
                        "probs must hold at least two classes"),
     "split-max-k": (["split", "--max-k", "1"], {}, "max_k must be at least 2"),
@@ -303,7 +306,15 @@ class TestRefusals:
         (lambda s: s.update(noise=0.5), "scenario has unknown keys ['noise']"),
         (lambda s: s["injections"][0].update(location=-5),
          "injection needs location >= 0 and extent > 0"),
-    ], ids=["float-int", "bool-int", "float-location", "missing", "unknown", "negative-location"])
+        (lambda s: s.update(num_classes=1, class_signatures=[[0.0, 0.0]]),
+         "num_classes must be at least 2, got 1"),
+        (lambda s: s.update(num_classes=0), "num_classes must be at least 2, got 0"),
+        (lambda s: s.update(num_channels=0), "num_channels must be at least 1, got 0"),
+        (lambda s: s.update(samples_per_segment=0), "samples_per_segment must be at least 1, got 0"),
+        (lambda s: s.update(num_segments=0), "num_segments must be at least 1, got 0"),
+        (lambda s: s.update(noise_std=-1.0), "noise_std must be at least 0, got -1.0"),
+    ], ids=["float-int", "bool-int", "float-location", "missing", "unknown", "negative-location",
+            "one-class", "no-class", "no-channel", "empty-segment", "no-segment", "negative-noise"])
     def test_a_scenario_file_must_match_the_scenario_fields(
         self, tmp_path, windowed_run, capsys, edit, message
     ):

@@ -1,8 +1,12 @@
+import csv
 import io
+import re
+import warnings
 
 import numpy as np
 import pytest
 
+import haraudit.recordings as recordings_module
 from haraudit.recordings import (
     CanonicalFormatError,
     SensorRecording,
@@ -129,6 +133,140 @@ s1,r1,1, 7.0 ,8.0,9.0
     assert recs[1].labels.tolist() == [1, 1]
 
 
+def parse_both(tmp_path, text):
+    """``parse_canonical`` of ``text`` through a file and a stream, which must agree
+    and warn of nothing: the recordings as ``recording`` tuples and the repaired
+    count, or the error message."""
+    path = tmp_path / "r.csv"
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(text)
+    results = []
+    for source in (path, io.StringIO(text, newline="")):
+        with warnings.catch_warnings(record=True) as warned:
+            warnings.simplefilter("always")
+            try:
+                recs, repaired = parse_canonical(source)
+                results.append(([(r.subject_id, r.session_id, r.labels.tolist(), r.channel_names,
+                                  r.channels.shape, r.channels.tobytes()) for r in recs], repaired))
+            except CanonicalFormatError as exc:
+                results.append(str(exc))
+        assert not warned, [str(w.message) for w in warned]
+    assert results[0] == results[1]
+    return results[0]
+
+
+def recording(subject, session, labels, rows, names=("ax", "ay")):
+    rows = np.array(rows, dtype=float)
+    return (subject, session, labels, list(names), rows.shape, rows.tobytes())
+
+
+HEAD = "subject_id,session_id,label,ax,ay\n"
+# Inputs where a bulk float/int parse and Python's float()/int() or csv.reader could
+# part ways; each must read as csv.reader plus float()/int() read it.
+READS = {
+    "quoted-comma": (HEAD + '"s,1",r1,0,1.0,2.0\n', [recording("s,1", "r1", [0], [[1, 2]])], 0),
+    "doubled-quote": (HEAD + '"s""1",r1,0,1.0,2.0\n', [recording('s"1', "r1", [0], [[1, 2]])], 0),
+    "quoted-newline": (HEAD + '"s\n1",r1,0,1.0,2.0\ns2,r1,1,3.0,4.0\n',
+                       [recording("s\n1", "r1", [0], [[1, 2]]), recording("s2", "r1", [1], [[3, 4]])],
+                       0),
+    "spaces": (HEAD + " s1 , r1 , 1 , 2.5 ,\t-3 \n s1 , r1 ,0,1,2\n",
+               [recording(" s1 ", " r1 ", [1, 0], [[2.5, -3], [1, 2]])], 0),
+    "crlf-and-blank-lines": ("subject_id,session_id,label,ax,ay\r\ns1,r1,0,1.0,2.0\r\n\r\n"
+                             "s1,r1,1,3.0,4.0\r\n\n",
+                             [recording("s1", "r1", [0, 1], [[1, 2], [3, 4]])], 0),
+    "nan-inf": (HEAD + "s1,r1,0,1.5,-inf\ns1,r1,0,nan,inf\ns1,r1,0,-0.0,1e308\n",
+                [recording("s1", "r1", [0, 0, 0], [[1.5, -np.inf], [1.5, np.inf], [-0.0, 1e308]])],
+                1),
+    "underscore-and-unicode-digits": (HEAD + "s1,r1,1_0,1_0,\u0661.\u0665\ns1,r1,\u0662,2,3\n",
+                                      [recording("s1", "r1", [10, 2], [[10, 1.5], [2, 3]])], 0),
+    "quoted-header": ('subject_id,session_id,label,"a""x",ay\ns1,r1,0,1,2\n',
+                      [recording("s1", "r1", [0], [[1, 2]], names=('a"x', "ay"))], 0),
+    "cr-line-endings": ("subject_id,session_id,label,ax,ay\rs1,r1,0,1,2\rs1,r1,0,3,4\r",
+                        [recording("s1", "r1", [0, 0], [[1, 2], [3, 4]])], 0),
+    "interleaved": (HEAD + "s1,r1,0,1,2\ns2,r1,1,3,4\ns1,r1,1,5,6\ns1,r2,0,7,8\ns2,r1,0,9,10\n",
+                    [recording("s1", "r1", [0, 1], [[1, 2], [5, 6]]),
+                     recording("s2", "r1", [1, 0], [[3, 4], [9, 10]]),
+                     recording("s1", "r2", [0], [[7, 8]])], 0),
+}
+
+
+@pytest.mark.parametrize("text, recordings, repaired", READS.values(), ids=READS.keys())
+def test_cells_read_as_python_reads_them(tmp_path, text, recordings, repaired):
+    assert parse_both(tmp_path, text) == (recordings, repaired)
+
+
+REFUSED = {
+    "float-label": (HEAD + "s1,r1,5.0,1,2\n", "line 2: label '5.0' is not an integer"),
+    "header-only": (HEAD, "file contains a header but no samples"),
+    "blank-lines-only": (HEAD + "\n\r\n", "file contains a header but no samples"),
+    "whitespace-line": (HEAD + "s1,r1,0,1,2\n  \n", "line 3: expected 5 cells, found 1"),
+    "extra-cell": (HEAD + "s1,r1,0,1,2\ns1,r1,0,1,2,3\n", "line 3: expected 5 cells, found 6"),
+    "missing-cell": (HEAD + "s1,r1,0,1,2\ns1,r1,0,1\n", "line 3: expected 5 cells, found 4"),
+    "empty-label": (HEAD + "s1,r1,,1,2\n", "line 2: label '' is not an integer"),
+    "hex-cell": (HEAD + "s1,r1,0,0x10,2\n", "line 2: channel 'ax' cell '0x10' is not numeric"),
+    "late-bad-cell": (HEAD + "s1,r1,0,1,2\n" * 3 + "s1,r1,0,1,two\n",
+                      "line 5: channel 'ay' cell 'two' is not numeric"),
+    "late-negative-label": (HEAD + "s1,r1,0,1,2\n" * 3 + "s1,r1,-2,1,2\n",
+                            "line 5: label -2 is negative"),
+    "all-nan-channel": (HEAD + "s1,r1,0,nan,2\ns2,r1,0,1,2\n",
+                        "recording ('s1', 'r1'): channel(s) ['ax'] hold no numeric value to repair from"),
+}
+
+
+@pytest.mark.parametrize("text, message", REFUSED.values(), ids=REFUSED.keys())
+def test_refusals_name_what_python_refuses(tmp_path, text, message):
+    assert parse_both(tmp_path, text) == message
+
+
+@pytest.mark.parametrize("subject", ["s\0", "s" * (csv.field_size_limit() + 1)],
+                         ids=["nul", "over-the-field-limit"])
+def test_ids_csv_reader_may_refuse_read_as_it_reads_them(tmp_path, subject):
+    # csv.reader refuses a NUL before Python 3.11, and a field over its size limit.
+    text = HEAD + f"{subject},r1,0,1,2\n"
+    try:
+        list(csv.reader(io.StringIO(text)))
+    except csv.Error as exc:
+        path = tmp_path / "r.csv"
+        path.write_text(text, encoding="utf-8")
+        for source in (path, io.StringIO(text)):
+            with pytest.raises(csv.Error, match=re.escape(str(exc))):
+                parse_canonical(source)
+    else:
+        assert parse_both(tmp_path, text) == ([recording(subject, "r1", [0], [[1, 2]])], 0)
+
+
+def test_a_file_already_iterated_with_next_is_still_read(tmp_path):
+    path = tmp_path / "r.csv"
+    path.write_text("# made by hand\n" + HEAD + "s1,r1,0,1,2\ns1,r1,1,3,4\n")
+    with open(path, encoding="utf-8", newline="") as fh:
+        next(fh)  # the caller skipped a preamble line; fh.tell() now raises
+        recs, repaired = parse_canonical(fh)
+    assert repaired == 0
+    assert recs[0].labels.tolist() == [0, 1]
+    assert recs[0].channels.tolist() == [[1, 2], [3, 4]]
+
+
+def test_canonical_output_is_read_in_bulk_and_gaps_cell_by_cell(tmp_path, monkeypatch):
+    cell_reads = []
+    read_cells = recordings_module._read_cells
+    monkeypatch.setattr(recordings_module, "_read_cells",
+                        lambda fh: cell_reads.append(fh) or read_cells(fh))
+    rng = np.random.default_rng(5)
+    recs = [SensorRecording(channels=rng.normal(size=(50, 2)), labels=rng.integers(0, 3, 50),
+                            subject_id=f"s{i}", session_id="r1", channel_names=["a", "b"])
+            for i in range(3)]
+    path = tmp_path / "r.csv"
+    write_canonical(recs, path)
+    back, repaired = parse_canonical(path)
+    assert not cell_reads and repaired == 0
+    for got, want in zip(back, recs):
+        assert (got.subject_id, got.session_id) == (want.subject_id, want.session_id)
+        assert np.array_equal(got.labels, want.labels)
+        assert np.array_equal(got.channels, want.channels)
+    back, repaired = parse_canonical(io.StringIO(HEAD + "s1,r1,0,,2\ns1,r1,0,1,2\n"))
+    assert len(cell_reads) == 1 and repaired == 1
+
+
 def test_parse_memory_scales_with_the_recordings(tmp_path):
     # About 20k rows; the parse once held 5.3-6.7 times the recordings as
     # Python lists of floats.
@@ -197,6 +335,25 @@ def test_round_trip_through_canonical_csv():
     assert np.array_equal(back[0].labels, rec.labels)
 
 
+def test_written_bytes_are_what_csv_writer_writes():
+    channels = np.array([[1e-05, 1e16], [-0.0, np.inf], [0.1, -2.5e-300]])
+    recs = [
+        SensorRecording(channels=channels, labels=[0, 1, 2], subject_id=subject, session_id=session,
+                        channel_names=["a x", "b,y"])
+        for subject, session in (("s,1", 'r"1'), ("s\n2", " r2 "), ("", "r3"))
+    ]
+    ref = io.StringIO()
+    writer = csv.writer(ref, lineterminator="\n")
+    writer.writerow(["subject_id", "session_id", "label", "a x", "b,y"])
+    for rec in recs:
+        for label, row in zip(rec.labels.tolist(), rec.channels.tolist()):
+            writer.writerow([rec.subject_id, rec.session_id, label, *map(repr, row)])
+    got = io.StringIO()
+    write_canonical(recs, got)
+    assert got.getvalue() == ref.getvalue()
+    assert "1e-05,1e+16" in got.getvalue() and "-0.0,inf" in got.getvalue()
+
+
 def test_invariants_enforced_on_construction():
     with pytest.raises(ValueError, match="labels"):
         SensorRecording(
@@ -231,3 +388,5 @@ def test_corpus_num_classes_requires_contiguous_ids():
     assert corpus_num_classes([rec([0, 1]), rec([2, 0])]) == 3
     with pytest.raises(ValueError, match="missing"):
         corpus_num_classes([rec([0, 2])])
+    with pytest.raises(ValueError, match="corpus holds one class; an audit needs at least two"):
+        corpus_num_classes([rec([0, 0]), rec([0])])

@@ -19,8 +19,8 @@ from traced_memory import peak_bytes
 def make_recording(n, subject="s1", session="r1", labels=None, channels=None):
     if channels is None:
         channels = np.arange(n, dtype=float).reshape(-1, 1)
-    if labels is None:
-        labels = np.zeros(n, dtype=int)
+    if labels is None:  # class 0, then class 1: a corpus needs two classes
+        labels = np.arange(n) * 2 // n
     return SensorRecording(
         channels=channels,
         labels=np.asarray(labels),
