@@ -14,6 +14,7 @@ import re
 import warnings
 from array import array
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -76,25 +77,26 @@ class SensorRecording:
         return self.channels.shape[1]
 
 
-def _fill_missing(column: np.ndarray) -> tuple[np.ndarray, int]:
-    """Forward-fill then backward-fill NaNs in a 1-D array.
+def _fill_missing(channels: np.ndarray, names: list[str]) -> tuple[int, list[str]]:
+    """Forward-fill then backward-fill the NaNs of each channel column, in place.
 
-    Returns the repaired column and the number of cells filled. A column with
-    no finite value at all cannot be repaired and is returned unchanged.
+    Returns the number of cells filled and the names of the columns with no
+    finite value at all, which cannot be repaired and are left unchanged.
     """
-    missing = np.isnan(column)
-    n_missing = int(missing.sum())
-    if n_missing == 0 or n_missing == len(column):
-        return column, 0
-    idx = np.where(~missing, np.arange(len(column)), -1)
-    np.maximum.accumulate(idx, out=idx)
-    filled = np.where(idx >= 0, column[np.maximum(idx, 0)], np.nan)
-    # Leading gap: backward-fill from the first observed value.
-    still = np.isnan(filled)
-    if still.any():
-        first = int(np.flatnonzero(~still)[0])
-        filled[:first] = filled[first]
-    return filled, n_missing
+    filled, empty = 0, []
+    for column, name in zip(channels.T, names):
+        missing = np.isnan(column)
+        n_missing = int(missing.sum())
+        if n_missing == len(column):
+            empty.append(name)
+        elif n_missing:
+            # Each cell takes the last observed value at or before it, and a
+            # leading gap the first observed value.
+            idx = np.where(missing, missing.argmin(), np.arange(len(column)))
+            np.maximum.accumulate(idx, out=idx)
+            column[:] = column[idx]
+            filled += n_missing
+    return filled, empty
 
 
 def parse_canonical(source) -> tuple[list[SensorRecording], int]:
@@ -104,13 +106,12 @@ def parse_canonical(source) -> tuple[list[SensorRecording], int]:
     order of first appearance plus the total count of repaired (filled) cells.
 
     Cells follow csv.reader and Python's ``float``/``int``: whitespace around
-    a cell is allowed and an empty channel cell means missing. A seekable
-    source is read in bulk first: ``np.loadtxt`` parses the channel values
-    and one pass over the lines reads the ids and labels. Input the bulk read
-    does not take exactly as the per-cell reader would (an empty or
-    non-numeric cell, quotes, a bad label, an odd line) is read again cell by
-    cell, which repairs gaps and names every error. Memory scales with the
-    returned arrays in both cases.
+    a cell is allowed and an empty channel cell means missing. The source is
+    read once, front to back, in batches of lines, each read in bulk. From
+    the first batch the bulk read does not take exactly as the per-cell
+    reader would (an empty or non-numeric cell, quotes, a bad label, an odd
+    line), csv.reader reads the rest cell by cell, which repairs gaps and
+    names every error. Memory scales with the returned arrays.
 
     Raises CanonicalFormatError for an empty file, a malformed header, a
     non-integer label or one outside int64, or a channel cell that is neither
@@ -118,190 +119,158 @@ def parse_canonical(source) -> tuple[list[SensorRecording], int]:
     """
     with open_text(source) as fh:
         try:
-            start = fh.tell() if fh.seekable() else None
-        except OSError:  # a file iterated with next() cannot tell its position
-            start = None
-        parsed = None if start is None else _read_bulk(fh)
-        if parsed is None:
-            if start is not None:
-                fh.seek(start)
-            parsed = _read_cells(fh)
-    channel_names, groups = parsed
-    if not groups:
-        raise CanonicalFormatError("file contains a header but no samples")
-
+            header = [cell.strip() for cell in next(csv.reader(fh))]
+        except StopIteration:
+            raise CanonicalFormatError("empty file") from None
+        if tuple(header[:3]) != REQUIRED_COLUMNS or len(header) < 4:
+            raise CanonicalFormatError(
+                "header must be subject_id,session_id,label,<channel...>", line=1
+            )
+        rows = _Rows(header[3:])
+        line = 2  # csv.reader's number for the next row; each bulk line is one row
+        while lines := fh.readlines(1 << 14):  # batches of 16 KiB bound the bulk read's memory
+            if not rows.take_bulk(lines):
+                rows.take_cells(csv.reader(chain(lines, fh)), line)
+                break
+            line += len(lines)
     recordings = []
     repaired = 0
-    for (subject, session), labels, channels in groups:
-        for c in range(len(channel_names)):
-            channels[:, c], n = _fill_missing(channels[:, c])
-            repaired += n
-        if np.isnan(channels).any():
-            bad = [channel_names[c] for c in np.unique(np.nonzero(np.isnan(channels))[1])]
+    for (subject, session), labels, channels in rows.groups():
+        filled, empty = _fill_missing(channels, rows.names)
+        if empty:
             raise CanonicalFormatError(
-                f"recording ({subject!r}, {session!r}): channel(s) {bad} hold no "
+                f"recording ({subject!r}, {session!r}): channel(s) {empty} hold no "
                 "numeric value to repair from"
             )
+        repaired += filled
         recordings.append(
             SensorRecording(
                 channels=channels,
                 labels=labels,
                 subject_id=subject,
                 session_id=session,
-                channel_names=list(channel_names),
+                channel_names=list(rows.names),
             )
         )
     return recordings, repaired
 
 
-def _channel_names(header: list[str]) -> list[str] | None:
-    """The channel names a canonical header row declares, or None if it is not one."""
-    header = [h.strip() for h in header]
-    if tuple(header[:3]) != REQUIRED_COLUMNS or len(header) < 4:
-        return None
-    return header[3:]
+class _Rows:
+    """Rows in file order: ``keys`` numbers each (subject, session) by first
+    appearance, ``runs`` holds ``[code, rows]`` per stretch of one recording,
+    ``values`` every channel value, and ``labels`` the labels in blocks, so that
+    only ``values`` grows (two buffers growing side by side fragment the heap)."""
 
+    def __init__(self, names: list[str]):
+        self.names = names
+        self.keys: dict[tuple[str, str], int] = {}
+        self.runs: list[list[int]] = []
+        self.labels: list[array] = []  # one per bulk batch, then one for the cell-by-cell rows
+        self.values = array("d")
+        self.leads: dict[str, tuple[int, int]] = {}  # "subject,session,label" -> (code, label)
 
-def _read_cells(fh):
-    """Channel names and (key, labels, channels) per recording, read cell by cell.
+    def add_run(self, code: int, rows: int) -> None:
+        if self.runs and self.runs[-1][0] == code:
+            self.runs[-1][1] += rows
+        else:
+            self.runs.append([code, rows])
 
-    The reference reader: it takes every input ``parse_canonical`` accepts and
-    raises every error it reports.
-    """
-    reader = csv.reader(fh)
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise CanonicalFormatError("empty file") from None
-    channel_names = _channel_names(header)
-    if channel_names is None:
-        raise CanonicalFormatError(
-            "header must be subject_id,session_id,label,<channel...>", line=1
-        )
-    width = len(header)
+    def take_bulk(self, lines: list[str]) -> bool:
+        """Take a batch of lines if the bulk read gives what ``take_cells`` would
+        without a repair or an error; a refused batch leaves no trace.
 
-    # key -> (labels, channel values row after row)
-    groups: dict[tuple[str, str], tuple[array, array]] = {}
-    for lineno, row in enumerate(reader, start=2):
-        if not row:
-            continue
-        if len(row) != width:
-            raise CanonicalFormatError(
-                f"expected {width} cells, found {len(row)}", line=lineno
-            )
-        subject, session, label_cell = row[0], row[1], row[2]
+        ``np.loadtxt`` parses the channel values; it refuses an empty cell and a
+        short row, and takes no float syntax that ``float`` reads otherwise. The
+        text may hold nothing csv.reader could split otherwise: no quote, no NUL
+        (refused before Python 3.11), no line over its field size limit.
+        """
+        text = "".join(lines)
+        if '"' in text or "\0" in text or max(map(len, lines)) > csv.field_size_limit():
+            return False
         try:
-            label = int(label_cell)
-        except ValueError:
-            raise CanonicalFormatError(
-                f"label {label_cell!r} is not an integer", line=lineno
-            ) from None
-        if label < 0:
-            raise CanonicalFormatError(f"label {label} is negative", line=lineno)
-        labels, values = groups.setdefault((subject, session), (array("q"), array("d")))
-        try:
-            labels.append(label)
-        except OverflowError:
-            raise CanonicalFormatError(
-                f"label {label} does not fit in int64", line=lineno
-            ) from None
-        for name, cell in zip(channel_names, row[3:]):
-            cell = cell.strip()
-            if cell == "":
-                values.append(np.nan)
-                continue
-            try:
-                values.append(float(cell))
-            except ValueError:
-                raise CanonicalFormatError(
-                    f"channel {name!r} cell {cell!r} is not numeric", line=lineno
-                ) from None
-    return channel_names, [
-        (key, np.frombuffer(labels, dtype=np.int64),
-         np.frombuffer(values).reshape(len(labels), len(channel_names)))
-        for key, (labels, values) in groups.items()
-    ]
-
-
-def _read_bulk(fh):
-    """``_read_cells``'s result for input it would read without a repair or an
-    error, else None, leaving ``fh`` anywhere.
-
-    ``np.loadtxt`` parses the channel values: it refuses an empty cell and a
-    short row, and accepts no float syntax that ``float`` reads otherwise. One
-    pass over the lines then reads ids and labels. It refuses lines that
-    csv.reader could split otherwise and a cell count that is not the
-    header's, and parses each distinct (subject, session, label) lead once,
-    with ``int``.
-    """
-    limit = csv.field_size_limit()
-    header = fh.readline()
-    if _unquoted_text([header], limit) is None:
-        return None
-    channel_names = _channel_names(header.rstrip("\r\n").split(","))
-    if channel_names is None:
-        return None
-    body = fh.tell()
-    # Values first: a gappy source fails at its first empty cell.
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # also refuses "input contained no data"
-            values = np.loadtxt(fh, delimiter=",", comments=None, quotechar='"', ndmin=2,
-                                usecols=range(3, 3 + len(channel_names)))
-    except (ValueError, Warning):
-        return None
-    fh.seek(body)
-    keys, lead_code, lead_label = {}, {}, {}
-    runs, labels = [], array("q")  # runs: [code, rows] per stretch of one recording
-    commas = 0
-    while lines := fh.readlines(1 << 14):  # batches of 16 KiB bound the pass's memory
-        text = _unquoted_text(lines, limit)
-        if text is None:
-            return None
-        commas += text.count(",")
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # also refuses "input contained no data"
+                values = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2,
+                                    usecols=range(3, 3 + len(self.names)))
+        except (ValueError, Warning):
+            return False
         leads = _LEAD.findall(text)
-        for lead in dict.fromkeys(leads):
-            if lead not in lead_code:
-                subject, session, label = lead.split(",")
-                try:
-                    lead_label[lead] = int(label)
-                except ValueError:
-                    return None
-                if not 0 <= lead_label[lead] < 2**63:
-                    return None
-                lead_code[lead] = keys.setdefault((subject, session), len(keys))
-        codes = np.fromiter(map(lead_code.__getitem__, leads), dtype=np.int64, count=len(leads))
+        # loadtxt took every nonblank line as a row of at least the header's
+        # cells, and a row gives at most one lead, so this total holds only
+        # when every row has exactly the header's cells and one lead.
+        if text.count(",") != (len(self.names) + 2) * len(leads):
+            return False
+        try:  # each distinct (subject, session, label) lead is parsed once
+            new = {lead: int(lead.rsplit(",", 1)[1])
+                   for lead in dict.fromkeys(leads) if lead not in self.leads}
+        except ValueError:
+            return False
+        if not all(0 <= label < 2**63 for label in new.values()):
+            return False
+        for lead, label in new.items():
+            subject, session, _ = lead.split(",")
+            self.leads[lead] = (self.keys.setdefault((subject, session), len(self.keys)), label)
+        codes, labels = zip(*map(self.leads.__getitem__, leads))
+        codes = np.array(codes, dtype=np.int64)
         starts = np.flatnonzero(np.diff(codes, prepend=-1))
         for code, rows in zip(codes[starts].tolist(), np.diff(starts, append=len(codes)).tolist()):
-            if runs and runs[-1][0] == code:
-                runs[-1][1] += rows
-            else:
-                runs.append([code, rows])
-        labels.extend(map(lead_label.__getitem__, leads))
-    # loadtxt took every nonblank line as a row of at least the header's
-    # cells, and a row gives at most one lead, so this total holds only when
-    # every row has exactly the header's cells and one lead.
-    if commas != (len(channel_names) + 2) * len(labels):
-        return None
-    labels = np.frombuffer(labels, dtype=np.int64)
-    run_codes, run_rows = np.array(runs, dtype=np.int64).T
-    if len(runs) > len(keys):  # interleaved recordings: group rows by key
-        codes = np.repeat(run_codes, run_rows)
-        order = np.argsort(codes, kind="stable")
-        values, labels = values[order], labels[order]
-        run_rows = np.bincount(codes, minlength=len(keys))  # now one run per key
-    ends = np.cumsum(run_rows).tolist()
-    return channel_names, [(key, labels[start:end], values[start:end])
-                           for key, start, end in zip(keys, [0] + ends, ends)]
+            self.add_run(code, rows)
+        self.values.frombytes(memoryview(values).cast("B"))
+        self.labels.append(array("q", labels))
+        return True
 
+    def take_cells(self, reader, line: int) -> None:
+        """Take every row ``reader`` yields, cell by cell; ``line`` numbers its first row."""
+        width = len(self.names) + 3
+        self.labels.append(labels := array("q"))
+        for lineno, row in enumerate(reader, start=line):
+            if not row:
+                continue
+            if len(row) != width:
+                raise CanonicalFormatError(
+                    f"expected {width} cells, found {len(row)}", line=lineno
+                )
+            subject, session, label_cell = row[0], row[1], row[2]
+            try:
+                label = int(label_cell)
+            except ValueError:
+                raise CanonicalFormatError(
+                    f"label {label_cell!r} is not an integer", line=lineno
+                ) from None
+            if label < 0:
+                raise CanonicalFormatError(f"label {label} is negative", line=lineno)
+            if label >= 2**63:
+                raise CanonicalFormatError(f"label {label} does not fit in int64", line=lineno)
+            labels.append(label)
+            self.add_run(self.keys.setdefault((subject, session), len(self.keys)), 1)
+            for name, cell in zip(self.names, row[3:]):
+                cell = cell.strip()
+                if cell == "":
+                    self.values.append(np.nan)
+                    continue
+                try:
+                    self.values.append(float(cell))
+                except ValueError:
+                    raise CanonicalFormatError(
+                        f"channel {name!r} cell {cell!r} is not numeric", line=lineno
+                    ) from None
 
-def _unquoted_text(lines: list[str], limit: int) -> str | None:
-    """``lines`` joined, or None unless csv.reader splits each of them at its
-    commas: no quote, no NUL (refused before Python 3.11), no cell over ``limit``."""
-    text = "".join(lines)
-    if '"' in text or "\0" in text or max(map(len, lines)) > limit:
-        return None
-    return text
+    def groups(self) -> list[tuple[tuple[str, str], np.ndarray, np.ndarray]]:
+        """(key, labels, channels) per recording: slices of the rows when each
+        recording is one run, else the rows regrouped by one stable argsort."""
+        if not self.runs:
+            raise CanonicalFormatError("file contains a header but no samples")
+        labels = np.concatenate(self.labels, dtype=np.int64)
+        values = np.frombuffer(self.values).reshape(len(labels), len(self.names))
+        run_codes, run_rows = np.array(self.runs, dtype=np.int64).T
+        if len(self.runs) > len(self.keys):  # interleaved recordings
+            codes = np.repeat(run_codes, run_rows)
+            order = np.argsort(codes, kind="stable")
+            values, labels = values[order], labels[order]
+            run_rows = np.bincount(codes, minlength=len(self.keys))  # now one run per key
+        ends = np.cumsum(run_rows).tolist()
+        return [(key, labels[start:end], values[start:end])
+                for key, start, end in zip(self.keys, [0] + ends, ends)]
 
 
 def write_canonical(recordings: list[SensorRecording], dest) -> None:

@@ -134,24 +134,28 @@ s1,r1,1, 7.0 ,8.0,9.0
 
 
 def parse_both(tmp_path, text):
-    """``parse_canonical`` of ``text`` through a file and a stream, which must agree
-    and warn of nothing: the recordings as ``recording`` tuples and the repaired
-    count, or the error message."""
-    path = tmp_path / "r.csv"
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
+    """``parse_canonical`` of ``text`` through a path, a stream and a file already
+    advanced with ``next()``, which must agree and warn of nothing: the recordings
+    as ``recording`` tuples and the repaired count, or the error message."""
+    path, advanced = tmp_path / "r.csv", tmp_path / "advanced.csv"
+    for dest, preamble in ((path, ""), (advanced, "# made by hand\n")):
+        with open(dest, "w", encoding="utf-8", newline="") as fh:
+            fh.write(preamble + text)
     results = []
-    for source in (path, io.StringIO(text, newline="")):
-        with warnings.catch_warnings(record=True) as warned:
-            warnings.simplefilter("always")
-            try:
-                recs, repaired = parse_canonical(source)
-                results.append(([(r.subject_id, r.session_id, r.labels.tolist(), r.channel_names,
-                                  r.channels.shape, r.channels.tobytes()) for r in recs], repaired))
-            except CanonicalFormatError as exc:
-                results.append(str(exc))
-        assert not warned, [str(w.message) for w in warned]
-    assert results[0] == results[1]
+    with open(advanced, encoding="utf-8", newline="") as skipped:
+        next(skipped)  # the caller skipped a preamble line; skipped.tell() now raises
+        for source in (path, io.StringIO(text, newline=""), skipped):
+            with warnings.catch_warnings(record=True) as warned:
+                warnings.simplefilter("always")
+                try:
+                    recs, repaired = parse_canonical(source)
+                    results.append(([(r.subject_id, r.session_id, r.labels.tolist(),
+                                      r.channel_names, r.channels.shape, r.channels.tobytes())
+                                     for r in recs], repaired))
+                except CanonicalFormatError as exc:
+                    results.append(str(exc))
+            assert not warned, [str(w.message) for w in warned]
+    assert results[0] == results[1] == results[2]
     return results[0]
 
 
@@ -161,6 +165,47 @@ def recording(subject, session, labels, rows, names=("ax", "ay")):
 
 
 HEAD = "subject_id,session_id,label,ax,ay\n"
+# Over 16 KiB of rows the bulk read takes, with CRLF and blank rows among them:
+# what follows them is read cell by cell, continuing csv.reader's row count.
+CLEAN = HEAD + "".join(
+    f"s1,r1,{i % 3},{i}.25,-{i}.5" + ("\r\n" if i % 7 else "\n") + ("\n" if i % 100 == 0 else "")
+    + ("\r\n" if i % 150 == 0 else "")
+    for i in range(2_000)
+)
+
+
+def read_by_reference(text):
+    """``text`` read with csv.reader, ``int`` and ``float``, each gap filled from
+    the row above it in its recording: ``recording`` tuples and the repaired count."""
+    rows = list(csv.reader(io.StringIO(text, newline="")))
+    groups, repaired = {}, 0
+    for row in filter(None, rows[1:]):
+        labels, values = groups.setdefault((row[0], row[1]), ([], []))
+        labels.append(int(row[2]))
+        values.append([float(cell) if cell.strip() else values[-1][c]
+                       for c, cell in enumerate(row[3:])])
+        repaired += sum(not cell.strip() for cell in row[3:])
+    return [recording(*key, labels, values, rows[0][3:])
+            for key, (labels, values) in groups.items()], repaired
+
+
+def reference_line(text, cell):
+    """csv.reader's number for the row of ``text`` that holds ``cell``."""
+    return next(n for n, row in enumerate(csv.reader(io.StringIO(text, newline="")), start=1)
+                if cell in row)
+
+
+LATE_READS = {
+    "gap-after-bulk": CLEAN + "s1,r1,0,,2\ns2,r1,1,3,4\n",
+    "quoted-newline-after-bulk": CLEAN + '"s\n2",r1,0,1,2\ns1,r1,1,3,4\n',
+}
+# name: (text, the cell csv.reader finds on the refused row, the message after "line N: ")
+LATE_REFUSED = {
+    "bad-cell-after-bulk": (CLEAN + "s1,r1,0,1,two\n", "two", "channel 'ay' cell 'two' is not numeric"),
+    "negative-label-after-bulk": (CLEAN + "s1,r1,-2,1,2\n", "-2", "label -2 is negative"),
+    "bad-cell-after-quoted-newline": (CLEAN + '"s\n2",r1,0,1,2\ns1,r1,0,1,two\n', "two",
+                                      "channel 'ay' cell 'two' is not numeric"),
+}
 # Inputs where a bulk float/int parse and Python's float()/int() or csv.reader could
 # part ways; each must read as csv.reader plus float()/int() read it.
 READS = {
@@ -187,6 +232,7 @@ READS = {
                     [recording("s1", "r1", [0, 1], [[1, 2], [5, 6]]),
                      recording("s2", "r1", [1, 0], [[3, 4], [9, 10]]),
                      recording("s1", "r2", [0], [[7, 8]])], 0),
+    **{name: (text, *read_by_reference(text)) for name, text in LATE_READS.items()},
 }
 
 
@@ -210,6 +256,8 @@ REFUSED = {
                             "line 5: label -2 is negative"),
     "all-nan-channel": (HEAD + "s1,r1,0,nan,2\ns2,r1,0,1,2\n",
                         "recording ('s1', 'r1'): channel(s) ['ax'] hold no numeric value to repair from"),
+    **{name: (text, f"line {reference_line(text, cell)}: {message}")
+       for name, (text, cell, message) in LATE_REFUSED.items()},
 }
 
 
@@ -246,44 +294,67 @@ def test_a_file_already_iterated_with_next_is_still_read(tmp_path):
     assert recs[0].channels.tolist() == [[1, 2], [3, 4]]
 
 
-def test_canonical_output_is_read_in_bulk_and_gaps_cell_by_cell(tmp_path, monkeypatch):
+def spy_on_cell_reads(monkeypatch) -> list[int]:
+    """The line at which each parse from now on starts reading cell by cell."""
     cell_reads = []
-    read_cells = recordings_module._read_cells
-    monkeypatch.setattr(recordings_module, "_read_cells",
-                        lambda fh: cell_reads.append(fh) or read_cells(fh))
+    take_cells = recordings_module._Rows.take_cells
+    monkeypatch.setattr(recordings_module._Rows, "take_cells",
+                        lambda rows, reader, line: cell_reads.append(line)
+                        or take_cells(rows, reader, line))
+    return cell_reads
+
+
+def test_canonical_output_is_read_in_bulk_and_gaps_cell_by_cell(tmp_path, monkeypatch):
+    cell_reads = spy_on_cell_reads(monkeypatch)
     rng = np.random.default_rng(5)
     recs = [SensorRecording(channels=rng.normal(size=(50, 2)), labels=rng.integers(0, 3, 50),
                             subject_id=f"s{i}", session_id="r1", channel_names=["a", "b"])
             for i in range(3)]
     path = tmp_path / "r.csv"
     write_canonical(recs, path)
-    back, repaired = parse_canonical(path)
-    assert not cell_reads and repaired == 0
-    for got, want in zip(back, recs):
-        assert (got.subject_id, got.session_id) == (want.subject_id, want.session_id)
-        assert np.array_equal(got.labels, want.labels)
-        assert np.array_equal(got.channels, want.channels)
+    skipped = tmp_path / "skipped.csv"
+    skipped.write_text("# made by hand\n" + path.read_text(encoding="utf-8"), encoding="utf-8")
+    with open(skipped, encoding="utf-8", newline="") as fh:
+        next(fh)  # fh.tell() now raises; the read needs no position
+        parsed = [parse_canonical(path), parse_canonical(fh)]
+    for back, repaired in parsed:
+        assert not cell_reads and repaired == 0
+        for got, want in zip(back, recs):
+            assert (got.subject_id, got.session_id) == (want.subject_id, want.session_id)
+            assert np.array_equal(got.labels, want.labels)
+            assert np.array_equal(got.channels, want.channels)
     back, repaired = parse_canonical(io.StringIO(HEAD + "s1,r1,0,,2\ns1,r1,0,1,2\n"))
-    assert len(cell_reads) == 1 and repaired == 1
+    assert cell_reads == [2] and repaired == 1
 
 
-def test_parse_memory_scales_with_the_recordings(tmp_path):
+def test_parse_memory_scales_with_the_recordings(tmp_path, monkeypatch):
     # About 20k rows; the parse once held 5.3-6.7 times the recordings as
-    # Python lists of floats.
+    # Python lists of floats. The second file has a gap halfway down, so the
+    # read goes cell by cell after many batches in bulk.
     rng = np.random.default_rng(3)
     recs = [
         SensorRecording(channels=rng.normal(size=(10_000, 3)), labels=rng.integers(0, 4, 10_000),
                         subject_id=f"s{i}", session_id="r1", channel_names=["a", "b", "c"])
         for i in range(2)
     ]
-    path = tmp_path / "recordings.csv"
+    path, gappy = tmp_path / "recordings.csv", tmp_path / "gappy.csv"
     write_canonical(recs, path)
-    (back, _), peak = peak_bytes(lambda: parse_canonical(path))
-    for got, want in zip(back, recs):
-        assert np.array_equal(got.channels, want.channels)
-        assert np.array_equal(got.labels, want.labels)
-    output = sum(rec.channels.nbytes + rec.labels.nbytes for rec in back)
-    assert peak <= 2 * output, peak / output
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    lines[10_001] = lines[10_001].rsplit(",", 1)[0] + ",\n"  # s1's first row loses its "c"
+    gappy.write_text("".join(lines), encoding="utf-8")
+    backward_filled = recs[1].channels.copy()
+    backward_filled[0, 2] = backward_filled[1, 2]
+    cell_reads = spy_on_cell_reads(monkeypatch)
+    for source, repaired, s1_channels in ((path, 0, recs[1].channels), (gappy, 1, backward_filled)):
+        (back, filled), peak = peak_bytes(lambda: parse_canonical(source))
+        assert filled == repaired
+        for got, want, channels in zip(back, recs, [recs[0].channels, s1_channels]):
+            assert np.array_equal(got.channels, channels)
+            assert np.array_equal(got.labels, want.labels)
+        output = sum(rec.channels.nbytes + rec.labels.nbytes for rec in back)
+        assert peak <= 2 * output, peak / output
+    # The batch that holds the gap, on line 10,002, and the rest go cell by cell.
+    assert len(cell_reads) == 1 and 9_000 < cell_reads[0] <= 10_002, cell_reads
 
 
 def test_fully_missing_channel_cannot_be_repaired():
