@@ -16,8 +16,11 @@ and loop in Python only over (model, config) groups.
 from __future__ import annotations
 
 import json
+import re
+import warnings
 from array import array
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable
 
 import numpy as np
@@ -151,14 +154,122 @@ def read_records(
     wrong length and a second dataset id are rejected as they are read: the
     length is ``num_classes``, or else the first record's, and the dataset id
     is the first record's. ``validate_records`` then checks the rest.
+
+    The log is read once, front to back, in batches of lines. A batch whose
+    lines all have the layout ``write_records`` writes is read in bulk. From
+    the first batch the bulk read refuses (another layout, or a value it
+    would not read exactly as ``json.loads`` does), ``json.loads`` reads the
+    rest one line at a time and names every error.
     """
-    texts = {name: ({}, array("q")) for name in TEXT_FIELDS}  # value -> code, codes
-    ints = {name: array("q") for name in INT_FIELDS}
-    probs = array("d")
-    dataset = None
-    i = 0
+    log = _Log(num_classes)
     with open_text(src) as fh:
-        for line in fh:
+        while lines := fh.readlines(1 << 16):  # batches of 64 KiB bound the bulk read's memory
+            if not log.take_bulk(lines):
+                log.take_lines(chain(lines, fh))
+                break
+    table = log.table()
+    validate_records(table, valid_window_ids)
+    return table
+
+
+#: One record in the layout ``write_records`` writes (``json.dumps`` keys and
+#: spacing), with ids free of escapes and control characters, integers of at
+#: most 18 digits (so inside int64) and probabilities spelled with the
+#: characters ``json.dumps`` writes for numbers; ``_numbers`` checks their spelling.
+_RECORD = (
+    r'^\{"dataset": "([^"\\\x00-\x1f]*)", "model": "([^"\\\x00-\x1f]*)", '
+    r'"config": "([^"\\\x00-\x1f]*)", "run": (-?(?:0|[1-9][0-9]{0,17})), '
+    r'"fold": (-?(?:0|[1-9][0-9]{0,17})), "window": (-?(?:0|[1-9][0-9]{0,17})), '
+    r'"label": (-?(?:0|[1-9][0-9]{0,17})), "probs": \[([-+.0-9e, ]*)\]\}$'
+)
+
+
+def _numbers(rows: tuple[str, ...], k: int) -> np.ndarray | None:
+    """The numbers of ``rows``, each ``k`` JSON numbers joined by ", ", as one
+    float64 array; None unless ``np.fromstring`` reads each as ``json`` does.
+
+    strtod also reads ``+1``, ``.5``, ``5.``, ``01`` and ``-01``, which are
+    not JSON, and reads the JSON integer ``-0`` as -0.0 where ``json`` gives
+    0; all are refused, as is a value that is not finite (a huge integer
+    overflows in ``json``).
+    """
+    def is_digit(byte):
+        return (byte >= ord("0")) & (byte <= ord("9"))
+
+    text = ", ".join(rows)
+    # ", " before each number and after the last one
+    b = np.frombuffer(f", {text}, ".encode(), dtype=np.uint8)
+    comma = np.flatnonzero(b == ord(","))
+    row_ends = np.cumsum(np.fromiter(map(len, rows), np.int64, len(rows)) + 2)
+    if not np.array_equal(comma[k::k], row_ends):
+        return None  # not k numbers a row
+    if not np.array_equal(np.flatnonzero(b == ord(" ")), comma + 1):
+        return None  # not ", " between numbers, and no other space
+    start, size = comma[:-1] + 2, np.diff(comma) - 2
+    minus = b[start] == ord("-")
+    first, second = b[start + minus], b[start + minus + 1]  # of the integer part
+    zero = first == ord("0")
+    if not (is_digit(first) & ~(zero & is_digit(second)) & ~(minus & zero & (size == 2))).all():
+        return None
+    if not is_digit(b[np.flatnonzero(b == ord(".")) + 1]).all():
+        return None
+    try:
+        with warnings.catch_warnings():
+            # Where it stops short of the end, fromstring raises; numpy 1.x only warns.
+            warnings.simplefilter("error")
+            values = np.fromstring(text, sep=",")
+    except (ValueError, Warning):
+        return None
+    if values.size != len(rows) * k or not np.isfinite(values).all():
+        return None
+    return values
+
+
+class _Log:
+    """A prediction log as read so far: one typed buffer per column (a text
+    field's holds codes numbered by first appearance), the log's dataset id
+    and class count once a record fixes them, and the count of records."""
+
+    def __init__(self, num_classes: int | None):
+        self.texts = {name: ({}, array("q")) for name in TEXT_FIELDS}  # value -> code, codes
+        self.ints = {name: array("q") for name in INT_FIELDS}
+        self.probs = array("d")
+        self.dataset: str | None = None
+        self.num_classes = num_classes
+        self.count = 0
+
+    def take_bulk(self, lines: list[str]) -> bool:
+        """Take a batch of lines if each is one record in ``_RECORD``'s layout
+        and the batch gives what ``take_lines`` would without an error; a
+        refused batch leaves no trace."""
+        records = re.findall(_RECORD, "".join(lines), re.MULTILINE)
+        if len(records) != len(lines):  # each line holds at most one match
+            return False
+        dataset, model, config, *ints, probs = zip(*records)
+        first = dataset[0] if self.dataset is None else self.dataset
+        k = self.num_classes or probs[0].count(",") + 1
+        if dataset.count(first) != len(records) or k < 2:
+            return False
+        values = _numbers(probs, k)
+        if values is None:
+            return False
+        self.dataset, self.num_classes = first, k
+        for (codes, column), texts in zip(self.texts.values(), (model, config)):
+            for text in dict.fromkeys(texts):
+                codes.setdefault(text, len(codes))
+            column.extend(map(codes.__getitem__, texts))
+        for column, texts in zip(self.ints.values(), ints):
+            parsed = np.fromstring(",".join(texts), np.int64, sep=",")
+            column.frombytes(memoryview(parsed).cast("B"))
+        self.probs.frombytes(memoryview(values).cast("B"))
+        self.count += len(records)
+        return True
+
+    def take_lines(self, lines: Iterable[str]) -> None:
+        """Take every record of ``lines`` with ``json.loads``, one line at a
+        time: the reference for the bulk read, and the source of every error."""
+        i = self.count
+        for line in lines:
             line = line.strip()
             if not line:
                 continue
@@ -166,43 +277,50 @@ def read_records(
                 obj = json.loads(line)
                 values = [obj[name] for name in SCALAR_FIELDS]
                 row = array("d", obj["probs"])
-            except (KeyError, ValueError, TypeError) as exc:
+            except (KeyError, ValueError, TypeError, OverflowError) as exc:
                 raise RecordError(f"malformed record: {exc}", i) from None
             if tuple(map(type, values)) != FIELD_TYPES:
                 name, value = next((n, v) for n, v, t in zip(SCALAR_FIELDS, values, FIELD_TYPES)
                                    if type(v) is not t)
                 kind = "integer" if name in INT_FIELDS else "string"
                 raise RecordError(f"malformed record: {name} {value!r} is not a JSON {kind}", i)
+            if bool in map(type, obj["probs"]):  # array("d") reads true as 1.0
+                j = list(map(type, obj["probs"])).index(bool)
+                raise RecordError(
+                    f"malformed record: probs[{j}] {obj['probs'][j]!r} is not a JSON number", i
+                )
             if len(row) < 2:
                 raise RecordError("probs must hold at least two classes", i)
-            num_classes = num_classes or len(row)
-            if len(row) != num_classes:
-                raise RecordError(f"expected {num_classes} classes, found {len(row)}", i)
-            dataset = values[0] if dataset is None else dataset
-            if values[0] != dataset:
+            self.num_classes = self.num_classes or len(row)
+            if len(row) != self.num_classes:
+                raise RecordError(f"expected {self.num_classes} classes, found {len(row)}", i)
+            self.dataset = values[0] if self.dataset is None else self.dataset
+            if values[0] != self.dataset:
                 raise RecordError(
-                    f"dataset {values[0]!r} differs from the log's dataset {dataset!r}", i
+                    f"dataset {values[0]!r} differs from the log's dataset {self.dataset!r}", i
                 )
             for name, value in zip(INT_FIELDS, values[-len(INT_FIELDS):]):
                 try:
-                    ints[name].append(value)
+                    self.ints[name].append(value)
                 except OverflowError:
                     raise RecordError(
                         f"malformed record: {name} {value} does not fit in int64", i
                     ) from None
-            for (codes, column), value in zip(texts.values(), values[1:]):
+            for (codes, column), value in zip(self.texts.values(), values[1:]):
                 column.append(codes.setdefault(value, len(codes)))
-            probs.extend(row)
+            self.probs.extend(row)
             i += 1
-    table = PredictionTable(
-        dataset or "",
-        **{name: np.array(list(codes), dtype=str)[np.frombuffer(column, dtype=np.int64)]
-           for name, (codes, column) in texts.items()},
-        **{name: np.frombuffer(column, dtype=np.int64) for name, column in ints.items()},
-        probs=np.frombuffer(probs).reshape(i, num_classes or 0),
-    )
-    validate_records(table, valid_window_ids)
-    return table
+        self.count = i
+
+    def table(self) -> PredictionTable:
+        """The records taken, as a table; the buffers back its number columns."""
+        return PredictionTable(
+            self.dataset or "",
+            **{name: np.array(list(codes), dtype=str)[np.frombuffer(column, dtype=np.int64)]
+               for name, (codes, column) in self.texts.items()},
+            **{name: np.frombuffer(column, dtype=np.int64) for name, column in self.ints.items()},
+            probs=np.frombuffer(self.probs).reshape(self.count, self.num_classes or 0),
+        )
 
 
 def write_records(table: PredictionTable, dest) -> None:

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import random
 import re
 import shutil
 import subprocess
@@ -540,24 +541,31 @@ class TestOneAuditCore:
         assert snapshot(out) == before
 
     def test_import_logs_keeps_the_bytes_it_validated(self, tmp_path, full_run):
-        # The same log twice: as train-baseline wrote it, and with its keys
-        # reordered and extra spaces. Each is stored as it is, and ifc reads
-        # both alike.
+        # The same log three times: as train-baseline wrote it, which is read
+        # in bulk, and twice re-spelled, which is read line by line: keys
+        # reversed with extra spaces, and keys shuffled with compact
+        # separators. Each is stored as it is, and ifc reads all alike.
         canonical = full_run / "predictions.jsonl"
-        loose = tmp_path / "loose.jsonl"
+        records = [json.loads(line) for line in canonical.read_text().splitlines()]
+        loose, compact = tmp_path / "loose.jsonl", tmp_path / "compact.jsonl"
         loose.write_text("".join(
-            json.dumps(dict(reversed(json.loads(line).items())), separators=(" ,  ", " :  "))
-            + "  \n" for line in canonical.read_text().splitlines()
+            json.dumps(dict(reversed(r.items())), separators=(" ,  ", " :  ")) + "  \n"
+            for r in records
+        ))
+        rng = random.Random(18)
+        compact.write_text("".join(
+            json.dumps({k: r[k] for k in rng.sample(list(r), len(r))}, separators=(",", ":"))
+            + "\n" for r in records
         ))
         audits = []
-        for name, logs in (("canonical", canonical), ("loose", loose)):
+        for name, logs in (("canonical", canonical), ("loose", loose), ("compact", compact)):
             out = tmp_path / name
             for argv in (["ingest", "--recordings", str(full_run / "recordings.csv")],
                          ["windows"], ["split"], ["import-logs", "--logs", str(logs)], ["ifc"]):
                 assert run(out, argv) == 0, argv
             assert (out / "predictions.jsonl").read_bytes() == logs.read_bytes()
             audits.append({a: (out / a).read_bytes() for a in COMMANDS["ifc"][3]})
-        assert audits[0] == audits[1]
+        assert audits[0] == audits[1] == audits[2]
 
     def test_sparse_log_fails_at_ifc(self, tmp_path, capsys):
         out = tmp_path / "run"

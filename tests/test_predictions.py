@@ -1,10 +1,12 @@
 import io
 import json
 import re
+import warnings
 
 import numpy as np
 import pytest
 
+from haraudit import predictions
 from haraudit.predictions import (
     COLUMNS,
     PredictionTable,
@@ -157,6 +159,21 @@ class TestValidationRules:
                                               f"{value} does not fit in int64"):
             read_back(rows)
 
+    @pytest.mark.parametrize("probs, message", [
+        ("[true, 0]", "probs[0] True is not a JSON number"),
+        ("[0, false]", "probs[1] False is not a JSON number"),
+        # Before, the first escaped as a bare OverflowError naming no record.
+        ("[1" + "0" * 400 + ", 0]", "int too large to convert to float"),
+    ], ids=["true", "false", "400-digit-integer"])
+    def test_probabilities_must_be_json_numbers_that_fit_a_float(self, probs, message):
+        # Before, true and false were read as 1.0 and 0.0.
+        line = json.dumps(rec(window=1))
+        text = json.dumps(rec()) + "\n" + line[:line.index("[")] + probs + "}\n"
+        with pytest.raises(RecordError) as raised:
+            read_records(io.StringIO(text))
+        assert str(raised.value) == f"record 1: malformed record: {message}"
+        assert raised.value.index == 1
+
     def test_a_log_holds_one_dataset(self):
         rows = [rec(), rec(window=1), rec(window=2, dataset="e")]
         with pytest.raises(RecordError,
@@ -202,6 +219,189 @@ class TestTypedBuffers:
         assert_same_table(got, table)
         table_bytes = sum(getattr(got, name).nbytes for name in COLUMNS)
         assert peak <= 2.5 * table_bytes, peak / table_bytes
+
+
+# The bulk read takes lines in batches of 64 KiB: at about 150 bytes a line,
+# record LATE is in a later batch than record 0.
+LATE = 2400
+FILLER = [rec(window=w, run=w % 3, label=w % 2, probs=(p, 1 - p))
+          for w, p in enumerate(np.random.default_rng(3).random(LATE + 100).tolist())]
+
+
+def with_probs(probs):
+    """The canonical line of a record, with ``probs`` spelled as given."""
+    return lambda r: json.dumps(r).split('"probs"')[0] + f'"probs": [{probs}]}}\n'
+
+
+def spy_on_line_reads(monkeypatch) -> list[int]:
+    """The record count at each switch from the bulk read to ``take_lines``."""
+    switches = []
+    take_lines = predictions._Log.take_lines
+    monkeypatch.setattr(predictions._Log, "take_lines",
+                        lambda log, lines: (switches.append(log.count), take_lines(log, lines))[1])
+    return switches
+
+
+def read_both(tmp_path, text, **kwargs):
+    """``read_records`` of ``text`` through a path and a stream, which must
+    agree and warn of nothing: the table, or the error's index and message."""
+    path = tmp_path / "log.jsonl"
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(text)
+    results = []
+    for source in (path, io.StringIO(text, newline="")):
+        with warnings.catch_warnings(record=True) as warned:
+            warnings.simplefilter("always")
+            try:
+                results.append(read_records(source, **kwargs))
+            except RecordError as exc:
+                results.append((exc.index, str(exc)))
+        assert not warned, [str(w.message) for w in warned]
+    if isinstance(results[0], PredictionTable):
+        assert_same_bits(results[1], results[0])
+    else:
+        assert results[1] == results[0]
+    return results[0]
+
+
+def assert_same_bits(got, want):
+    assert_same_table(got, want)
+    assert np.array_equal(got.probs.view(np.int64), want.probs.view(np.int64))
+
+
+def json_oracle(text):
+    """The table ``json.loads`` gives for each nonblank line."""
+    return table_of([json.loads(line) for line in io.StringIO(text, newline="") if line.strip()])
+
+
+def refuse_json_loads(*args, **kwargs):
+    raise AssertionError("a line was read with json.loads")
+
+
+def json_error(line):
+    try:
+        json.loads(line.strip())
+    except ValueError as exc:
+        return f"malformed record: {exc}"
+    raise AssertionError(f"json reads {line!r}")
+
+
+JSON_ERROR = object()
+# id: (the odd record's line from its canonical record, the error, or None
+# when the log reads as json.loads reads it; JSON_ERROR: json.loads's own).
+SPELLINGS = {
+    # Number spellings that float reads but json refuses.
+    **{f"number {n}": (with_probs(f"{n}, 0"), JSON_ERROR)
+       for n in ("+1", ".5", "5.", "01", "-01", "1_0", "nan", "inf", "١")},
+    # json reads the integer -0 as 0, strtod as -0.0.
+    "number -0": (with_probs("-0, 1"), None),
+    "number -0.0": (with_probs("-0.0, 1"), None),
+    "number 1e-05": (with_probs("1e-05, 0.99999"), None),
+    "number 5e-324": (with_probs("5e-324, 1"), None),
+    "number 1E+16": (with_probs("1E+16, 0"),
+                     "probabilities sum to 10000000000000000.00000000, not 1"),
+    "number 1e400": (with_probs("1e400, 0"), "probabilities sum to inf, not 1"),
+    # strtod reads 1 and stops: the reader must not take a log that ends so.
+    "number 1e": (with_probs("0, 1e"), JSON_ERROR),
+    "number 400 digits": (with_probs("1" + "0" * 400 + ", 0"),
+                          "malformed record: int too large to convert to float"),
+    "number true": (with_probs("true, 0"), "malformed record: probs[0] True is not a JSON number"),
+    "number +1 after a bare comma": (with_probs("0,+1"), JSON_ERROR),
+    "one class": (with_probs("1.0"), "probs must hold at least two classes"),
+    "control character in an id": (lambda r: json.dumps(r).replace('"m1"', '"m\x01"') + "\n",
+                                   JSON_ERROR),
+    "escaped id": (lambda r: json.dumps({**r, "model": "mé"}) + "\n", None),
+    "non-ASCII id": (lambda r: json.dumps({**r, "model": "mé"}, ensure_ascii=False) + "\n",
+                     None),
+    "extra key": (lambda r: json.dumps({**r, "note": [1, "x"]}) + "\n", None),
+    "reordered keys": (lambda r: json.dumps(dict(reversed(r.items()))) + "\n", None),
+    "compact separators": (lambda r: json.dumps(r, separators=(",", ":")) + "\n", None),
+    "CRLF": (lambda r: json.dumps(r) + "\r\n", None),
+    "lone CR": (lambda r: json.dumps(r) + "\r", None),
+    "blank lines": (lambda r: "\n  \n" + json.dumps(r) + "\n\n", None),
+    "18-digit integers": (lambda r: json.dumps({**r, "run": -10**18 + 1, "window": 10**18 - 1})
+                          + "\n", None),
+    "int64 max": (lambda r: json.dumps({**r, "run": 2**63 - 1}) + "\n", None),
+    "int64 min": (lambda r: json.dumps({**r, "window": -2**63}) + "\n", None),
+    "int64 max + 1": (lambda r: json.dumps({**r, "fold": 2**63}) + "\n",
+                      "malformed record: fold 9223372036854775808 does not fit in int64"),
+    "int64 min - 1": (lambda r: json.dumps({**r, "window": -2**63 - 1}) + "\n",
+                      "malformed record: window -9223372036854775809 does not fit in int64"),
+    "bad record": (lambda r: json.dumps(r)[:40] + "\n", JSON_ERROR),
+}
+# Spellings json.dumps writes, which the bulk read takes.
+TAKEN_IN_BULK = {"number -0.0", "number 1e-05", "number 5e-324", "non-ASCII id",
+                 "18-digit integers"}
+# Faults that only a record after the first can have.
+LATER_FAULTS = {
+    "second dataset": (lambda r: json.dumps({**r, "dataset": "e"}) + "\n",
+                       "dataset 'e' differs from the log's dataset 'd'"),
+    "wrong class count": (lambda r: json.dumps({**r, "probs": [0.5, 0.25, 0.25]}) + "\n",
+                          "expected 2 classes, found 3"),
+    # Three numbers and one: together, what two records of two classes hold.
+    "offsetting class counts": (
+        lambda r: json.dumps({**r, "probs": [0.5, 0.25, 0.25]}) + "\n"
+        + json.dumps({**r, "window": -1, "probs": [1.0]}) + "\n",
+        "expected 2 classes, found 3"),
+}
+
+
+class TestBulkRead:
+    @pytest.mark.parametrize("spelling, at", [
+        pytest.param(spelling, at, id=f"{spelling}-{where}")
+        for spelling in SPELLINGS | LATER_FAULTS
+        for at, where in ((0, "first"), (LATE, "late-batch"), (len(FILLER) - 1, "last"))
+        if at or spelling in SPELLINGS
+    ])
+    def test_reads_as_json_loads_does(self, tmp_path, monkeypatch, spelling, at):
+        """One record spelled otherwise, first, in a later batch or last: the
+        log reads as json.loads reads it, or fails with the per-line error."""
+        line, error = (SPELLINGS | LATER_FAULTS)[spelling]
+        odd = line(FILLER[at])
+        text = "".join(json.dumps(r) + "\n" if i != at else odd for i, r in enumerate(FILLER))
+        switches = spy_on_line_reads(monkeypatch)
+        got = read_both(tmp_path, text)
+        if error is None:
+            assert_same_bits(got, json_oracle(text))
+        else:
+            error = json_error(odd) if error is JSON_ERROR else error
+            assert got == (at, f"record {at}: {error}")
+        if spelling in TAKEN_IN_BULK:
+            assert switches == []
+        elif at:  # the batches before the odd record's are read in bulk
+            assert all(0 < count <= at for count in switches), switches
+
+    @pytest.mark.parametrize("text", [
+        "".join(json.dumps(r) + "\n" for r in FILLER).rstrip("\n"),
+        "".join(json.dumps(r, ensure_ascii=False) + "\n" for r in
+                [{**r, "model": "mé "} for r in FILLER]),
+    ], ids=["no-final-newline", "raw-non-ASCII-ids"])
+    def test_a_canonical_log_is_read_in_bulk(self, tmp_path, monkeypatch, text):
+        want = json_oracle(text)
+        monkeypatch.setattr(predictions.json, "loads", refuse_json_loads)
+        assert_same_bits(read_both(tmp_path, text), want)
+
+    def test_a_log_of_one_class_is_refused(self, tmp_path):
+        text = "".join(json.dumps({**r, "probs": [1.0]}) + "\n" for r in FILLER)
+        assert read_both(tmp_path, text) == (0, "record 0: probs must hold at least two classes")
+
+    def test_random_floats_read_back_bit_identical(self, tmp_path, monkeypatch):
+        # Any finite double, subnormals and extremes among them, and integers
+        # beyond 2**53: json.dumps writes each as json.loads reads it back.
+        rng = np.random.default_rng(18)
+        values = rng.integers(0, 2**64, size=(3000, 4), dtype=np.uint64).view(np.float64)
+        values[:500] = rng.integers(1, 2**52, size=(500, 4), dtype=np.uint64).view(np.float64)
+        values[500, :] = [5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, -0.0]
+        values[~np.isfinite(values)] = 0.5
+        rows = values.tolist()
+        for row, n in zip(rows[501:800], rng.integers(-2**62, 2**62, 299).tolist()):
+            row[0] = n * 2**20  # a JSON integer
+        text = "".join(json.dumps(rec(window=w, probs=row)) + "\n" for w, row in enumerate(rows))
+        want = np.array(rows, dtype=float)
+        monkeypatch.setattr(predictions, "validate_records", lambda table, ids: None)
+        monkeypatch.setattr(predictions.json, "loads", refuse_json_loads)
+        got = read_both(tmp_path, text)
+        assert np.array_equal(got.probs.view(np.int64), want.view(np.int64))
 
 
 def correctness_records(model, config, flags_per_run, label=0):
