@@ -28,7 +28,7 @@ from . import confusion as conf
 from . import ifc as ifc_mod
 from . import mask as mask_mod
 from . import svgplot
-from ._io import write_csv, write_json
+from ._io import open_text, write_csv, write_json
 from .baseline import TrainConfig
 from .pipeline import audit_records, baseline_prediction_records
 from .predictions import (
@@ -112,15 +112,19 @@ class RunDir:
         the field's default."""
         return kind(**{f.name: self.opt(f.name, f.default) for f in fields(kind)})
 
-    def source(self, key: str) -> Path | None:
-        """A file from outside the run directory, recorded by content hash."""
+    def source(self, key: str, stage: str | None = None) -> Path | None:
+        """A file from outside the run directory, recorded by content hash. With
+        ``stage``, it is copied to become that artifact first, and the copy is
+        hashed, so one hash serves the lineage and the manifest."""
         path = self.opt(key, None)
         if path is None:
             return None
         path = Path(path)
         if not path.is_file():
             raise CommandError(f"{key} file {path} does not exist")
-        self.params[key] = self.sha256(path)
+        if stage is not None:
+            shutil.copyfile(path, self.file(stage))
+        self.params[key] = self.sha256(self.staged.get(stage, path))
         return path
 
     def file(self, name: str) -> Path:
@@ -244,13 +248,16 @@ def _ifc_view(run: RunDir):
     return windows, meta, flags
 
 
-def _load_records(path: Path, windows: WindowTable, meta: dict) -> PredictionTable:
-    """Read a prediction log, validated against the windows and their class count."""
+def _load_records(
+    path: Path, windows: WindowTable, meta: dict, name: Path | None = None
+) -> PredictionTable:
+    """Read a prediction log, validated against the windows and their class
+    count; errors name the log as ``name``, by default its path."""
     records = read_records(
         path, valid_window_ids=range(len(windows)), num_classes=meta["num_classes"]
     )
     if not len(records):
-        raise CommandError(f"{path} holds no prediction records")
+        raise CommandError(f"{name or path} holds no prediction records")
     return records
 
 
@@ -339,13 +346,13 @@ def cmd_train_baseline(run: RunDir) -> None:
 
 
 def cmd_import_logs(run: RunDir) -> None:
-    logs = run.source("logs")
+    logs = run.source("logs", stage="predictions.jsonl")
     if logs is None:
         raise CommandError("import-logs needs --logs <jsonl>")
     windows, meta = _windows(run)
-    check_labels(_load_records(logs, windows, meta), windows.label)
-    # The file as validated, byte for byte; ``ifc`` parses it the same way.
-    shutil.copyfile(logs, run.file("predictions.jsonl"))
+    # The copy is validated and committed byte for byte; ``ifc`` parses it the same way.
+    records = _load_records(run.staged["predictions.jsonl"], windows, meta, name=logs)
+    check_labels(records, windows.label)
 
 
 def cmd_ifc(run: RunDir) -> None:
@@ -428,7 +435,8 @@ def cmd_plot(run: RunDir) -> None:
         ("histogram.svg", svgplot.histogram_svg(bins)),
         ("chord.svg", svgplot.chord_svg(edges, chord["classes"])),
     ):
-        run.file(name).write_text(svg, encoding="utf-8")
+        with open_text(run.file(name), "w") as fh:
+            fh.write(svg)
 
 
 def cmd_report(run: RunDir) -> None:

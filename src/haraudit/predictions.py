@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import json
 import re
-import warnings
 from array import array
 from dataclasses import dataclass
 from itertools import chain
@@ -156,10 +155,10 @@ def read_records(
     is the first record's. ``validate_records`` then checks the rest.
 
     The log is read once, front to back, in batches of lines. A batch whose
-    lines all have the layout ``write_records`` writes is read in bulk. From
-    the first batch the bulk read refuses (another layout, or a value it
-    would not read exactly as ``json.loads`` does), ``json.loads`` reads the
-    rest one line at a time and names every error.
+    lines all have the layout ``write_records`` writes is read in bulk, with
+    one ``json.loads`` for its probabilities. From the first batch the bulk
+    read refuses (another layout, or a fault), ``json.loads`` reads the rest
+    one line at a time and names every error.
     """
     log = _Log(num_classes)
     with open_text(src) as fh:
@@ -174,55 +173,14 @@ def read_records(
 
 #: One record in the layout ``write_records`` writes (``json.dumps`` keys and
 #: spacing), with ids free of escapes and control characters, integers of at
-#: most 18 digits (so inside int64) and probabilities spelled with the
-#: characters ``json.dumps`` writes for numbers; ``_numbers`` checks their spelling.
+#: most 18 digits (so inside int64) and probabilities spelled with the characters
+#: of JSON numbers: no ``true`` or ``null``, which ``np.array`` takes as numbers.
 _RECORD = (
     r'^\{"dataset": "([^"\\\x00-\x1f]*)", "model": "([^"\\\x00-\x1f]*)", '
     r'"config": "([^"\\\x00-\x1f]*)", "run": (-?(?:0|[1-9][0-9]{0,17})), '
     r'"fold": (-?(?:0|[1-9][0-9]{0,17})), "window": (-?(?:0|[1-9][0-9]{0,17})), '
     r'"label": (-?(?:0|[1-9][0-9]{0,17})), "probs": \[([-+.0-9e, ]*)\]\}$'
 )
-
-
-def _numbers(rows: tuple[str, ...], k: int) -> np.ndarray | None:
-    """The numbers of ``rows``, each ``k`` JSON numbers joined by ", ", as one
-    float64 array; None unless ``np.fromstring`` reads each as ``json`` does.
-
-    strtod also reads ``+1``, ``.5``, ``5.``, ``01`` and ``-01``, which are
-    not JSON, and reads the JSON integer ``-0`` as -0.0 where ``json`` gives
-    0; all are refused, as is a value that is not finite (a huge integer
-    overflows in ``json``).
-    """
-    def is_digit(byte):
-        return (byte >= ord("0")) & (byte <= ord("9"))
-
-    text = ", ".join(rows)
-    # ", " before each number and after the last one
-    b = np.frombuffer(f", {text}, ".encode(), dtype=np.uint8)
-    comma = np.flatnonzero(b == ord(","))
-    row_ends = np.cumsum(np.fromiter(map(len, rows), np.int64, len(rows)) + 2)
-    if not np.array_equal(comma[k::k], row_ends):
-        return None  # not k numbers a row
-    if not np.array_equal(np.flatnonzero(b == ord(" ")), comma + 1):
-        return None  # not ", " between numbers, and no other space
-    start, size = comma[:-1] + 2, np.diff(comma) - 2
-    minus = b[start] == ord("-")
-    first, second = b[start + minus], b[start + minus + 1]  # of the integer part
-    zero = first == ord("0")
-    if not (is_digit(first) & ~(zero & is_digit(second)) & ~(minus & zero & (size == 2))).all():
-        return None
-    if not is_digit(b[np.flatnonzero(b == ord(".")) + 1]).all():
-        return None
-    try:
-        with warnings.catch_warnings():
-            # Where it stops short of the end, fromstring raises; numpy 1.x only warns.
-            warnings.simplefilter("error")
-            values = np.fromstring(text, sep=",")
-    except (ValueError, Warning):
-        return None
-    if values.size != len(rows) * k or not np.isfinite(values).all():
-        return None
-    return values
 
 
 class _Log:
@@ -247,11 +205,14 @@ class _Log:
             return False
         dataset, model, config, *ints, probs = zip(*records)
         first = dataset[0] if self.dataset is None else self.dataset
-        k = self.num_classes or probs[0].count(",") + 1
-        if dataset.count(first) != len(records) or k < 2:
+        if dataset.count(first) != len(records):
             return False
-        values = _numbers(probs, k)
-        if values is None:
+        try:  # json reads each number as take_lines does, and numpy converts it as float() does
+            values = np.array(json.loads(f"[[{'], ['.join(probs)}]]"), dtype=float)
+        except (ValueError, OverflowError):  # not JSON, a ragged batch, or an int too large
+            return False
+        k = self.num_classes or values.shape[1]
+        if values.shape != (len(records), k) or k < 2:
             return False
         self.dataset, self.num_classes = first, k
         for (codes, column), texts in zip(self.texts.values(), (model, config)):

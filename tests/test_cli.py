@@ -537,7 +537,7 @@ class TestOneAuditCore:
         before = snapshot(out)
         capsys.readouterr()
         assert run(out, ["import-logs", "--logs", str(logs)]) == 1
-        assert "holds no prediction records" in capsys.readouterr().err
+        assert f"{logs} holds no prediction records" in capsys.readouterr().err
         assert snapshot(out) == before
 
     def test_import_logs_keeps_the_bytes_it_validated(self, tmp_path, full_run):
@@ -566,6 +566,21 @@ class TestOneAuditCore:
             assert (out / "predictions.jsonl").read_bytes() == logs.read_bytes()
             audits.append({a: (out / a).read_bytes() for a in COMMANDS["ifc"][3]})
         assert audits[0] == audits[1] == audits[2]
+
+    def test_import_logs_hashes_the_log_once(self, tmp_path, full_run, monkeypatch):
+        # The lineage's `logs` digest and the manifest's predictions.jsonl
+        # digest are one hash of the staged copy; the source was once hashed too.
+        out = tmp_path / "run"
+        shutil.copytree(full_run, out)
+        logs = shutil.copyfile(out / "predictions.jsonl", tmp_path / "logs.jsonl")
+        digest = hashlib.sha256(logs.read_bytes()).hexdigest()
+        hashes, sha256 = [], hashlib.sha256
+        monkeypatch.setattr(cli.hashlib, "sha256", lambda: hashes.append(sha256()) or hashes[-1])
+        assert run(out, ["import-logs", "--logs", str(logs)]) == 0
+        assert [h.hexdigest() for h in hashes].count(digest) == 1
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["artifacts"]["predictions.jsonl"] == digest
+        assert manifest["lineage"]["predictions.jsonl"]["params"]["logs"] == digest
 
     def test_sparse_log_fails_at_ifc(self, tmp_path, capsys):
         out = tmp_path / "run"

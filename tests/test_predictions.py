@@ -274,10 +274,6 @@ def json_oracle(text):
     return table_of([json.loads(line) for line in io.StringIO(text, newline="") if line.strip()])
 
 
-def refuse_json_loads(*args, **kwargs):
-    raise AssertionError("a line was read with json.loads")
-
-
 def json_error(line):
     try:
         json.loads(line.strip())
@@ -293,7 +289,7 @@ SPELLINGS = {
     # Number spellings that float reads but json refuses.
     **{f"number {n}": (with_probs(f"{n}, 0"), JSON_ERROR)
        for n in ("+1", ".5", "5.", "01", "-01", "1_0", "nan", "inf", "١")},
-    # json reads the integer -0 as 0, strtod as -0.0.
+    # json reads the integer -0 as 0, not -0.0.
     "number -0": (with_probs("-0, 1"), None),
     "number -0.0": (with_probs("-0.0, 1"), None),
     "number 1e-05": (with_probs("1e-05, 0.99999"), None),
@@ -301,6 +297,7 @@ SPELLINGS = {
     "number 1E+16": (with_probs("1E+16, 0"),
                      "probabilities sum to 10000000000000000.00000000, not 1"),
     "number 1e400": (with_probs("1e400, 0"), "probabilities sum to inf, not 1"),
+    "number 0.5 ,0.5": (with_probs("0.5 ,0.5"), None),
     # strtod reads 1 and stops: the reader must not take a log that ends so.
     "number 1e": (with_probs("0, 1e"), JSON_ERROR),
     "number 400 digits": (with_probs("1" + "0" * 400 + ", 0"),
@@ -308,6 +305,7 @@ SPELLINGS = {
     "number true": (with_probs("true, 0"), "malformed record: probs[0] True is not a JSON number"),
     "number +1 after a bare comma": (with_probs("0,+1"), JSON_ERROR),
     "one class": (with_probs("1.0"), "probs must hold at least two classes"),
+    "empty probs": (with_probs(""), "probs must hold at least two classes"),
     "control character in an id": (lambda r: json.dumps(r).replace('"m1"', '"m\x01"') + "\n",
                                    JSON_ERROR),
     "escaped id": (lambda r: json.dumps({**r, "model": "mé"}) + "\n", None),
@@ -329,9 +327,9 @@ SPELLINGS = {
                       "malformed record: window -9223372036854775809 does not fit in int64"),
     "bad record": (lambda r: json.dumps(r)[:40] + "\n", JSON_ERROR),
 }
-# Spellings json.dumps writes, which the bulk read takes.
-TAKEN_IN_BULK = {"number -0.0", "number 1e-05", "number 5e-324", "non-ASCII id",
-                 "18-digit integers"}
+# Spellings in write_records' layout that json reads, which the bulk read takes.
+TAKEN_IN_BULK = {"number -0", "number -0.0", "number 1e-05", "number 5e-324", "number 1e400",
+                 "number 0.5 ,0.5", "non-ASCII id", "18-digit integers"}
 # Faults that only a record after the first can have.
 LATER_FAULTS = {
     "second dataset": (lambda r: json.dumps({**r, "dataset": "e"}) + "\n",
@@ -377,9 +375,18 @@ class TestBulkRead:
                 [{**r, "model": "mé "} for r in FILLER]),
     ], ids=["no-final-newline", "raw-non-ASCII-ids"])
     def test_a_canonical_log_is_read_in_bulk(self, tmp_path, monkeypatch, text):
-        want = json_oracle(text)
-        monkeypatch.setattr(predictions.json, "loads", refuse_json_loads)
-        assert_same_bits(read_both(tmp_path, text), want)
+        switches = spy_on_line_reads(monkeypatch)
+        assert_same_bits(read_both(tmp_path, text), json_oracle(text))
+        assert switches == []
+
+    def test_a_later_batch_of_a_second_dataset_is_refused(self, tmp_path):
+        # Each batch must hold the log's dataset, not only agree within itself.
+        lines = [json.dumps(r) + "\n" for r in FILLER]
+        first = len(io.StringIO("".join(lines)).readlines(1 << 16))
+        text = "".join(lines[:first]) + "".join(line.replace('"d"', '"e"', 1)
+                                                 for line in lines[first:])
+        assert read_both(tmp_path, text) == (
+            first, f"record {first}: dataset 'e' differs from the log's dataset 'd'")
 
     def test_a_log_of_one_class_is_refused(self, tmp_path):
         text = "".join(json.dumps({**r, "probs": [1.0]}) + "\n" for r in FILLER)
@@ -399,9 +406,10 @@ class TestBulkRead:
         text = "".join(json.dumps(rec(window=w, probs=row)) + "\n" for w, row in enumerate(rows))
         want = np.array(rows, dtype=float)
         monkeypatch.setattr(predictions, "validate_records", lambda table, ids: None)
-        monkeypatch.setattr(predictions.json, "loads", refuse_json_loads)
+        switches = spy_on_line_reads(monkeypatch)
         got = read_both(tmp_path, text)
         assert np.array_equal(got.probs.view(np.int64), want.view(np.int64))
+        assert switches == []
 
 
 def correctness_records(model, config, flags_per_run, label=0):
