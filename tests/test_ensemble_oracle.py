@@ -8,35 +8,19 @@ included.
 """
 
 import csv
-import importlib.util
 import json
 import shutil
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 
+from bench_modules import load_bench_module
 from haraudit.cli import main
 from haraudit.pipeline import audit_records
 from haraudit.predictions import MERGE_POLICIES, filter_to_configs, model_metrics, read_records
 
-BENCH = Path(__file__).resolve().parent.parent / "bench"
 LOG = {"dataset": "oracle", "models": ["cnn", "lstm", "mlp"], "configs": ["cfg-a", "cfg-b"],
        "runs": 3, "accuracy": [0.7, 0.92], "hard_share": 0.05, "hard_accuracy": 0.05}
-
-
-def load_bench_module(name):
-    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
-    module = importlib.util.module_from_spec(spec)
-    dont_write = sys.dont_write_bytecode
-    sys.dont_write_bytecode = True
-    try:
-        spec.loader.exec_module(module)
-    finally:
-        sys.dont_write_bytecode = dont_write
-    return module
-
 
 gen = load_bench_module("gen")
 oracle = load_bench_module("oracle")
