@@ -1,4 +1,4 @@
-"""Path-or-stream text access shared by every reader and writer."""
+"""Path-or-stream access shared by every reader and writer."""
 
 from __future__ import annotations
 
@@ -16,6 +16,14 @@ def open_text(target, mode: str = "r"):
     """
     if isinstance(target, (str, Path)):
         return open(target, mode, encoding="utf-8", newline="")
+    return nullcontext(target)
+
+
+def open_binary(target, mode: str = "rb"):
+    """``open_text`` for bytes: open a path in binary mode, or pass a binary
+    stream through."""
+    if isinstance(target, (str, Path)):
+        return open(target, mode)
     return nullcontext(target)
 
 

@@ -7,10 +7,14 @@ manifest.json. A command writes to temporary names and moves them into place
 only when it succeeds, so a failed command leaves the run directory as it
 found it.
 
-``ifc`` runs the whole audit once (``pipeline.audit_records``) and persists it
-as ifc_windows.csv, ifc_summary.json, fused.jsonl and models.json.
-``confusion``, ``histogram``, ``mask`` and ``report`` are views of those
-files, and ``plot`` also draws the exports of ``histogram`` and ``confusion``.
+Each text input is parsed once. ``train-baseline`` and ``import-logs`` store
+the validated log as binary columns (predictions.npy) beside its JSONL, and
+``windows`` stores the per-window channel means (window_means.npy).
+``ifc`` runs the whole audit once (``pipeline.audit_records``) on those
+columns and persists it as ifc_windows.csv, ifc_summary.json, fused.jsonl and
+models.json. ``confusion``, ``histogram``, ``mask`` and ``report`` are views
+of those files, and ``plot`` draws the window means and the exports of
+``histogram`` and ``confusion``.
 """
 
 from __future__ import annotations
@@ -24,6 +28,8 @@ import sys
 from dataclasses import asdict, fields, replace
 from pathlib import Path
 
+import numpy as np
+
 from . import confusion as conf
 from . import ifc as ifc_mod
 from . import mask as mask_mod
@@ -32,7 +38,8 @@ from ._io import open_text, write_csv, write_json
 from .baseline import TrainConfig
 from .pipeline import audit_records, baseline_prediction_records
 from .predictions import (
-    MERGE_POLICIES, PredictionTable, check_labels, read_records, write_records,
+    MERGE_POLICIES, PredictionTable, check_labels, read_columns, read_records, write_columns,
+    write_records,
 )
 from .recordings import corpus_num_classes, parse_canonical, write_canonical
 from .splits import MAX_FOLDS_DEFAULT, plan_folds, read_plan, write_plan
@@ -137,11 +144,11 @@ class RunDir:
         """An input, refused when it has no lineage record, differs from the
         file its command wrote, or a file it was built from has changed since."""
         path = self.out / name
+        producers = " or ".join(c for c, spec in COMMANDS.items() if name in spec[3])
         if not path.exists():
-            raise CommandError(f"missing input {path}; run the producing command first")
+            raise CommandError(f"missing input {path}; run {producers} first")
         record = self.lineage.get(name)
         if record is None:
-            producers = " or ".join(c for c, spec in COMMANDS.items() if name in spec[3])
             raise CommandError(f"manifest.json records no lineage for {name}; rerun {producers}")
         if self.sha256(path) != self.artifacts.get(name):
             rerun = record["command"]
@@ -223,14 +230,6 @@ def _read_meta(path: Path) -> dict:
     return json.loads(path.read_text(encoding="utf-8"))
 
 
-def _rebuild_dataset(run: RunDir):
-    """Re-slice the canonical recordings with the recorded window config."""
-    meta = _read_meta(run.need("windows_meta.json"))
-    recordings, _ = parse_canonical(run.need("recordings.csv"))
-    config = WindowConfig(**{f.name: meta[f.name] for f in fields(WindowConfig)})
-    return slice_corpus(recordings, config, num_classes=meta["num_classes"])
-
-
 def _windows(run: RunDir) -> tuple[WindowTable, dict]:
     """windows.csv as a table, and windows_meta.json."""
     return read_windows(run.need("windows.csv")), _read_meta(run.need("windows_meta.json"))
@@ -249,11 +248,12 @@ def _ifc_view(run: RunDir):
 
 
 def _load_records(
-    path: Path, windows: WindowTable, meta: dict, name: Path | None = None
+    read, path: Path, windows: WindowTable, meta: dict, name: Path | None = None
 ) -> PredictionTable:
-    """Read a prediction log, validated against the windows and their class
-    count; errors name the log as ``name``, by default its path."""
-    records = read_records(
+    """Read a prediction log with ``read`` (``read_records`` or ``read_columns``),
+    validated against the windows and their class count; errors name the log
+    as ``name``, by default its path."""
+    records = read(
         path, valid_window_ids=range(len(windows)), num_classes=meta["num_classes"]
     )
     if not len(records):
@@ -313,6 +313,8 @@ def cmd_windows(run: RunDir) -> None:
     config = run.recipe(WindowConfig)
     dataset = slice_corpus(recordings, config)
     write_windows(dataset.windows, run.file("windows.csv"))
+    with open(run.file("window_means.npy"), "wb") as fh:  # np.save(path) would add ".npy"
+        np.save(fh, dataset.blocks.mean(axis=1), allow_pickle=False)
     write_json(
         {
             "num_windows": dataset.num_windows,
@@ -333,7 +335,10 @@ def cmd_split(run: RunDir) -> None:
 
 
 def cmd_train_baseline(run: RunDir) -> None:
-    dataset = _rebuild_dataset(run)
+    meta = _read_meta(run.need("windows_meta.json"))
+    recordings, _ = parse_canonical(run.need("recordings.csv"))
+    config = WindowConfig(**{f.name: meta[f.name] for f in fields(WindowConfig)})
+    dataset = slice_corpus(recordings, config, num_classes=meta["num_classes"])
     plan = read_plan(run.need("splits.json"))
     records = baseline_prediction_records(
         dataset,
@@ -343,6 +348,7 @@ def cmd_train_baseline(run: RunDir) -> None:
         config=run.recipe(TrainConfig),
     )
     write_records(records, run.file("predictions.jsonl"))
+    write_columns(records, run.file("predictions.npy"))
 
 
 def cmd_import_logs(run: RunDir) -> None:
@@ -350,15 +356,16 @@ def cmd_import_logs(run: RunDir) -> None:
     if logs is None:
         raise CommandError("import-logs needs --logs <jsonl>")
     windows, meta = _windows(run)
-    # The copy is validated and committed byte for byte; ``ifc`` parses it the same way.
-    records = _load_records(run.staged["predictions.jsonl"], windows, meta, name=logs)
+    # The copy is validated and committed byte for byte, and its columns beside it.
+    records = _load_records(read_records, run.staged["predictions.jsonl"], windows, meta, name=logs)
     check_labels(records, windows.label)
+    write_columns(records, run.file("predictions.npy"))
 
 
 def cmd_ifc(run: RunDir) -> None:
-    path = run.need("predictions.jsonl")
+    run.need("predictions.jsonl")  # so a log edited since its columns were written is refused
     windows, meta = _windows(run)
-    records = _load_records(path, windows, meta)
+    records = _load_records(read_columns, run.need("predictions.npy"), windows, meta)
     policy = run.opt("merge_policy", "majority")
     result = audit_records(
         records, windows.bounds, windows.label, meta["total_samples"],
@@ -419,12 +426,15 @@ def cmd_plot(run: RunDir) -> None:
     flags = _ifc_view(run)[-1]
     bins = ifc_mod.read_histogram_csv(run.need("ifc_histogram.csv"))
     chord = _read_meta(run.need("chord.json"))
-    dataset = _rebuild_dataset(run)
-    if dataset.num_windows != flags.size:
-        raise CommandError("window table and overlap flags are out of step")
-    means = dataset.blocks.mean(axis=1)
+    path = run.need("window_means.npy")
+    means = np.load(path, allow_pickle=False)
+    if means.ndim != 2 or len(means) != flags.size:
+        raise CommandError(
+            f"{path} holds means of shape {means.shape} but ifc_windows.csv holds "
+            f"{flags.size} windows; rerun windows"
+        )
     write_csv(
-        ["window_id", *(f"mean_ch{c}" for c in range(dataset.num_channels)), "ifc_flag"],
+        ["window_id", *(f"mean_ch{c}" for c in range(means.shape[1])), "ifc_flag"],
         ([w, *map(repr, row), flag] for w, (row, flag)
          in enumerate(zip(means.tolist(), flags.astype(int).tolist()))),
         run.file("condensed.csv"),
@@ -474,14 +484,15 @@ COMMANDS = {
                 {"--window-size": INT, "--stride": INT,
                  "--label-policy": {"choices": list(LABEL_POLICIES)},
                  "--group-by": {"choices": list(GROUP_UNITS)},
-                 "--sample-rate": FLOAT}, ("windows.csv", "windows_meta.json")),
+                 "--sample-rate": FLOAT},
+                ("windows.csv", "windows_meta.json", "window_means.npy")),
     "split": (cmd_split, "plan grouped cross-validation folds", {"--max-k": INT},
               ("splits.json",)),
     "train-baseline": (cmd_train_baseline, "train the reference classifier per fold",
                        {"--runs": INT, "--step-size": FLOAT, "--epochs": INT,
-                        "--dataset-id": {}}, ("predictions.jsonl",)),
+                        "--dataset-id": {}}, ("predictions.jsonl", "predictions.npy")),
     "import-logs": (cmd_import_logs, "validate and import an external prediction log",
-                    {"--logs": {}}, ("predictions.jsonl",)),
+                    {"--logs": {}}, ("predictions.jsonl", "predictions.npy")),
     "ifc": (cmd_ifc, "run the audit: IFC flags, overlap, fused distributions, model metrics",
             {"--merge-policy": POLICY},
             ("ifc_windows.csv", "ifc_summary.json", "fused.jsonl", "models.json")),

@@ -10,7 +10,8 @@ format is one object per line:
 In memory a log is a ``PredictionTable``: one array per wire field, row i
 holding record i, and the dataset id once, since a log holds one dataset (and
 one class count). Config choice, run merging and metrics work on whole columns
-and loop in Python only over (model, config) groups.
+and loop in Python only over (model, config) groups. ``write_columns`` stores a
+validated table as binary columns, which ``read_columns`` loads without a parse.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from typing import Iterable
 
 import numpy as np
 
-from ._io import open_text
+from ._io import open_binary, open_text
 from .ifc import CorrectnessMatrix
 
 SIMPLEX_TOL = 1e-6
@@ -294,6 +295,75 @@ def write_records(table: PredictionTable, dest) -> None:
             part = table.take(slice(start, start + 4096))
             for row in zip(*(getattr(part, name).tolist() for name in COLUMNS)):
                 fh.write(json.dumps({"dataset": table.dataset, **dict(zip(COLUMNS, row))}) + "\n")
+
+
+def write_columns(table: PredictionTable, dest) -> None:
+    """Write a table as plain ``.npy`` arrays back to back, in this order: the
+    dataset id (0-d text); for each text field its sorted distinct values and
+    then each record's int32 code into them, so codes sort as the values do;
+    the integer fields as int64; ``probs`` as float64 [records, classes].
+    ``.npy`` holds no timestamp, so a table always gives the same bytes."""
+    columns = [np.array(table.dataset)]
+    for name in TEXT_FIELDS:
+        values, codes = np.unique(getattr(table, name), return_inverse=True)
+        # The width of the longest value, as read_records gives it, whatever the table's.
+        columns += [np.array(values.tolist(), dtype=str), codes.astype(np.int32)]
+    columns += [np.asarray(getattr(table, name), dtype=np.int64) for name in INT_FIELDS]
+    columns.append(np.ascontiguousarray(table.probs, dtype=np.float64))
+    with open_binary(dest, "wb") as fh:
+        for column in columns:
+            np.save(fh, column, allow_pickle=False)
+
+
+def _load_column(fh, dtype: str, ndim: int) -> np.ndarray:
+    """The next array of a column file; ``dtype`` "text" takes text of any width."""
+    try:
+        column = np.load(fh, allow_pickle=False)
+    except (ValueError, EOFError) as exc:  # not .npy, or the file ends early
+        raise RecordError(f"unreadable column file: {exc}") from None
+    if not isinstance(column, np.ndarray) or column.ndim != ndim or (
+        column.dtype.kind != "U" if dtype == "text" else column.dtype != dtype
+    ):
+        found = f"{column.dtype} {column.shape}" if isinstance(column, np.ndarray) else "an archive"
+        raise RecordError(f"column file holds {found} where {ndim}-d {dtype} is due")
+    return column
+
+
+def read_columns(
+    src,
+    valid_window_ids: Iterable[int] | None = None,
+    num_classes: int | None = None,
+) -> PredictionTable:
+    """Load a table ``write_columns`` wrote and check it as ``read_records``
+    checks a log after its parse: the class count, then ``validate_records``.
+
+    A file of another layout is refused: an array of another type or rank,
+    codes outside their values, columns of different lengths, or bytes after
+    the last column.
+    """
+    with open_binary(src) as fh:
+        dataset = _load_column(fh, "text", 0).item()
+        texts = {}
+        for name in TEXT_FIELDS:
+            values, codes = _load_column(fh, "text", 1), _load_column(fh, "int32", 1)
+            if ((codes < 0) | (codes >= values.size)).any():
+                raise RecordError(f"{name} codes outside its {values.size} values")
+            texts[name] = values[codes]
+        ints = {name: _load_column(fh, "int64", 1) for name in INT_FIELDS}
+        probs = _load_column(fh, "float64", 2)
+        if fh.read(1):
+            raise RecordError("column file holds bytes after its last column")
+    lengths = {name: column.shape[0] for name, column in [*texts.items(), *ints.items()]}
+    if set(lengths.values()) - {len(probs)}:
+        raise RecordError(f"columns of different lengths: {lengths}, probs {len(probs)}")
+    table = PredictionTable(dataset, **texts, **ints, probs=probs)
+    k = probs.shape[1]
+    if len(table) and k < 2:
+        raise RecordError("probs must hold at least two classes", 0)
+    if len(table) and num_classes is not None and k != num_classes:
+        raise RecordError(f"expected {num_classes} classes, found {k}", 0)
+    validate_records(table, valid_window_ids)
+    return table
 
 
 def best_hyperparams(table: PredictionTable) -> dict[tuple[str, str], str]:

@@ -663,9 +663,9 @@ class TestAuditRunsOnceAtIfc:
         assert run(out, ["ifc"]) == 0
         assert set(snapshot(out)) == {
             "scenario.json", "recordings.csv", "injections.json", "windows.csv",
-            "windows_meta.json", "splits.json", "predictions.jsonl",
-            "ifc_windows.csv", "ifc_summary.json", "fused.jsonl", "models.json",
-            "manifest.json",
+            "windows_meta.json", "window_means.npy", "splits.json", "predictions.jsonl",
+            "predictions.npy", "ifc_windows.csv", "ifc_summary.json", "fused.jsonl",
+            "models.json", "manifest.json",
         }
         assert manifest_names(out) == set(snapshot(out)) - {"manifest.json"}
         assert not set(IFC_VIEWS) & set(snapshot(out))
@@ -763,7 +763,8 @@ class TestLineage:
         assert run(out, ["train-baseline", "--epochs", "2"]) == 0
         assert set(snapshot(out)) == {
             "scenario.json", "recordings.csv", "injections.json", "windows.csv",
-            "windows_meta.json", "splits.json", "predictions.jsonl", "manifest.json",
+            "windows_meta.json", "window_means.npy", "splits.json", "predictions.jsonl",
+            "predictions.npy", "manifest.json",
         }
         capsys.readouterr()
         assert run(out, ["report"]) == 1
@@ -783,7 +784,7 @@ class TestLineage:
         assert run(out, ["windows", "--label-policy", "last_sample"]) == 0
         assert set(snapshot(out)) == {
             "scenario.json", "recordings.csv", "injections.json", "windows.csv",
-            "windows_meta.json", "manifest.json",
+            "windows_meta.json", "window_means.npy", "manifest.json",
         }
         assert manifest_names(out) == set(snapshot(out)) - {"manifest.json"}
         before = snapshot(out)
@@ -820,6 +821,64 @@ class TestLineage:
         assert run(out, [command]) == 1
         assert (f"{name} differs from the file {producer} wrote; rerun {producer}"
                 in capsys.readouterr().err)
+        assert snapshot(out) == before
+
+    @pytest.mark.parametrize("name, edit", [
+        ("predictions.jsonl", lambda data: data.replace(b'"run": 0', b'"run": 7', 1)),
+        ("predictions.npy", lambda data: data[:-8] + bytes(8)),
+    ])
+    def test_ifc_refuses_an_imported_log_or_its_columns_edited_since(
+        self, tmp_path, full_run, capsys, name, edit
+    ):
+        # ifc reads the columns, and still vouches for the log they came from.
+        out = tmp_path / "run"
+        shutil.copytree(full_run, out)
+        logs = shutil.copyfile(out / "predictions.jsonl", tmp_path / "logs.jsonl")
+        assert run(out, ["import-logs", "--logs", str(logs)]) == 0
+        (out / name).write_bytes(edit((out / name).read_bytes()))
+        before = snapshot(out)
+        capsys.readouterr()
+        assert run(out, ["ifc"]) == 1
+        assert (f"{name} differs from the file import-logs wrote; rerun import-logs"
+                in capsys.readouterr().err)
+        assert snapshot(out) == before
+
+    @pytest.mark.parametrize("keep_file, message", [
+        (True, "manifest.json records no lineage for predictions.npy; rerun "),
+        (False, "predictions.npy; run "),
+    ])
+    def test_ifc_names_the_producers_of_missing_columns(
+        self, tmp_path, full_run, capsys, keep_file, message
+    ):
+        # As in a run directory whose log was written before the columns were.
+        out = tmp_path / "run"
+        shutil.copytree(full_run, out)
+        manifest = json.loads((out / "manifest.json").read_text())
+        for entries in manifest.values():
+            del entries["predictions.npy"]
+        (out / "manifest.json").write_text(json.dumps(manifest))
+        if not keep_file:
+            (out / "predictions.npy").unlink()
+        before = snapshot(out)
+        capsys.readouterr()
+        assert run(out, ["ifc"]) == 1
+        assert message + "train-baseline or import-logs" in capsys.readouterr().err
+        assert snapshot(out) == before
+
+    def test_plot_refuses_window_means_out_of_step_with_the_flags(
+        self, tmp_path, full_run, capsys
+    ):
+        out = tmp_path / "run"
+        shutil.copytree(full_run, out)
+        means = np.load(out / "window_means.npy")
+        with open(out / "window_means.npy", "wb") as fh:
+            np.save(fh, means[1:])
+        record_edit(out, "window_means.npy")
+        before = snapshot(out)
+        capsys.readouterr()
+        assert run(out, ["plot"]) == 1
+        assert (f"holds means of shape {means[1:].shape} but ifc_windows.csv holds "
+                f"{len(means)} windows" in capsys.readouterr().err)
         assert snapshot(out) == before
 
     def test_a_plan_that_would_test_a_fold_on_its_training_windows_is_refused(

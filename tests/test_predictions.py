@@ -15,7 +15,9 @@ from haraudit.predictions import (
     filter_to_configs,
     merge_runs,
     model_metrics,
+    read_columns,
     read_records,
+    write_columns,
     write_records,
 )
 from prediction_rows import assert_same_table, table_of
@@ -410,6 +412,107 @@ class TestBulkRead:
         got = read_both(tmp_path, text)
         assert np.array_equal(got.probs.view(np.int64), want.view(np.int64))
         assert switches == []
+
+
+def columns_of(table, **kwargs):
+    """``table`` written as binary columns and read back."""
+    buf = io.BytesIO()
+    write_columns(table, buf)
+    buf.seek(0)
+    return read_columns(buf, **kwargs)
+
+
+def jsonl_of(table, **kwargs):
+    """``table`` written as JSONL and read back."""
+    buf = io.StringIO()
+    write_records(table, buf)
+    buf.seek(0)
+    return read_records(buf, **kwargs)
+
+
+def assert_identical(got, want):
+    """``assert_same_bits``, and every column of the same dtype."""
+    assert_same_bits(got, want)
+    for name in COLUMNS:
+        assert getattr(got, name).dtype == getattr(want, name).dtype, name
+
+
+ODD_IDS = [
+    [rec(dataset="ü", model="模型", config="σ=0.1"), rec(dataset="ü", window=1, model="")],
+    [rec(dataset="", config=""), rec(dataset="", window=1, config="", run=1)],
+]
+
+
+class TestColumns:
+    @pytest.mark.parametrize("chain", ["recording_chain/1", "ensemble_log/1", "flagged_heavy/1"])
+    def test_the_benchmark_logs_load_as_they_read(self, golden_run, chain):
+        log = golden_run(chain) / "predictions.jsonl"
+        want = read_records(log)
+        assert_identical(columns_of(want), want)
+
+    @pytest.mark.parametrize("rows", ODD_IDS, ids=["non-ascii", "empty"])
+    def test_odd_ids_load_as_they_read(self, rows):
+        want = jsonl_of(table_of(rows))
+        assert_identical(columns_of(want), want)
+
+    def test_a_path_and_a_stream_get_the_same_bytes_every_time(self, tmp_path):
+        table = table_of(ODD_IDS[0])
+        writes = []
+        for _ in range(2):
+            buf = io.BytesIO()
+            write_columns(table, buf)
+            writes.append(buf.getvalue())
+        write_columns(table, tmp_path / "log.npy")
+        assert writes[0] == writes[1] == (tmp_path / "log.npy").read_bytes()
+        assert_identical(read_columns(tmp_path / "log.npy"), table)
+
+    @pytest.mark.parametrize("damage, message", [
+        (lambda data: data + b"\0", "bytes after its last column"),
+        (lambda data: data[:-1], "unreadable column file"),
+    ], ids=["trailing-byte", "truncated"])
+    def test_a_damaged_file_is_refused(self, damage, message):
+        buf = io.BytesIO()
+        write_columns(table_of(ODD_IDS[0]), buf)
+        with pytest.raises(RecordError, match=message):
+            read_columns(io.BytesIO(damage(buf.getvalue())))
+
+    # The arrays in file order: dataset, model values and codes, config values
+    # and codes, run, fold, window, label, probs.
+    @pytest.mark.parametrize("at, edit, message", [
+        (6, lambda fold: fold[:1], "columns of different lengths"),
+        (2, lambda codes: codes - 1, "model codes outside its 2 values"),
+        (9, lambda probs: probs.astype(np.float32),
+         re.escape("column file holds float32 (2, 2) where 2-d float64 is due")),
+        (0, lambda dataset: dataset.reshape(1),
+         re.escape("column file holds <U1 (1,) where 0-d text is due")),
+    ], ids=["short-column", "code-outside", "float32-probs", "1-d-dataset"])
+    def test_a_file_of_another_layout_is_refused(self, at, edit, message):
+        buf = io.BytesIO()
+        write_columns(table_of(ODD_IDS[0]), buf)
+        buf.seek(0)
+        arrays = [np.load(buf) for _ in range(10)]
+        arrays[at] = edit(arrays[at])
+        buf = io.BytesIO()
+        for array in arrays:
+            np.save(buf, array)
+        buf.seek(0)
+        with pytest.raises(RecordError, match=message):
+            read_columns(buf)
+
+    @pytest.mark.parametrize("rows, kwargs", [
+        ([rec(probs=(0.5, 0.5)), rec(window=1, probs=(0.6, 0.5))], {}),
+        ([rec(probs=(1.2, -0.2))], {}),
+        ([rec(), rec(window=1, label=2)], {}),
+        ([rec(), rec(probs=(0.5, 0.5))], {}),
+        ([rec(window=99)], {"valid_window_ids": range(10)}),
+        ([rec()], {"num_classes": 3}),
+    ], ids=["simplex", "negative", "label", "duplicate", "unknown-window", "class-count"])
+    def test_a_faulty_table_is_refused_as_read_records_refuses_it(self, rows, kwargs):
+        with pytest.raises(RecordError) as want:
+            jsonl_of(table_of(rows), **kwargs)
+        with pytest.raises(RecordError) as got:
+            columns_of(table_of(rows), **kwargs)
+        assert (got.value.index, str(got.value)) == (want.value.index, str(want.value))
 
 
 def correctness_records(model, config, flags_per_run, label=0):
