@@ -52,7 +52,9 @@ from .predictions import (
     filter_to_configs,
     merge_runs,
     model_metrics,
+    read_columns,
     read_records,
+    write_columns,
     write_records,
 )
 from .recordings import (

@@ -336,9 +336,11 @@ def cmd_split(run: RunDir) -> None:
 
 def cmd_train_baseline(run: RunDir) -> None:
     meta = _read_meta(run.need("windows_meta.json"))
-    recordings, _ = parse_canonical(run.need("recordings.csv"))
     config = WindowConfig(**{f.name: meta[f.name] for f in fields(WindowConfig)})
-    dataset = slice_corpus(recordings, config, num_classes=meta["num_classes"])
+    # No name holds the parsed recordings, so they are freed before training.
+    dataset = slice_corpus(
+        parse_canonical(run.need("recordings.csv"))[0], config, num_classes=meta["num_classes"]
+    )
     plan = read_plan(run.need("splits.json"))
     records = baseline_prediction_records(
         dataset,
