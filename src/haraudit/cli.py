@@ -7,14 +7,15 @@ manifest.json. A command writes to temporary names and moves them into place
 only when it succeeds, so a failed command leaves the run directory as it
 found it.
 
-Each text input is parsed once. ``train-baseline`` and ``import-logs`` store
-the validated log as binary columns (predictions.npy) beside its JSONL, and
-``windows`` stores the per-window channel means (window_means.npy).
-``ifc`` runs the whole audit once (``pipeline.audit_records``) on those
-columns and persists it as ifc_windows.csv, ifc_summary.json, fused.jsonl and
-models.json. ``confusion``, ``histogram``, ``mask`` and ``report`` are views
-of those files, and ``plot`` draws the window means and the exports of
-``histogram`` and ``confusion``.
+``train-baseline`` and ``import-logs`` store the validated log as binary
+columns (predictions.npy) beside its JSONL, and ``windows`` stores the
+per-window channel means (window_means.npy), so neither ``ifc`` nor ``plot``
+parses the log or the recordings again. ``ifc`` runs the whole audit once
+(``pipeline.audit_records``) on those columns and persists it as
+ifc_windows.csv, ifc_summary.json, fused.jsonl and models.json.
+``confusion``, ``histogram``, ``mask`` and ``report`` are views of those
+files, and ``plot`` draws the window means and the exports of ``histogram``
+and ``confusion``.
 """
 
 from __future__ import annotations

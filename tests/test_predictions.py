@@ -450,10 +450,14 @@ class TestColumns:
         want = read_records(log)
         assert_identical(columns_of(want), want)
 
-    @pytest.mark.parametrize("rows", ODD_IDS, ids=["non-ascii", "empty"])
-    def test_odd_ids_load_as_they_read(self, rows):
-        want = jsonl_of(table_of(rows))
-        assert_identical(columns_of(want), want)
+    @pytest.mark.parametrize("table", [
+        table_of(ODD_IDS[0]),
+        table_of(ODD_IDS[1]),
+        # Text columns wider than their longest value, as take() leaves them.
+        table_of([*ODD_IDS[0], rec(dataset="ü", window=2, model="a-long-model")]).take([0, 1]),
+    ], ids=["non-ascii", "empty", "wide-text"])
+    def test_odd_tables_load_as_they_read(self, table):
+        assert_identical(columns_of(table), jsonl_of(table))
 
     def test_a_path_and_a_stream_get_the_same_bytes_every_time(self, tmp_path):
         table = table_of(ODD_IDS[0])
