@@ -64,14 +64,18 @@ def train_baseline(
 ) -> BaselineModel:
     """Fit softmax regression from zero-initialized parameters.
 
-    Every class in 0..num_classes-1 must appear in the training labels.
+    Every class in 0..num_classes-1 must appear in the training labels, and
+    no label may fall outside that range.
     """
     features = np.asarray(features, dtype=float)
     labels = np.asarray(labels, dtype=int)
     if features.ndim != 2 or features.shape[0] != labels.size:
         raise ValueError("features must be [n, f] aligned with labels")
+    outside = (labels < 0) | (labels >= num_classes)
+    if outside.any():
+        raise ValueError(f"label {labels[outside][0]} outside 0..{num_classes - 1}")
     # bincount, not np.unique: in numpy 2 that imports numpy.ma.
-    counts = np.bincount(labels, minlength=num_classes)[:num_classes]
+    counts = np.bincount(labels, minlength=num_classes)
     missing = np.flatnonzero(counts == 0).tolist()
     if missing:
         raise ValueError(f"classes {missing} absent from the training split")

@@ -16,7 +16,7 @@ from .predictions import (
     merge_runs, model_metrics,
 )
 from .splits import FoldPlan
-from .windowing import WindowedDataset, apply_normalizer, fit_normalizer
+from .windowing import WindowedDataset, chunk_windows, fit_normalizer
 
 
 def baseline_prediction_records(
@@ -28,23 +28,29 @@ def baseline_prediction_records(
 ) -> PredictionTable:
     """Train the reference classifier per fold and emit out-of-fold records.
 
-    For each fold the normalizer is fit on the training windows only, then
-    applied to the whole dataset before feature extraction. Training is
-    deterministic, so all runs carry identical probabilities; they exist to
-    exercise the run-merging interfaces.
+    For each fold the normalizer is fit on the training windows only, and
+    every window's features are taken from its normalized samples. Both
+    steps stream over the blocks in chunks of ``chunk_windows`` windows, so a
+    fold holds at most one chunk of normalized samples beside the blocks.
+    Training is deterministic, so all runs carry identical probabilities; they
+    exist to exercise the run-merging interfaces.
     """
     if runs < 1:
         raise ValueError(f"runs must be at least 1, got {runs}")
     labels = dataset.windows.label
+    chunk = chunk_windows(dataset)
+    features = np.empty((dataset.num_windows, 2 * dataset.num_channels))
     # One (run, fold, window ids, probs) block per fold and run, in record order.
     blocks = []
     for i, fold in enumerate(plan.folds):
         test_ids = np.asarray(fold.test_window_ids, dtype=int)
         train_ids = np.asarray(plan.train_windows(i, dataset.num_windows), dtype=int)
         stats = fit_normalizer(dataset, train_ids)
-        # No name holds the normalized copy, so each fold's copy is freed
-        # before the next fold makes its own.
-        features = extract_feature_matrix(apply_normalizer(dataset, stats).blocks)
+        # Each window's features reduce its own samples, so chunks give the
+        # features of the whole normalized corpus bit for bit.
+        for start in range(0, dataset.num_windows, chunk):
+            features[start:start + chunk] = extract_feature_matrix(
+                stats.normalize(dataset.blocks[start:start + chunk]))
         model = train_baseline(
             features[train_ids],
             labels[train_ids],

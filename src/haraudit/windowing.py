@@ -24,6 +24,8 @@ WINDOW_HEADER = (
 
 #: Channels whose spread falls below this are normalized with divisor 1.
 DEGENERATE_STD = 1e-9
+#: Bytes of samples per chunk when a pass streams over the window blocks.
+CHUNK_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -77,6 +79,12 @@ class ChannelStats:
 
     mean: np.ndarray
     std: np.ndarray
+
+    def normalize(self, blocks: np.ndarray) -> np.ndarray:
+        """A new array of ``blocks`` transformed to (x - mean) / std."""
+        out = blocks - self.mean
+        out /= self.std  # in place: one copy of ``blocks``, not two
+        return out
 
 
 @dataclass
@@ -214,13 +222,54 @@ def slice_corpus(
     )
 
 
+def chunk_windows(dataset: WindowedDataset) -> int:
+    """Windows per chunk of a pass over the blocks: CHUNK_BYTES of samples,
+    at least one window."""
+    window_bytes = dataset.blocks.itemsize * int(np.prod(dataset.blocks.shape[1:]))
+    return max(1, CHUNK_BYTES // max(1, window_bytes))
+
+
+def _sum_samples(dataset: WindowedDataset, ids: np.ndarray, chunk: int,
+                 center: np.ndarray | None = None) -> np.ndarray:
+    """Per-channel sum of the samples of windows ``ids``, or of their squared
+    deviations from ``center``, read ``chunk`` windows at a time.
+
+    numpy reduces axis 0 of a C-contiguous [rows, channels] array of two or
+    more channels by adding one row at a time, so carrying the running sum in
+    as row 0 of the next chunk repeats the one-shot sum bit for bit.
+    """
+    _, size, channels = dataset.blocks.shape
+    buf = np.empty((1 + min(chunk, ids.size) * size, channels))
+    total = None
+    for start in range(0, ids.size, chunk):
+        part = ids[start:start + chunk]
+        rows = buf[:1 + part.size * size]
+        # mode="clip" spares take a bounds-checking buffer; the ids are checked.
+        np.take(dataset.blocks, part, axis=0, mode="clip",
+                out=rows[1:].reshape(part.size, size, channels))
+        if center is not None:  # numpy's own var sequence: x = rows - mean; x *= x
+            rows[1:] -= center
+            rows[1:] *= rows[1:]
+        if total is None:
+            rows = rows[1:]
+        else:
+            rows[0] = total
+        total = np.add.reduce(rows, axis=0)
+    return total
+
+
 def fit_normalizer(
     dataset: WindowedDataset, window_ids: Sequence[int] | None = None
 ) -> ChannelStats:
     """Per-channel mean/std over the given (training) windows' samples.
 
     ``window_ids`` defaults to all windows; pass the training split here so
-    test windows never leak into the statistics.
+    test windows never leak into the statistics. The samples are read in
+    chunks of CHUNK_BYTES, so beyond the blocks the fit holds one chunk. A
+    one-channel corpus is read in one chunk: numpy sums a lone contiguous
+    column pairwise, which a carried sum cannot repeat. The results are
+    bit-identical to ``samples.mean(axis=0)`` and ``samples.std(axis=0)``
+    over all the selected samples at once.
     """
     if window_ids is None:
         ids = np.arange(dataset.num_windows)
@@ -228,15 +277,19 @@ def fit_normalizer(
         ids = np.asarray(list(window_ids), dtype=int)
     if ids.size == 0:
         raise ValueError("cannot fit a normalizer on an empty training split")
-    samples = dataset.blocks[ids].reshape(-1, dataset.num_channels)
-    mean = samples.mean(axis=0)
-    std = samples.std(axis=0)
+    outside = (ids < 0) | (ids >= dataset.num_windows)
+    if outside.any():
+        raise ValueError(
+            f"window id {ids[outside][0]} outside 0..{dataset.num_windows - 1}"
+        )
+    chunk = ids.size if dataset.num_channels == 1 else chunk_windows(dataset)
+    count = ids.size * dataset.blocks.shape[1]
+    mean = _sum_samples(dataset, ids, chunk) / count
+    std = np.sqrt(_sum_samples(dataset, ids, chunk, center=mean) / count)
     std = np.where(std < DEGENERATE_STD, 1.0, std)
     return ChannelStats(mean=mean, std=std)
 
 
 def apply_normalizer(dataset: WindowedDataset, stats: ChannelStats) -> WindowedDataset:
     """Return a new dataset with channels transformed to (x - mean) / std."""
-    blocks = dataset.blocks - stats.mean
-    blocks /= stats.std  # in place: one corpus-sized copy, not two
-    return replace(dataset, blocks=blocks)
+    return replace(dataset, blocks=stats.normalize(dataset.blocks))

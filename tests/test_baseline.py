@@ -127,6 +127,13 @@ class TestTraining:
         with pytest.raises(ValueError, match="absent"):
             train_baseline(features, labels, 3)
 
+    @pytest.mark.parametrize("bad", [5, -1])
+    def test_label_outside_the_classes_rejected(self, bad):
+        features = np.zeros((4, 2))
+        labels = np.array([0, 1, bad, 2])
+        with pytest.raises(ValueError, match=f"label {bad} outside 0..2"):
+            train_baseline(features, labels, 3)
+
     def test_training_is_deterministic(self):
         features, labels = self.separable_dataset()
         a = train_baseline(features, labels, 2)

@@ -1,13 +1,17 @@
 import numpy as np
 import pytest
 
+from haraudit import windowing
+from haraudit.baseline import extract_feature_matrix, predict_proba, train_baseline
 from haraudit.confusion import chord_edges, confusion_table
 from haraudit.pipeline import audit_records, baseline_prediction_records
 from haraudit.predictions import RecordError, merge_runs
+from haraudit.recordings import SensorRecording
 from haraudit.splits import plan_folds
 from haraudit.synth import Injection, ScenarioSpec, generate_corpus
-from haraudit.windowing import WindowConfig, slice_corpus
+from haraudit.windowing import WindowConfig, apply_normalizer, fit_normalizer, slice_corpus
 from prediction_rows import concat, table_of
+from traced_memory import peak_bytes
 
 
 @pytest.fixture(scope="module")
@@ -49,6 +53,58 @@ def test_runs_are_identical_under_deterministic_training(small_audit):
     run0, run1 = records.take(records.run == 0), records.take(records.run == 1)
     assert np.array_equal(run0.window, run1.window)
     assert np.array_equal(run0.probs, run1.probs)
+
+
+def offset_dataset(subjects, windows_per_subject, channels, size, seed=4):
+    """Random windows far from zero, one recording per subject, with classes
+    0..2 taking turns window by window so every training split holds each."""
+    rng = np.random.default_rng(seed)
+    recordings = []
+    for s in range(subjects):
+        labels = np.repeat(np.arange(windows_per_subject) % 3, size)
+        data = (rng.normal(size=(labels.size, channels)) + labels[:, None]
+                + 1e4 * rng.normal(size=channels))
+        recordings.append(SensorRecording(
+            channels=data, labels=labels, subject_id=f"s{s}", session_id="r1",
+            channel_names=[f"c{c}" for c in range(channels)]))
+    return slice_corpus(recordings, WindowConfig(size, size))
+
+
+def one_shot_probs(ds, plan):
+    """Out-of-fold probabilities with each fold's features taken from the
+    whole normalized corpus at once."""
+    probs = []
+    for i, fold in enumerate(plan.folds):
+        test_ids = np.asarray(fold.test_window_ids, dtype=int)
+        train_ids = np.asarray(plan.train_windows(i, ds.num_windows), dtype=int)
+        features = extract_feature_matrix(
+            apply_normalizer(ds, fit_normalizer(ds, train_ids)).blocks)
+        model = train_baseline(features[train_ids], ds.windows.label[train_ids],
+                               ds.num_classes)
+        probs.append(predict_proba(model, features[test_ids]))
+    return np.concatenate(probs)
+
+
+@pytest.mark.parametrize("channels", [1, 3])
+@pytest.mark.parametrize("chunk", ["one", "windows-1", "windows", "windows+1"])
+def test_streamed_features_give_the_one_shot_probabilities(monkeypatch, channels, chunk):
+    ds = offset_dataset(3, 6, channels, size=10)
+    windows = ds.num_windows
+    per_chunk = {"one": 1, "windows-1": windows - 1, "windows": windows,
+                 "windows+1": windows + 1}[chunk]
+    monkeypatch.setattr(windowing, "CHUNK_BYTES", per_chunk * ds.blocks[0].nbytes)
+    plan = plan_folds(ds.windows)
+    records = baseline_prediction_records(ds, plan)
+    expected = one_shot_probs(ds, plan)
+    assert np.array_equal(records.probs.view(np.int64), expected.view(np.int64))
+
+
+def test_baseline_memory_stays_below_the_blocks():
+    ds = offset_dataset(4, 45, 16, size=200)  # 180 windows of 25.6 kB: over 4 chunks
+    assert ds.blocks.nbytes >= 4 * windowing.CHUNK_BYTES
+    plan = plan_folds(ds.windows)
+    _, peak = peak_bytes(lambda: baseline_prediction_records(ds, plan))
+    assert peak <= 1.0 * ds.blocks.nbytes, peak / ds.blocks.nbytes
 
 
 def all_correct_records(n_windows, n_models=2):

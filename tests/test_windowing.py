@@ -3,8 +3,10 @@ import io
 import numpy as np
 import pytest
 
+from haraudit import windowing
 from haraudit.recordings import SensorRecording
 from haraudit.windowing import (
+    CHUNK_BYTES,
     WindowConfig,
     WindowTable,
     apply_normalizer,
@@ -288,3 +290,60 @@ class TestNormalizer:
         ds = self.two_value_dataset()
         with pytest.raises(ValueError, match="empty"):
             fit_normalizer(ds, window_ids=[])
+
+    @pytest.mark.parametrize("bad", [-1, 2])
+    def test_window_id_outside_the_dataset_rejected(self, bad):
+        ds = slice_corpus([make_recording(300)], WindowConfig(200, 100))  # 2 windows
+        with pytest.raises(ValueError, match=f"window id {bad} outside 0..1"):
+            fit_normalizer(ds, window_ids=[0, bad, 5])
+
+
+def random_dataset(num_windows, channels, size=50, seed=3):
+    """``num_windows`` non-overlapping windows of random samples far from zero."""
+    rng = np.random.default_rng(seed)
+    data = rng.normal(size=(num_windows * size, channels)) * 30.0 + 1e5 * rng.normal(
+        size=channels)
+    return slice_corpus([make_recording(num_windows * size, channels=data)],
+                        WindowConfig(size, size))
+
+
+def assert_one_shot_bits(stats, ds, ids):
+    """The stats equal the mean and std of all the samples at once, bit for bit."""
+    samples = ds.blocks[ids].reshape(-1, ds.num_channels)
+    assert np.array_equal(stats.mean.view(np.int64), samples.mean(axis=0).view(np.int64))
+    assert np.array_equal(stats.std.view(np.int64), samples.std(axis=0).view(np.int64))
+
+
+def chunk_of(channels, size=50):
+    """Windows per chunk of a ``random_dataset`` of this many channels."""
+    return CHUNK_BYTES // (size * channels * 8)
+
+
+class TestStreamedNormalizer:
+    """fit_normalizer reads the samples chunk by chunk; its stats must equal
+    the one-shot mean and std bit for bit."""
+
+    @pytest.mark.parametrize("channels", [1, 3])
+    @pytest.mark.parametrize("count", ["one", "chunk-1", "chunk", "chunk+1"])
+    def test_window_counts_around_a_chunk(self, channels, count):
+        n = chunk_of(channels)
+        num_windows = {"one": 1, "chunk-1": n - 1, "chunk": n, "chunk+1": n + 1}[count]
+        ds = random_dataset(n + 1, channels)
+        ids = np.arange(num_windows)
+        assert_one_shot_bits(fit_normalizer(ds, ids), ds, ids)
+
+    @pytest.mark.parametrize("channels", [1, 4])
+    @pytest.mark.parametrize("chunk", [None, 3])
+    def test_unsorted_ids_over_many_chunks(self, monkeypatch, channels, chunk):
+        if chunk is not None:  # a few windows a chunk: hundreds of carries
+            monkeypatch.setattr(windowing, "CHUNK_BYTES", chunk * 50 * channels * 8)
+        ds = random_dataset(2 * chunk_of(channels) + 7, channels, seed=11)
+        ids = np.random.default_rng(5).permutation(ds.num_windows)[:-3]
+        assert_one_shot_bits(fit_normalizer(ds, ids), ds, ids)
+
+    def test_fit_memory_stays_below_the_blocks(self):
+        ds = random_dataset(4 * chunk_of(16, size=200) + 5, 16, size=200)  # over 4 chunks
+        ids = np.flatnonzero(np.arange(ds.num_windows) % 4)  # three windows in four
+        stats, peak = peak_bytes(lambda: fit_normalizer(ds, ids))
+        assert peak <= 1.0 * ds.blocks.nbytes, peak / ds.blocks.nbytes
+        assert_one_shot_bits(stats, ds, ids)

@@ -7,11 +7,18 @@ def peak_bytes(call):
     """``call()``'s result and the peak of the memory it allocated while running.
 
     Inputs should come from files, not from in-memory streams: a StringIO
-    made inside ``call`` would count as the call's own memory.
+    made inside ``call`` would count as the call's own memory. Memory traced
+    before the call, as under ``PYTHONTRACEMALLOC``, does not count, and a
+    trace that was already on stays on.
     """
-    tracemalloc.start()
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    tracemalloc.reset_peak()
+    held = tracemalloc.get_traced_memory()[0]
     try:
         result = call()
-        return result, tracemalloc.get_traced_memory()[1]
+        return result, tracemalloc.get_traced_memory()[1] - held
     finally:
-        tracemalloc.stop()
+        if started:
+            tracemalloc.stop()
