@@ -9,7 +9,6 @@ import numpy as np
 from haraudit import (
     SensorRecording,
     WindowConfig,
-    apply_normalizer,
     fit_normalizer,
     group_k_fold,
     plan_folds,
@@ -64,10 +63,10 @@ for policy in ("majority", "last_sample"):
 # ---------------------------------------------------------------------------
 train_ids = np.flatnonzero(windows.group != "s2")
 stats = fit_normalizer(dataset, train_ids)
-normalized = apply_normalizer(dataset, stats)
+normalized = stats.normalize(dataset.blocks)
 print(f"train-split channel means {np.round(stats.mean, 3)}, "
       f"stds {np.round(stats.std, 3)}")
-print(f"normalized corpus mean ~ {normalized.blocks.mean():.4f}")
+print(f"normalized corpus mean ~ {normalized.mean():.4f}")
 
 # ---------------------------------------------------------------------------
 # Grouped folds: one fold per subject up to the cap, merged beyond it.

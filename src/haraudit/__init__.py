@@ -80,7 +80,6 @@ from .windowing import (
     WindowConfig,
     WindowedDataset,
     WindowTable,
-    apply_normalizer,
     fit_normalizer,
     read_windows,
     slice_corpus,

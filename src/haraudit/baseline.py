@@ -8,6 +8,7 @@ fit by full-batch gradient descent on the mean cross-entropy.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,6 +18,12 @@ import numpy as np
 class TrainConfig:
     step_size: float = 0.1
     epochs: int = 200
+
+    def __post_init__(self):
+        if not 0 < self.step_size < math.inf:
+            raise ValueError(f"step_size must be finite and positive, got {self.step_size}")
+        if self.epochs < 1:
+            raise ValueError(f"epochs must be at least 1, got {self.epochs}")
 
 
 @dataclass

@@ -222,6 +222,11 @@ def _load_config_file(path: str | None) -> dict:
         raise CommandError(f"config file {p} is not valid JSON: {exc}")
     if not isinstance(cfg, dict):
         raise CommandError(f"config file {p} must hold a JSON object")
+    # Config files are shared across commands, so a key any command takes is allowed.
+    known = {"out"} | {flag[2:].replace("-", "_") for spec in COMMANDS.values() for flag in spec[2]}
+    unknown = sorted(cfg.keys() - known)
+    if unknown:
+        raise CommandError(f"config file {p} holds key {unknown[0]!r}, which no command takes")
     return cfg
 
 
@@ -262,21 +267,12 @@ def _load_records(
     return records
 
 
-def _sample_rate(run: RunDir) -> float:
-    """--sample-rate, which is recorded but not computed with."""
-    rate = run.opt("sample_rate", 100.0)
-    if not rate > 0:
-        raise CommandError(f"--sample-rate must be positive, got {rate}")
-    return rate
-
-
 # ----------------------------------------------------------------- commands
 
 def cmd_ingest(run: RunDir) -> None:
     source = run.source("recordings")
     if source is None:
         raise CommandError("ingest needs --recordings <csv>")
-    sample_rate = _sample_rate(run)
     recordings, repaired = parse_canonical(source)
     num_classes = corpus_num_classes(recordings)
     write_canonical(recordings, run.file("recordings.csv"))
@@ -286,7 +282,6 @@ def cmd_ingest(run: RunDir) -> None:
             "num_samples": int(sum(r.num_samples for r in recordings)),
             "num_classes": num_classes,
             "repaired_cells": repaired,
-            "sample_rate": sample_rate,
         },
         run.file("ingest.json"),
     )
@@ -309,7 +304,6 @@ def cmd_synth(run: RunDir) -> None:
 
 
 def cmd_windows(run: RunDir) -> None:
-    sample_rate = _sample_rate(run)
     recordings, _ = parse_canonical(run.need("recordings.csv"))
     config = run.recipe(WindowConfig)
     dataset = slice_corpus(recordings, config)
@@ -322,7 +316,6 @@ def cmd_windows(run: RunDir) -> None:
             "num_classes": dataset.num_classes,
             "total_samples": dataset.total_samples,
             **asdict(config),
-            "sample_rate": sample_rate,
             "recording_spans": [list(span) for span in dataset.recording_spans],
         },
         run.file("windows_meta.json"),
@@ -479,15 +472,14 @@ POLICY = {"choices": list(MERGE_POLICIES)}
 # name: (function, help, flags, artifacts); every command also takes --config and --out.
 COMMANDS = {
     "ingest": (cmd_ingest, "parse recordings into the run directory",
-               {"--recordings": {}, "--sample-rate": FLOAT}, ("recordings.csv", "ingest.json")),
+               {"--recordings": {}}, ("recordings.csv", "ingest.json")),
     "synth": (cmd_synth, "generate a synthetic corpus",
               {"--scenario": {}, "--subjects": INT, "--seed": INT},
               ("scenario.json", "recordings.csv", "injections.json")),
     "windows": (cmd_windows, "slice recordings into labelled windows",
                 {"--window-size": INT, "--stride": INT,
                  "--label-policy": {"choices": list(LABEL_POLICIES)},
-                 "--group-by": {"choices": list(GROUP_UNITS)},
-                 "--sample-rate": FLOAT},
+                 "--group-by": {"choices": list(GROUP_UNITS)}},
                 ("windows.csv", "windows_meta.json", "window_means.npy")),
     "split": (cmd_split, "plan grouped cross-validation folds", {"--max-k": INT},
               ("splits.json",)),

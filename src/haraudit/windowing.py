@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -288,8 +288,3 @@ def fit_normalizer(
     std = np.sqrt(_sum_samples(dataset, ids, chunk, center=mean) / count)
     std = np.where(std < DEGENERATE_STD, 1.0, std)
     return ChannelStats(mean=mean, std=std)
-
-
-def apply_normalizer(dataset: WindowedDataset, stats: ChannelStats) -> WindowedDataset:
-    """Return a new dataset with channels transformed to (x - mean) / std."""
-    return replace(dataset, blocks=stats.normalize(dataset.blocks))

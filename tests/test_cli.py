@@ -151,9 +151,11 @@ class TestErrors:
         assert "predictions.jsonl" in err
 
     def test_unknown_flag_exits_two(self, tmp_path):
-        with pytest.raises(SystemExit) as exc:
-            main(["synth", "--out", str(tmp_path), "--bogus"])
-        assert exc.value.code == 2
+        for argv in (["synth", "--bogus"], ["ingest", "--sample-rate", "50"],
+                     ["windows", "--sample-rate", "50"]):
+            with pytest.raises(SystemExit) as exc:
+                run(tmp_path, argv)
+            assert exc.value.code == 2, argv
 
     def test_unknown_command_exits_two(self, tmp_path):
         with pytest.raises(SystemExit):
@@ -202,31 +204,31 @@ class TestErrors:
         assert f"runs must be at least 1, got {runs}" in capsys.readouterr().err
         assert snapshot(out) == before
 
-
-class TestSampleRate:
-    """The sample rate is recorded but not computed with; it must be positive."""
-
-    @pytest.mark.parametrize("command, flags", [
-        ("ingest", ["--sample-rate", "0"]),
-        ("windows", ["--sample-rate", "-1"]),
-        ("ingest", "config"),
-        ("windows", "config"),
-    ], ids=["ingest-flag", "windows-flag", "ingest-config", "windows-config"])
-    def test_nonpositive_sample_rate_is_refused(self, tmp_path, capsys, command, flags):
-        source = tmp_path / "source"
-        assert run(source, ["synth", "--subjects", "2"]) == 0
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    @pytest.mark.parametrize("key, value, message", [
+        ("step_size", "nan", "step_size must be finite and positive, got nan"),
+        ("step_size", "inf", "step_size must be finite and positive, got inf"),
+        ("step_size", "0", "step_size must be finite and positive, got 0.0"),
+        ("step_size", "-0.5", "step_size must be finite and positive, got -0.5"),
+        ("epochs", "0", "epochs must be at least 1, got 0"),
+        ("epochs", "-3", "epochs must be at least 1, got -3"),
+    ])
+    def test_train_baseline_refuses_a_config_that_cannot_train(
+        self, tmp_path, planned_run, capsys, source, key, value, message
+    ):
+        # Before, a NaN step wrote NaN probabilities and -3 epochs trained nothing.
         out = tmp_path / "run"
-        assert run(out, ["synth", "--subjects", "2"]) == 0
-        if flags == "config":
+        shutil.copytree(planned_run, out)
+        if source == "flag":
+            flags = ["--" + key.replace("_", "-"), value]
+        else:
             config = tmp_path / "config.json"
-            config.write_text('{"sample_rate": 0}')
+            config.write_text(json.dumps({key: (float if key == "step_size" else int)(value)}))
             flags = ["--config", str(config)]
-        if command == "ingest":
-            flags = flags + ["--recordings", str(source / "recordings.csv")]
         before = snapshot(out)
         capsys.readouterr()
-        assert run(out, [command, *flags]) == 1
-        assert "--sample-rate must be positive" in capsys.readouterr().err
+        assert run(out, ["train-baseline", *flags]) == 1
+        assert message in capsys.readouterr().err
         assert snapshot(out) == before
 
 
@@ -236,6 +238,15 @@ def windowed_run(tmp_path_factory):
     out = tmp_path_factory.mktemp("windowed")
     for argv in (["synth", "--subjects", "2"], ["windows"]):
         assert run(out, argv) == 0, argv
+    return out
+
+
+@pytest.fixture(scope="module")
+def planned_run(windowed_run, tmp_path_factory):
+    """``windowed_run`` after ``split``."""
+    out = tmp_path_factory.mktemp("planned") / "run"
+    shutil.copytree(windowed_run, out)
+    assert run(out, ["split"]) == 0
     return out
 
 
@@ -250,6 +261,16 @@ REFUSALS = {
                            "config file value 3.9 for --max-k is not a valid int"),
     "synth-config-float": (["synth", "--config", "{d}/c.json"], {"c.json": '{"seed": 4.5}'},
                            "config file value 4.5 for --seed is not a valid int"),
+    # A config file may serve every command, but a key that no command takes is refused.
+    "windows-config-misspelled": (
+        ["windows", "--config", "{d}/c.json"], {"c.json": '{"windowsize": 100, "stride": 50}'},
+        "config file {d}/c.json holds key 'windowsize', which no command takes"),
+    "ingest-config-sample-rate": (
+        ["ingest", "--config", "{d}/c.json"], {"c.json": '{"sample_rate": 0}'},
+        "config file {d}/c.json holds key 'sample_rate', which no command takes"),
+    "windows-config-sample-rate": (
+        ["windows", "--config", "{d}/c.json"], {"c.json": '{"sample_rate": 0}'},
+        "config file {d}/c.json holds key 'sample_rate', which no command takes"),
     "config-missing": (["windows", "--config", "{d}/c.json"], {},
                        "config file {d}/c.json does not exist"),
     "config-not-json": (["windows", "--config", "{d}/c.json"], {"c.json": "{"},
@@ -904,16 +925,6 @@ class TestLineage:
         err = capsys.readouterr().err
         assert "ifc_windows.csv" in err and "windows.csv" in err
         assert snapshot(out) == before
-
-    def test_flags_may_not_disagree_with_the_producer_of_an_input(self, tmp_path, capsys):
-        source = tmp_path / "source"
-        assert run(source, ["synth", "--subjects", "2"]) == 0
-        out = tmp_path / "run"
-        assert run(out, ["ingest", "--recordings", str(source / "recordings.csv")]) == 0
-        capsys.readouterr()
-        assert run(out, ["windows", "--sample-rate", "50"]) == 1
-        assert "--sample-rate 50.0 disagrees with recordings.csv" in capsys.readouterr().err
-        assert run(out, ["windows", "--sample-rate", "100"]) == 0
 
     def test_manifest_records_outside_files_by_content(self, tmp_path):
         source = tmp_path / "source"

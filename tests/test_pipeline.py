@@ -9,7 +9,7 @@ from haraudit.predictions import RecordError, merge_runs
 from haraudit.recordings import SensorRecording
 from haraudit.splits import plan_folds
 from haraudit.synth import Injection, ScenarioSpec, generate_corpus
-from haraudit.windowing import WindowConfig, apply_normalizer, fit_normalizer, slice_corpus
+from haraudit.windowing import WindowConfig, fit_normalizer, slice_corpus
 from prediction_rows import concat, table_of
 from traced_memory import peak_bytes
 
@@ -77,8 +77,7 @@ def one_shot_probs(ds, plan):
     for i, fold in enumerate(plan.folds):
         test_ids = np.asarray(fold.test_window_ids, dtype=int)
         train_ids = np.asarray(plan.train_windows(i, ds.num_windows), dtype=int)
-        features = extract_feature_matrix(
-            apply_normalizer(ds, fit_normalizer(ds, train_ids)).blocks)
+        features = extract_feature_matrix(fit_normalizer(ds, train_ids).normalize(ds.blocks))
         model = train_baseline(features[train_ids], ds.windows.label[train_ids],
                                ds.num_classes)
         probs.append(predict_proba(model, features[test_ids]))

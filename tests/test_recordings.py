@@ -434,7 +434,7 @@ def test_invariants_enforced_on_construction():
             session_id="r",
             channel_names=["a"],
         )
-    # A recording holds no sample rate; test_cli.py covers the --sample-rate check.
+    # A recording holds no sample rate: windows, strides and bounds count samples.
     with pytest.raises(ValueError, match="channel_names"):
         SensorRecording(
             channels=np.zeros((3, 1)),

@@ -9,7 +9,6 @@ from haraudit.windowing import (
     CHUNK_BYTES,
     WindowConfig,
     WindowTable,
-    apply_normalizer,
     fit_normalizer,
     read_windows,
     slice_corpus,
@@ -266,8 +265,7 @@ class TestNormalizer:
         stats = fit_normalizer(ds)
         assert stats.mean[0] == 2.0
         assert stats.std[0] == 1.0
-        normalized = apply_normalizer(ds, stats)
-        assert normalized.blocks[0, 1, 0] == 1.0  # value 3 -> 1.0
+        assert stats.normalize(ds.blocks)[0, 1, 0] == 1.0  # value 3 -> 1.0
 
     def test_constant_channel_uses_divisor_one(self):
         channels = np.full((200, 1), 5.0)
@@ -275,7 +273,7 @@ class TestNormalizer:
         stats = fit_normalizer(ds)
         assert stats.mean[0] == 5.0
         assert stats.std[0] == 1.0
-        assert np.all(apply_normalizer(ds, stats).blocks == 0.0)
+        assert np.all(stats.normalize(ds.blocks) == 0.0)
 
     def test_train_stats_applied_to_test_value(self):
         ds = self.two_value_dataset()
@@ -284,7 +282,7 @@ class TestNormalizer:
         test_ds = slice_corpus(
             [make_recording(200, channels=test_channels)], WindowConfig(200, 100)
         )
-        assert np.all(apply_normalizer(test_ds, stats).blocks == -2.0)
+        assert np.all(stats.normalize(test_ds.blocks) == -2.0)
 
     def test_empty_training_split_rejected(self):
         ds = self.two_value_dataset()
