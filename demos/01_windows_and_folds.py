@@ -59,14 +59,16 @@ for policy in ("majority", "last_sample"):
     print(f"policy {policy:>14}: spanning windows labelled {labels[spanning].tolist()}")
 
 # ---------------------------------------------------------------------------
-# Normalization statistics come from the training split only.
+# Normalization statistics come from the training split only. The dataset
+# holds each window as a view of its recording; gather copies out the windows
+# asked for, here the held-out subject's, as [windows, size, channels].
 # ---------------------------------------------------------------------------
 train_ids = np.flatnonzero(windows.group != "s2")
 stats = fit_normalizer(dataset, train_ids)
-normalized = stats.normalize(dataset.blocks)
+normalized = stats.normalize(dataset.gather(np.flatnonzero(windows.group == "s2")))
 print(f"train-split channel means {np.round(stats.mean, 3)}, "
       f"stds {np.round(stats.std, 3)}")
-print(f"normalized corpus mean ~ {normalized.mean():.4f}")
+print(f"normalized held-out mean ~ {normalized.mean():.4f}")
 
 # ---------------------------------------------------------------------------
 # Grouped folds: one fold per subject up to the cap, merged beyond it.

@@ -46,8 +46,8 @@ from .recordings import corpus_num_classes, parse_canonical, write_canonical
 from .splits import MAX_FOLDS_DEFAULT, plan_folds, read_plan, write_plan
 from .synth import default_scenario, generate_corpus, load_scenario, save_scenario
 from .windowing import (
-    GROUP_UNITS, LABEL_POLICIES, WindowConfig, WindowTable, read_windows, slice_corpus,
-    write_windows,
+    GROUP_UNITS, LABEL_POLICIES, WindowConfig, WindowTable, iter_chunks, read_windows,
+    slice_corpus, write_windows,
 )
 
 OUT_ENV = "HAR_AUDIT_OUT"
@@ -308,8 +308,11 @@ def cmd_windows(run: RunDir) -> None:
     config = run.recipe(WindowConfig)
     dataset = slice_corpus(recordings, config)
     write_windows(dataset.windows, run.file("windows.csv"))
+    means = np.empty((dataset.num_windows, dataset.num_channels))
+    for start, samples in iter_chunks(dataset):
+        means[start:start + len(samples)] = samples.mean(axis=1)
     with open(run.file("window_means.npy"), "wb") as fh:  # np.save(path) would add ".npy"
-        np.save(fh, dataset.blocks.mean(axis=1), allow_pickle=False)
+        np.save(fh, means, allow_pickle=False)
     write_json(
         {
             "num_windows": dataset.num_windows,
@@ -329,9 +332,15 @@ def cmd_split(run: RunDir) -> None:
 
 
 def cmd_train_baseline(run: RunDir) -> None:
+    # The recipe is checked before anything is read, so a refusal costs no parse.
+    train_config = run.recipe(TrainConfig)
+    runs = run.opt("runs", 1)
+    if runs < 1:
+        raise CommandError(f"runs must be at least 1, got {runs}")
     meta = _read_meta(run.need("windows_meta.json"))
     config = WindowConfig(**{f.name: meta[f.name] for f in fields(WindowConfig)})
-    # No name holds the parsed recordings, so they are freed before training.
+    # No name holds the parsed recordings: the dataset's window views keep their
+    # channels, and the rest is freed before training.
     dataset = slice_corpus(
         parse_canonical(run.need("recordings.csv"))[0], config, num_classes=meta["num_classes"]
     )
@@ -340,8 +349,8 @@ def cmd_train_baseline(run: RunDir) -> None:
         dataset,
         plan,
         dataset_id=run.opt("dataset_id", "dataset"),
-        runs=run.opt("runs", 1),
-        config=run.recipe(TrainConfig),
+        runs=runs,
+        config=train_config,
     )
     write_records(records, run.file("predictions.jsonl"))
     write_columns(records, run.file("predictions.npy"))

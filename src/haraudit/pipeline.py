@@ -16,7 +16,7 @@ from .predictions import (
     merge_runs, model_metrics,
 )
 from .splits import FoldPlan
-from .windowing import WindowedDataset, chunk_windows, fit_normalizer
+from .windowing import WindowedDataset, fit_normalizer, iter_chunks
 
 
 def baseline_prediction_records(
@@ -30,15 +30,15 @@ def baseline_prediction_records(
 
     For each fold the normalizer is fit on the training windows only, and
     every window's features are taken from its normalized samples. Both
-    steps stream over the blocks in chunks of ``chunk_windows`` windows, so a
-    fold holds at most one chunk of normalized samples beside the blocks.
+    steps gather the windows from the recordings in chunks of
+    ``chunk_windows`` windows, so a fold holds one chunk of window samples,
+    normalized in place, whatever the number of windows.
     Training is deterministic, so all runs carry identical probabilities; they
     exist to exercise the run-merging interfaces.
     """
     if runs < 1:
         raise ValueError(f"runs must be at least 1, got {runs}")
     labels = dataset.windows.label
-    chunk = chunk_windows(dataset)
     features = np.empty((dataset.num_windows, 2 * dataset.num_channels))
     # One (run, fold, window ids, probs) block per fold and run, in record order.
     blocks = []
@@ -48,9 +48,9 @@ def baseline_prediction_records(
         stats = fit_normalizer(dataset, train_ids)
         # Each window's features reduce its own samples, so chunks give the
         # features of the whole normalized corpus bit for bit.
-        for start in range(0, dataset.num_windows, chunk):
-            features[start:start + chunk] = extract_feature_matrix(
-                stats.normalize(dataset.blocks[start:start + chunk]))
+        for start, samples in iter_chunks(dataset):
+            features[start:start + len(samples)] = extract_feature_matrix(
+                stats.normalize(samples, out=samples))
         model = train_baseline(
             features[train_ids],
             labels[train_ids],

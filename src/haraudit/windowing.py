@@ -24,7 +24,7 @@ WINDOW_HEADER = (
 
 #: Channels whose spread falls below this are normalized with divisor 1.
 DEGENERATE_STD = 1e-9
-#: Bytes of samples per chunk when a pass streams over the window blocks.
+#: Bytes of samples per chunk when a pass streams over the windows.
 CHUNK_BYTES = 1 << 20
 
 
@@ -80,9 +80,10 @@ class ChannelStats:
     mean: np.ndarray
     std: np.ndarray
 
-    def normalize(self, blocks: np.ndarray) -> np.ndarray:
-        """A new array of ``blocks`` transformed to (x - mean) / std."""
-        out = blocks - self.mean
+    def normalize(self, blocks: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """``blocks`` transformed to (x - mean) / std, in a new array or in
+        ``out``, which may be ``blocks`` itself."""
+        out = np.subtract(blocks, self.mean, out=out)
         out /= self.std  # in place: one copy of ``blocks``, not two
         return out
 
@@ -92,26 +93,55 @@ class WindowedDataset:
     """Fixed-length windows over one or more recordings.
 
     Sample indices are global over the concatenated corpus stream; windows
-    never span recording boundaries. ``blocks`` is [num_windows, size,
-    num_channels] and is aligned with ``windows``.
+    never span recording boundaries. ``views`` holds, per recording, a
+    zero-copy [windows, size, channels] strided view of its samples, empty
+    for a recording shorter than one window, so the windows' samples exist
+    once, in the recordings. ``gather`` copies the windows a pass asks for.
     """
 
     windows: WindowTable
-    blocks: np.ndarray
+    views: list[np.ndarray]
+    window_size: int
+    num_channels: int
     num_classes: int
     recording_spans: list[tuple[int, int]] = field(default_factory=list)
+    #: The id of each recording's first window.
+    first: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.first = np.cumsum([0] + [len(view) for view in self.views[:-1]])
 
     @property
     def num_windows(self) -> int:
         return len(self.windows)
 
     @property
-    def num_channels(self) -> int:
-        return self.blocks.shape[2] if self.blocks.size else 0
-
-    @property
     def total_samples(self) -> int:
         return self.recording_spans[-1][1] if self.recording_spans else 0
+
+    def gather(self, ids, out: np.ndarray | None = None) -> np.ndarray:
+        """The samples of windows ``ids`` as [len(ids), size, channels], row i
+        holding window ``ids[i]``, written into ``out`` when given.
+
+        Each run of consecutive ids in one recording is copied as one slice
+        of its view, a lone id as a run of one, so nothing is copied twice.
+        ``np.take(view, ids, out=...)`` would first copy the whole strided
+        view, and fancy indexing makes a temporary copy of what it takes.
+        """
+        ids = np.asarray(ids, dtype=np.intp)
+        if out is None:
+            out = np.empty((ids.size, self.window_size, self.num_channels))
+        if not ids.size:
+            return out
+        recording = self.windows.recording[ids]
+        # np.flatnonzero rather than np.unique, which imports numpy.ma.
+        starts = np.flatnonzero(np.concatenate(
+            ([True], (np.diff(ids) != 1) | (np.diff(recording) != 0))))
+        stops = np.append(starts[1:], ids.size).tolist()
+        lows = (ids[starts] - self.first[recording[starts]]).tolist()
+        for a, b, r, lo in zip(starts.tolist(), stops, recording[starts].tolist(), lows):
+            out[a:b] = self.views[r][lo:lo + b - a]
+        return out
 
 
 def write_windows(windows: WindowTable, dest) -> None:
@@ -171,35 +201,33 @@ def slice_corpus(
                 f"recording {rec_index} has {rec.num_channels} channels, "
                 f"recording 0 has {recordings[0].num_channels}"
             )
-    counts = [(rec.num_samples - config.window_size) // config.stride + 1
-              if rec.num_samples >= config.window_size else 0 for rec in recordings]
-    # Each window is copied once, straight into its rows of ``blocks``.
-    blocks = np.empty((sum(counts), config.window_size, recordings[0].num_channels))
+    channels = recordings[0].num_channels
     columns = []  # per recording: starts, labels, transitions, recording, group
+    views: list[np.ndarray] = []
     spans: list[tuple[int, int]] = []
-    offset = first = 0
-    for rec_index, (rec, n_windows) in enumerate(zip(recordings, counts)):
+    offset = 0
+    for rec_index, rec in enumerate(recordings):
         n = rec.num_samples
         spans.append((offset, offset + n))
-        if not n_windows:
+        if n < config.window_size:
             warnings.warn(
                 f"recording {rec_index} has {n} samples, shorter than one "
                 f"window of {config.window_size}; no windows emitted",
                 stacklevel=2,
             )
+            views.append(np.empty((0, config.window_size, channels)))
             offset += n
             continue
-        # [n_windows, channels, size] view of every stride-th window.
-        view = np.lib.stride_tricks.sliding_window_view(
+        # [n_windows, size, channels] view of every stride-th window: no copy.
+        views.append(np.lib.stride_tricks.sliding_window_view(
             rec.channels, config.window_size, axis=0
-        )[::config.stride]
-        blocks[first:first + n_windows] = view.transpose(0, 2, 1)
+        )[::config.stride].transpose(0, 2, 1))
+        n_windows = len(views[-1])
         starts = np.arange(n_windows) * config.stride
         label, transition = _window_labels(rec.labels, starts, config)
         columns.append((offset + starts, label, transition, np.full(n_windows, rec_index),
                         np.full(n_windows, GROUP_UNITS[config.group_by](rec))))
         offset += n
-        first += n_windows
     if not columns:  # every recording is shorter than one window
         columns = [(np.zeros(0, dtype=int),) * 5]
     start, label, transition, recording, group = map(np.concatenate, zip(*columns))
@@ -216,17 +244,42 @@ def slice_corpus(
     )
     return WindowedDataset(
         windows=windows,
-        blocks=blocks,
+        views=views,
+        window_size=config.window_size,
+        num_channels=channels,
         num_classes=num_classes,
         recording_spans=spans,
     )
 
 
 def chunk_windows(dataset: WindowedDataset) -> int:
-    """Windows per chunk of a pass over the blocks: CHUNK_BYTES of samples,
-    at least one window."""
-    window_bytes = dataset.blocks.itemsize * int(np.prod(dataset.blocks.shape[1:]))
+    """Windows per chunk of a pass over the windows' samples: CHUNK_BYTES of
+    float64 samples, at least one window."""
+    window_bytes = 8 * dataset.window_size * dataset.num_channels
     return max(1, CHUNK_BYTES // max(1, window_bytes))
+
+
+def _chunk_rows(dataset: WindowedDataset, windows: int) -> np.ndarray:
+    """A [1 + windows * size, channels] buffer: one carry row for a running
+    sum, then the samples of ``windows`` windows.
+
+    Both passes over the windows take their buffer from here, even the one
+    that needs no carry row. With one shape, the features pass of a
+    ``train-baseline`` fold gets the block its fit has just freed, where
+    another size made the heap grow: 1 MiB off that command's peak.
+    """
+    return np.empty((1 + windows * dataset.window_size, dataset.num_channels))
+
+
+def iter_chunks(dataset: WindowedDataset):
+    """(first id, samples) of each chunk of ``chunk_windows`` windows in id
+    order, gathered into one reused buffer: a chunk is overwritten by the next."""
+    chunk = chunk_windows(dataset)
+    n = min(chunk, dataset.num_windows)
+    buf = _chunk_rows(dataset, n)[1:].reshape(n, dataset.window_size, dataset.num_channels)
+    for start in range(0, dataset.num_windows, chunk):
+        stop = min(start + chunk, dataset.num_windows)
+        yield start, dataset.gather(np.arange(start, stop), out=buf[:stop - start])
 
 
 def _sum_samples(dataset: WindowedDataset, ids: np.ndarray, chunk: int,
@@ -238,15 +291,13 @@ def _sum_samples(dataset: WindowedDataset, ids: np.ndarray, chunk: int,
     more channels by adding one row at a time, so carrying the running sum in
     as row 0 of the next chunk repeats the one-shot sum bit for bit.
     """
-    _, size, channels = dataset.blocks.shape
-    buf = np.empty((1 + min(chunk, ids.size) * size, channels))
+    size, channels = dataset.window_size, dataset.num_channels
+    buf = _chunk_rows(dataset, min(chunk, ids.size))
     total = None
     for start in range(0, ids.size, chunk):
         part = ids[start:start + chunk]
         rows = buf[:1 + part.size * size]
-        # mode="clip" spares take a bounds-checking buffer; the ids are checked.
-        np.take(dataset.blocks, part, axis=0, mode="clip",
-                out=rows[1:].reshape(part.size, size, channels))
+        dataset.gather(part, out=rows[1:].reshape(part.size, size, channels))
         if center is not None:  # numpy's own var sequence: x = rows - mean; x *= x
             rows[1:] -= center
             rows[1:] *= rows[1:]
@@ -264,8 +315,9 @@ def fit_normalizer(
     """Per-channel mean/std over the given (training) windows' samples.
 
     ``window_ids`` defaults to all windows; pass the training split here so
-    test windows never leak into the statistics. The samples are read in
-    chunks of CHUNK_BYTES, so beyond the blocks the fit holds one chunk. A
+    test windows never leak into the statistics. The samples are gathered
+    from the recordings in chunks of CHUNK_BYTES, so the fit holds one chunk
+    of window samples whatever the number of windows. A
     one-channel corpus is read in one chunk: numpy sums a lone contiguous
     column pairwise, which a carried sum cannot repeat. The results are
     bit-identical to ``samples.mean(axis=0)`` and ``samples.std(axis=0)``
@@ -283,7 +335,7 @@ def fit_normalizer(
             f"window id {ids[outside][0]} outside 0..{dataset.num_windows - 1}"
         )
     chunk = ids.size if dataset.num_channels == 1 else chunk_windows(dataset)
-    count = ids.size * dataset.blocks.shape[1]
+    count = ids.size * dataset.window_size
     mean = _sum_samples(dataset, ids, chunk) / count
     std = np.sqrt(_sum_samples(dataset, ids, chunk, center=mean) / count)
     std = np.where(std < DEGENERATE_STD, 1.0, std)

@@ -95,7 +95,7 @@ class TestTraining:
         # stride == segment length divisor so no window spans a class change;
         # the classes are then linearly separable in feature space
         ds = slice_corpus([rec], WindowConfig(200, 200), num_classes=2)
-        features = extract_feature_matrix(ds.blocks)
+        features = extract_feature_matrix(ds.gather(np.arange(ds.num_windows)))
         labels = ds.windows.label
         return features, labels
 

@@ -231,6 +231,30 @@ class TestErrors:
         assert message in capsys.readouterr().err
         assert snapshot(out) == before
 
+    @pytest.mark.parametrize("flags", [
+        ["--step-size", "nan"], ["--epochs", "-3"], ["--runs", "0"],
+    ])
+    def test_train_baseline_refuses_its_recipe_before_parsing(
+        self, tmp_path, planned_run, monkeypatch, flags
+    ):
+        # Before, each refusal came only after the recordings were parsed and sliced.
+        out = tmp_path / "run"
+        shutil.copytree(planned_run, out)
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return parse(*args)
+
+        parse = cli.parse_canonical
+        monkeypatch.setattr(cli, "parse_canonical", counted)
+        before = snapshot(out)
+        assert run(out, ["train-baseline", *flags]) == 1
+        assert snapshot(out) == before
+        assert len(calls) == 0
+        assert run(out, ["train-baseline", "--epochs", "2"]) == 0
+        assert len(calls) == 1
+
 
 @pytest.fixture(scope="module")
 def windowed_run(tmp_path_factory):

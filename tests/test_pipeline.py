@@ -77,7 +77,8 @@ def one_shot_probs(ds, plan):
     for i, fold in enumerate(plan.folds):
         test_ids = np.asarray(fold.test_window_ids, dtype=int)
         train_ids = np.asarray(plan.train_windows(i, ds.num_windows), dtype=int)
-        features = extract_feature_matrix(fit_normalizer(ds, train_ids).normalize(ds.blocks))
+        blocks = ds.gather(np.arange(ds.num_windows))
+        features = extract_feature_matrix(fit_normalizer(ds, train_ids).normalize(blocks))
         model = train_baseline(features[train_ids], ds.windows.label[train_ids],
                                ds.num_classes)
         probs.append(predict_proba(model, features[test_ids]))
@@ -91,7 +92,8 @@ def test_streamed_features_give_the_one_shot_probabilities(monkeypatch, channels
     windows = ds.num_windows
     per_chunk = {"one": 1, "windows-1": windows - 1, "windows": windows,
                  "windows+1": windows + 1}[chunk]
-    monkeypatch.setattr(windowing, "CHUNK_BYTES", per_chunk * ds.blocks[0].nbytes)
+    window_bytes = ds.gather(np.arange(ds.num_windows))[0].nbytes
+    monkeypatch.setattr(windowing, "CHUNK_BYTES", per_chunk * window_bytes)
     plan = plan_folds(ds.windows)
     records = baseline_prediction_records(ds, plan)
     expected = one_shot_probs(ds, plan)
@@ -100,10 +102,11 @@ def test_streamed_features_give_the_one_shot_probabilities(monkeypatch, channels
 
 def test_baseline_memory_stays_below_the_blocks():
     ds = offset_dataset(4, 45, 16, size=200)  # 180 windows of 25.6 kB: over 4 chunks
-    assert ds.blocks.nbytes >= 4 * windowing.CHUNK_BYTES
+    block_bytes = ds.num_windows * ds.window_size * ds.num_channels * 8
+    assert block_bytes >= 4 * windowing.CHUNK_BYTES
     plan = plan_folds(ds.windows)
     _, peak = peak_bytes(lambda: baseline_prediction_records(ds, plan))
-    assert peak <= 1.0 * ds.blocks.nbytes, peak / ds.blocks.nbytes
+    assert peak <= 0.75 * block_bytes, peak / block_bytes
 
 
 def all_correct_records(n_windows, n_models=2):

@@ -49,9 +49,10 @@ class TestSlicing:
 
     def test_blocks_carry_the_right_samples(self):
         ds = slice_corpus([make_recording(500)], WindowConfig(200, 100))
-        assert ds.blocks.shape == (4, 200, 1)
-        assert ds.blocks[2, 0, 0] == 200.0
-        assert ds.blocks[2, -1, 0] == 399.0
+        blocks = ds.gather(np.arange(ds.num_windows))
+        assert blocks.shape == (4, 200, 1)
+        assert blocks[2, 0, 0] == 200.0
+        assert blocks[2, -1, 0] == 399.0
 
     def test_window_ids_dense_across_recordings(self):
         recs = [make_recording(300, subject="s1"), make_recording(250, subject="s2")]
@@ -97,7 +98,7 @@ class TestSlicing:
 
 
 class TestBlocks:
-    """Each window is copied once into a preallocated ``blocks``."""
+    """``gather`` copies windows out of zero-copy views of the recordings."""
 
     @pytest.mark.parametrize("size, stride", [(4, 3), (4, 4), (5, 1)])
     def test_blocks_equal_a_copy_of_each_window(self, size, stride):
@@ -110,31 +111,97 @@ class TestBlocks:
         naive = [recs[r].channels[start - offsets[r]:end - offsets[r]]
                  for (start, end), r in zip(ds.windows.bounds, ds.windows.recording)]
         assert 1 not in ds.windows.recording.tolist()
-        assert ds.blocks.shape == (len(naive), size, 2)
-        assert np.array_equal(ds.blocks, np.array(naive))
+        blocks = ds.gather(np.arange(ds.num_windows))
+        assert blocks.shape == (len(naive), size, 2)
+        assert np.array_equal(blocks, np.array(naive))
 
     def test_a_corpus_of_short_recordings_has_no_blocks(self):
         recs = [make_recording(n, subject=f"s{n}", channels=np.ones((n, 2))) for n in (3, 4)]
         with pytest.warns(UserWarning, match="shorter"):
             ds = slice_corpus(recs, WindowConfig(5, 2))
-        assert ds.blocks.shape == (0, 5, 2)
+        assert ds.gather(np.arange(ds.num_windows)).shape == (0, 5, 2)
         assert len(ds.windows) == 0
         assert ds.total_samples == 7
 
     def test_recordings_must_share_a_channel_count(self):
-        # A one-channel recording would otherwise broadcast into every channel of blocks.
+        # A one-channel recording would otherwise broadcast into every gathered channel.
         recs = [make_recording(10, channels=np.zeros((10, 3))),
                 make_recording(10, subject="s2", channels=np.zeros((10, 1)))]
         with pytest.raises(ValueError, match="recording 1 has 1 channels, recording 0 has 3"):
             slice_corpus(recs, WindowConfig(4, 2))
 
     def test_slicing_memory_scales_with_the_blocks(self):
-        # About 20k samples; slicing once held every block twice.
+        # About 20k samples; slicing once held every block twice, then once.
         rng = np.random.default_rng(9)
         recs = [make_recording(10_000, subject=f"s{i}", labels=rng.integers(0, 4, 10_000),
                                channels=rng.normal(size=(10_000, 3))) for i in range(2)]
         ds, peak = peak_bytes(lambda: slice_corpus(recs, WindowConfig(50, 25)))
-        assert peak <= 1.5 * ds.blocks.nbytes, peak / ds.blocks.nbytes
+        assert peak <= 0.5 * block_bytes(ds), peak / block_bytes(ds)
+
+    def test_slicing_copies_no_samples(self):
+        # The recording_chain window shape: what slicing holds is the window
+        # table and the label counts, a small share of the windows' samples.
+        rng = np.random.default_rng(4)
+        recs = [make_recording(5_000, subject=f"s{i}", labels=rng.integers(0, 6, 5_000),
+                               channels=rng.normal(size=(5_000, 16))) for i in range(3)]
+        ds, peak = peak_bytes(lambda: slice_corpus(recs, WindowConfig(200, 50)))
+        assert peak <= 0.05 * block_bytes(ds), peak / block_bytes(ds)
+
+
+def block_bytes(ds):
+    """Bytes of a float64 copy of every window of ``ds``."""
+    return ds.num_windows * ds.window_size * ds.num_channels * 8
+
+
+def naive_gather(recs, ds, ids):
+    """Each window of ``ids`` copied from its recording by its bounds."""
+    offsets = np.cumsum([0] + [rec.num_samples for rec in recs])
+    return np.array([recs[r].channels[start - offsets[r]:end - offsets[r]]
+                     for (start, end), r in zip(ds.windows.bounds[ids], ds.windows.recording[ids])]
+                    ).reshape(len(ids), ds.window_size, ds.num_channels)
+
+
+class TestGather:
+    def dataset(self, channels=2, lengths=(23, 3, 17, 11)):
+        rng = np.random.default_rng(channels)
+        recs = [make_recording(n, subject=f"s{i}", channels=rng.normal(size=(n, channels)))
+                for i, n in enumerate(lengths)]
+        with pytest.warns(UserWarning, match="recording 1 has 3 samples"):
+            return recs, slice_corpus(recs, WindowConfig(4, 3))
+
+    @pytest.mark.parametrize("channels", [1, 2])
+    @pytest.mark.parametrize("ids", [
+        "all", "across recordings", "unsorted and repeated", "none", "around the empty one",
+    ])
+    def test_equals_a_copy_of_each_window(self, channels, ids):
+        recs, ds = self.dataset(channels)  # recording 1 is shorter than a window
+        assert ds.num_windows == 7 + 5 + 3 and ds.first.tolist() == [0, 7, 7, 12]
+        ids = np.array({
+            "all": range(ds.num_windows),
+            "across recordings": [5, 6, 7, 8, 11, 12, 13],
+            "unsorted and repeated": [9, 2, 2, 14, 0, 13, 12, 12, 6, 7, 1],
+            "none": [],
+            "around the empty one": [6, 7],
+        }[ids], dtype=int)
+        got = ds.gather(ids)
+        assert got.shape == (ids.size, 4, channels)
+        assert np.array_equal(got, naive_gather(recs, ds, ids))
+
+    def test_writes_into_out(self):
+        recs, ds = self.dataset()
+        ids = np.array([3, 4, 10, 1])
+        out = np.full((4, 4, 2), np.nan)
+        assert ds.gather(ids, out=out) is out
+        assert np.array_equal(out, naive_gather(recs, ds, ids))
+
+    def test_one_window_costs_no_copy_of_its_recording(self):
+        # np.take with out= would first copy the whole strided view: 951 windows.
+        rec = make_recording(10_000, channels=np.random.default_rng(2).normal(size=(10_000, 4)))
+        ds = slice_corpus([rec], WindowConfig(500, 10))
+        window = 500 * 4 * 8
+        got, peak = peak_bytes(lambda: ds.gather([7]))
+        assert peak <= 2 * window, peak / window
+        assert np.array_equal(got[0], rec.channels[70:570])
 
 
 def assign_window_label(labels, policy):
@@ -265,7 +332,7 @@ class TestNormalizer:
         stats = fit_normalizer(ds)
         assert stats.mean[0] == 2.0
         assert stats.std[0] == 1.0
-        assert stats.normalize(ds.blocks)[0, 1, 0] == 1.0  # value 3 -> 1.0
+        assert stats.normalize(ds.gather(np.arange(ds.num_windows)))[0, 1, 0] == 1.0  # 3 -> 1
 
     def test_constant_channel_uses_divisor_one(self):
         channels = np.full((200, 1), 5.0)
@@ -273,7 +340,7 @@ class TestNormalizer:
         stats = fit_normalizer(ds)
         assert stats.mean[0] == 5.0
         assert stats.std[0] == 1.0
-        assert np.all(stats.normalize(ds.blocks) == 0.0)
+        assert np.all(stats.normalize(ds.gather(np.arange(ds.num_windows))) == 0.0)
 
     def test_train_stats_applied_to_test_value(self):
         ds = self.two_value_dataset()
@@ -282,7 +349,7 @@ class TestNormalizer:
         test_ds = slice_corpus(
             [make_recording(200, channels=test_channels)], WindowConfig(200, 100)
         )
-        assert np.all(stats.normalize(test_ds.blocks) == -2.0)
+        assert np.all(stats.normalize(test_ds.gather(np.arange(test_ds.num_windows))) == -2.0)
 
     def test_empty_training_split_rejected(self):
         ds = self.two_value_dataset()
@@ -307,7 +374,7 @@ def random_dataset(num_windows, channels, size=50, seed=3):
 
 def assert_one_shot_bits(stats, ds, ids):
     """The stats equal the mean and std of all the samples at once, bit for bit."""
-    samples = ds.blocks[ids].reshape(-1, ds.num_channels)
+    samples = ds.gather(np.arange(ds.num_windows))[ids].reshape(-1, ds.num_channels)
     assert np.array_equal(stats.mean.view(np.int64), samples.mean(axis=0).view(np.int64))
     assert np.array_equal(stats.std.view(np.int64), samples.std(axis=0).view(np.int64))
 
@@ -343,5 +410,5 @@ class TestStreamedNormalizer:
         ds = random_dataset(4 * chunk_of(16, size=200) + 5, 16, size=200)  # over 4 chunks
         ids = np.flatnonzero(np.arange(ds.num_windows) % 4)  # three windows in four
         stats, peak = peak_bytes(lambda: fit_normalizer(ds, ids))
-        assert peak <= 1.0 * ds.blocks.nbytes, peak / ds.blocks.nbytes
+        assert peak <= 0.5 * block_bytes(ds), peak / block_bytes(ds)
         assert_one_shot_bits(stats, ds, ids)
