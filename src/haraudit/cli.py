@@ -46,7 +46,7 @@ from .recordings import corpus_num_classes, parse_canonical, write_canonical
 from .splits import MAX_FOLDS_DEFAULT, plan_folds, read_plan, write_plan
 from .synth import default_scenario, generate_corpus, load_scenario, save_scenario
 from .windowing import (
-    GROUP_UNITS, LABEL_POLICIES, WindowConfig, WindowTable, iter_chunks, read_windows,
+    GROUP_UNITS, LABEL_POLICIES, WindowConfig, WindowTable, chunk_windows, read_windows,
     slice_corpus, write_windows,
 )
 
@@ -309,7 +309,8 @@ def cmd_windows(run: RunDir) -> None:
     dataset = slice_corpus(recordings, config)
     write_windows(dataset.windows, run.file("windows.csv"))
     means = np.empty((dataset.num_windows, dataset.num_channels))
-    for start, samples in iter_chunks(dataset):
+    for start, _, samples in dataset.chunks(np.arange(dataset.num_windows),
+                                            chunk_windows(dataset)):
         means[start:start + len(samples)] = samples.mean(axis=1)
     with open(run.file("window_means.npy"), "wb") as fh:  # np.save(path) would add ".npy"
         np.save(fh, means, allow_pickle=False)

@@ -16,7 +16,7 @@ from .predictions import (
     merge_runs, model_metrics,
 )
 from .splits import FoldPlan
-from .windowing import WindowedDataset, fit_normalizer, iter_chunks
+from .windowing import WindowedDataset, chunk_windows, fit_normalizer
 
 
 def baseline_prediction_records(
@@ -40,6 +40,7 @@ def baseline_prediction_records(
         raise ValueError(f"runs must be at least 1, got {runs}")
     labels = dataset.windows.label
     features = np.empty((dataset.num_windows, 2 * dataset.num_channels))
+    all_ids, chunk = np.arange(dataset.num_windows), chunk_windows(dataset)
     # One (run, fold, window ids, probs) block per fold and run, in record order.
     blocks = []
     for i, fold in enumerate(plan.folds):
@@ -48,7 +49,7 @@ def baseline_prediction_records(
         stats = fit_normalizer(dataset, train_ids)
         # Each window's features reduce its own samples, so chunks give the
         # features of the whole normalized corpus bit for bit.
-        for start, samples in iter_chunks(dataset):
+        for start, _, samples in dataset.chunks(all_ids, chunk):
             features[start:start + len(samples)] = extract_feature_matrix(
                 stats.normalize(samples, out=samples))
         model = train_baseline(

@@ -127,8 +127,13 @@ class WindowedDataset:
         of its view, a lone id as a run of one, so nothing is copied twice.
         ``np.take(view, ids, out=...)`` would first copy the whole strided
         view, and fancy indexing makes a temporary copy of what it takes.
+        Raises ValueError, before copying anything, for an id outside
+        0..num_windows-1.
         """
         ids = np.asarray(ids, dtype=np.intp)
+        outside = (ids < 0) | (ids >= self.num_windows)
+        if outside.any():
+            raise ValueError(f"window id {ids[outside][0]} outside 0..{self.num_windows - 1}")
         if out is None:
             out = np.empty((ids.size, self.window_size, self.num_channels))
         if not ids.size:
@@ -142,6 +147,24 @@ class WindowedDataset:
         for a, b, r, lo in zip(starts.tolist(), stops, recording[starts].tolist(), lows):
             out[a:b] = self.views[r][lo:lo + b - a]
         return out
+
+    def chunks(self, ids: np.ndarray, chunk: int):
+        """(position, rows, samples) for each ``chunk`` ids of ``ids`` in order.
+
+        ``rows`` is a [1 + n * size, channels] buffer whose row 0 is free for
+        a sum the caller carries; ``samples``, its rows 1 on as [n, size,
+        channels], holds windows ``ids[position:position + n]``. One buffer
+        serves every chunk, so a chunk is overwritten by the next. Every pass
+        gets a buffer of this one shape, so a ``train-baseline`` fold's
+        features pass reuses the block its fit has just freed.
+        """
+        size, channels = self.window_size, self.num_channels
+        buf = np.empty((1 + min(chunk, ids.size) * size, channels))
+        for start in range(0, ids.size, chunk):
+            part = ids[start:start + chunk]
+            rows = buf[:1 + part.size * size]
+            samples = rows[1:].reshape(part.size, size, channels)
+            yield start, rows, self.gather(part, out=samples)
 
 
 def write_windows(windows: WindowTable, dest) -> None:
@@ -259,29 +282,6 @@ def chunk_windows(dataset: WindowedDataset) -> int:
     return max(1, CHUNK_BYTES // max(1, window_bytes))
 
 
-def _chunk_rows(dataset: WindowedDataset, windows: int) -> np.ndarray:
-    """A [1 + windows * size, channels] buffer: one carry row for a running
-    sum, then the samples of ``windows`` windows.
-
-    Both passes over the windows take their buffer from here, even the one
-    that needs no carry row. With one shape, the features pass of a
-    ``train-baseline`` fold gets the block its fit has just freed, where
-    another size made the heap grow: 1 MiB off that command's peak.
-    """
-    return np.empty((1 + windows * dataset.window_size, dataset.num_channels))
-
-
-def iter_chunks(dataset: WindowedDataset):
-    """(first id, samples) of each chunk of ``chunk_windows`` windows in id
-    order, gathered into one reused buffer: a chunk is overwritten by the next."""
-    chunk = chunk_windows(dataset)
-    n = min(chunk, dataset.num_windows)
-    buf = _chunk_rows(dataset, n)[1:].reshape(n, dataset.window_size, dataset.num_channels)
-    for start in range(0, dataset.num_windows, chunk):
-        stop = min(start + chunk, dataset.num_windows)
-        yield start, dataset.gather(np.arange(start, stop), out=buf[:stop - start])
-
-
 def _sum_samples(dataset: WindowedDataset, ids: np.ndarray, chunk: int,
                  center: np.ndarray | None = None) -> np.ndarray:
     """Per-channel sum of the samples of windows ``ids``, or of their squared
@@ -291,13 +291,8 @@ def _sum_samples(dataset: WindowedDataset, ids: np.ndarray, chunk: int,
     more channels by adding one row at a time, so carrying the running sum in
     as row 0 of the next chunk repeats the one-shot sum bit for bit.
     """
-    size, channels = dataset.window_size, dataset.num_channels
-    buf = _chunk_rows(dataset, min(chunk, ids.size))
     total = None
-    for start in range(0, ids.size, chunk):
-        part = ids[start:start + chunk]
-        rows = buf[:1 + part.size * size]
-        dataset.gather(part, out=rows[1:].reshape(part.size, size, channels))
+    for _, rows, _ in dataset.chunks(ids, chunk):
         if center is not None:  # numpy's own var sequence: x = rows - mean; x *= x
             rows[1:] -= center
             rows[1:] *= rows[1:]
@@ -321,7 +316,8 @@ def fit_normalizer(
     one-channel corpus is read in one chunk: numpy sums a lone contiguous
     column pairwise, which a carried sum cannot repeat. The results are
     bit-identical to ``samples.mean(axis=0)`` and ``samples.std(axis=0)``
-    over all the selected samples at once.
+    over all the selected samples at once. An id outside
+    0..num_windows-1 raises ValueError, as in ``WindowedDataset.gather``.
     """
     if window_ids is None:
         ids = np.arange(dataset.num_windows)
@@ -329,11 +325,6 @@ def fit_normalizer(
         ids = np.asarray(list(window_ids), dtype=int)
     if ids.size == 0:
         raise ValueError("cannot fit a normalizer on an empty training split")
-    outside = (ids < 0) | (ids >= dataset.num_windows)
-    if outside.any():
-        raise ValueError(
-            f"window id {ids[outside][0]} outside 0..{dataset.num_windows - 1}"
-        )
     chunk = ids.size if dataset.num_channels == 1 else chunk_windows(dataset)
     count = ids.size * dataset.window_size
     mean = _sum_samples(dataset, ids, chunk) / count

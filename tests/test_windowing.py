@@ -194,6 +194,28 @@ class TestGather:
         assert ds.gather(ids, out=out) is out
         assert np.array_equal(out, naive_gather(recs, ds, ids))
 
+    @pytest.mark.parametrize("bad", [-1, -15, 15, 99])
+    def test_id_outside_the_dataset_rejected(self, bad):
+        # A negative id wraps in the window table but not in the offset into
+        # its recording's view: unchecked, it copied the wrong window or
+        # failed to broadcast.
+        _, ds = self.dataset()
+        out = np.full((3, 4, 2), np.nan)
+        with pytest.raises(ValueError, match=f"window id {bad} outside 0..14"):
+            ds.gather([0, bad, 20], out=out)
+        assert np.isnan(out).all()
+
+    def test_chunks_cover_the_ids_in_order(self):
+        recs, ds = self.dataset()
+        ids = np.array([9, 2, 2, 14, 0, 13, 12])
+        seen = []
+        for start, rows, samples in ds.chunks(ids, 3):
+            assert rows.shape == (1 + len(samples) * 4, 2)
+            assert np.shares_memory(rows[1:], samples)
+            seen.append((start, samples.copy()))
+        assert [start for start, _ in seen] == [0, 3, 6]
+        assert np.array_equal(np.concatenate([s for _, s in seen]), naive_gather(recs, ds, ids))
+
     def test_one_window_costs_no_copy_of_its_recording(self):
         # np.take with out= would first copy the whole strided view: 951 windows.
         rec = make_recording(10_000, channels=np.random.default_rng(2).normal(size=(10_000, 4)))
