@@ -16,6 +16,7 @@ Run with:  python3 demos/03_full_audit.py
 """
 
 from haraudit import (
+    TrainConfig,
     WindowConfig,
     audit_records,
     baseline_prediction_records,
@@ -45,7 +46,9 @@ print(f"{dataset.num_windows} windows, {plan.k} leave-subject-out folds")
 # ---------------------------------------------------------------------------
 # Out-of-fold predictions from the deterministic reference classifier.
 # ---------------------------------------------------------------------------
-records = baseline_prediction_records(dataset, plan, dataset_id="synthetic", runs=4)
+records = baseline_prediction_records(
+    dataset, plan, dataset_id="synthetic", config=TrainConfig(runs=4)
+)
 result = audit_records(
     records,
     dataset.windows.bounds,

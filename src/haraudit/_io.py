@@ -7,6 +7,8 @@ import json
 from contextlib import nullcontext
 from pathlib import Path
 
+import numpy as np
+
 
 def open_text(target, mode: str = "r"):
     """Open a path as UTF-8 text with ``newline=""``, or pass a stream through.
@@ -57,3 +59,34 @@ def read_csv(header, src) -> list[tuple[str, ...]]:
         if len(row) != len(header):
             raise ValueError(f"{name} line {line}: expected {len(header)} cells, found {len(row)}")
     return list(zip(*rows[1:])) or [()] * len(header)
+
+
+def write_arrays(arrays, dest) -> None:
+    """Write a column file: plain ``.npy`` arrays back to back, with no timestamp."""
+    with open_binary(dest, "wb") as fh:
+        for array in arrays:
+            np.save(fh, array, allow_pickle=False)
+
+
+def read_arrays(src, schema) -> list[np.ndarray]:
+    """The arrays of a column file, one per ``(dtype, ndim)`` of ``schema``, where
+    "text" is ``<U`` of any width; a file of another layout raises ValueError."""
+    name = src if isinstance(src, (str, Path)) else "column file"
+    arrays = []
+    with open_binary(src) as fh:
+        for dtype, ndim in schema:
+            try:  # read_array, not np.load, which would also open a .npz archive
+                array = np.lib.format.read_array(fh, allow_pickle=False)
+            except Exception as exc:  # a damaged header also raises ast's and tokenize's errors
+                raise ValueError(f"unreadable {name}: {exc}") from None
+            due = array.dtype.str[:2] == "<U" if dtype == "text" else array.dtype == dtype
+            if array.ndim != ndim or not due:
+                raise ValueError(
+                    f"{name} holds {array.dtype} {array.shape} where {ndim}-d {dtype} is due"
+                )
+            if dtype == "text" and (array.reshape(-1).view("<u4") > 0x10FFFF).any():
+                raise ValueError(f"{name} holds text with a code point above U+10FFFF")
+            arrays.append(array)
+        if fh.read(1):
+            raise ValueError(f"{name} holds bytes after its last column")
+    return arrays

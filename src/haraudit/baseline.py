@@ -18,12 +18,15 @@ import numpy as np
 class TrainConfig:
     step_size: float = 0.1
     epochs: int = 200
+    runs: int = 1
 
     def __post_init__(self):
         if not 0 < self.step_size < math.inf:
             raise ValueError(f"step_size must be finite and positive, got {self.step_size}")
         if self.epochs < 1:
             raise ValueError(f"epochs must be at least 1, got {self.epochs}")
+        if self.runs < 1:
+            raise ValueError(f"runs must be at least 1, got {self.runs}")
 
 
 @dataclass

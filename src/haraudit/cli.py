@@ -35,7 +35,7 @@ from . import confusion as conf
 from . import ifc as ifc_mod
 from . import mask as mask_mod
 from . import svgplot
-from ._io import open_text, write_csv, write_json
+from ._io import open_text, read_arrays, write_arrays, write_csv, write_json
 from .baseline import TrainConfig
 from .pipeline import audit_records, baseline_prediction_records
 from .predictions import (
@@ -312,8 +312,7 @@ def cmd_windows(run: RunDir) -> None:
     for start, _, samples in dataset.chunks(np.arange(dataset.num_windows),
                                             chunk_windows(dataset)):
         means[start:start + len(samples)] = samples.mean(axis=1)
-    with open(run.file("window_means.npy"), "wb") as fh:  # np.save(path) would add ".npy"
-        np.save(fh, means, allow_pickle=False)
+    write_arrays([means], run.file("window_means.npy"))
     write_json(
         {
             "num_windows": dataset.num_windows,
@@ -335,9 +334,6 @@ def cmd_split(run: RunDir) -> None:
 def cmd_train_baseline(run: RunDir) -> None:
     # The recipe is checked before anything is read, so a refusal costs no parse.
     train_config = run.recipe(TrainConfig)
-    runs = run.opt("runs", 1)
-    if runs < 1:
-        raise CommandError(f"runs must be at least 1, got {runs}")
     meta = _read_meta(run.need("windows_meta.json"))
     config = WindowConfig(**{f.name: meta[f.name] for f in fields(WindowConfig)})
     # No name holds the parsed recordings: the dataset's window views keep their
@@ -350,7 +346,6 @@ def cmd_train_baseline(run: RunDir) -> None:
         dataset,
         plan,
         dataset_id=run.opt("dataset_id", "dataset"),
-        runs=runs,
         config=train_config,
     )
     write_records(records, run.file("predictions.jsonl"))
@@ -433,8 +428,8 @@ def cmd_plot(run: RunDir) -> None:
     bins = ifc_mod.read_histogram_csv(run.need("ifc_histogram.csv"))
     chord = _read_meta(run.need("chord.json"))
     path = run.need("window_means.npy")
-    means = np.load(path, allow_pickle=False)
-    if means.ndim != 2 or len(means) != flags.size:
+    [means] = read_arrays(path, [("float64", 2)])
+    if len(means) != flags.size:
         raise CommandError(
             f"{path} holds means of shape {means.shape} but ifc_windows.csv holds "
             f"{flags.size} windows; rerun windows"

@@ -23,7 +23,6 @@ def baseline_prediction_records(
     dataset: WindowedDataset,
     plan: FoldPlan,
     dataset_id: str = "dataset",
-    runs: int = 1,
     config: TrainConfig = TrainConfig(),
 ) -> PredictionTable:
     """Train the reference classifier per fold and emit out-of-fold records.
@@ -33,11 +32,9 @@ def baseline_prediction_records(
     steps gather the windows from the recordings in chunks of
     ``chunk_windows`` windows, so a fold holds one chunk of window samples,
     normalized in place, whatever the number of windows.
-    Training is deterministic, so all runs carry identical probabilities; they
-    exist to exercise the run-merging interfaces.
+    Training is deterministic, so all ``config.runs`` runs carry identical
+    probabilities; they exist to exercise the run-merging interfaces.
     """
-    if runs < 1:
-        raise ValueError(f"runs must be at least 1, got {runs}")
     labels = dataset.windows.label
     features = np.empty((dataset.num_windows, 2 * dataset.num_channels))
     all_ids, chunk = np.arange(dataset.num_windows), chunk_windows(dataset)
@@ -59,7 +56,7 @@ def baseline_prediction_records(
             config,
         )
         probs = predict_proba(model, features[test_ids])
-        for run in range(runs):
+        for run in range(config.runs):
             blocks.append((np.full(test_ids.size, run), np.full(test_ids.size, i),
                            test_ids, probs))
     run, fold, window, probs = (np.concatenate(column) for column in zip(*blocks))

@@ -25,7 +25,7 @@ from typing import Iterable
 
 import numpy as np
 
-from ._io import open_binary, open_text
+from ._io import open_text, read_arrays, write_arrays
 from .ifc import CorrectnessMatrix
 
 SIMPLEX_TOL = 1e-6
@@ -246,6 +246,10 @@ class _Log:
                                    if type(v) is not t)
                 kind = "integer" if name in INT_FIELDS else "string"
                 raise RecordError(f"malformed record: {name} {value!r} is not a JSON {kind}", i)
+            # numpy text drops a trailing NUL, so "m\0" would become "m".
+            for name, value in zip(("dataset", *TEXT_FIELDS), values):
+                if "\0" in value:
+                    raise RecordError(f"malformed record: {name} {value!r} holds U+0000", i)
             if bool in map(type, obj["probs"]):  # array("d") reads true as 1.0
                 j = list(map(type, obj["probs"])).index(bool)
                 raise RecordError(
@@ -298,11 +302,10 @@ def write_records(table: PredictionTable, dest) -> None:
 
 
 def write_columns(table: PredictionTable, dest) -> None:
-    """Write a table as plain ``.npy`` arrays back to back, in this order: the
+    """Write a table as a column file (``_io.write_arrays``), in this order: the
     dataset id (0-d text); for each text field its sorted distinct values and
     then each record's int32 code into them, so codes sort as the values do;
-    the integer fields as int64; ``probs`` as float64 [records, classes].
-    ``.npy`` holds no timestamp, so a table always gives the same bytes."""
+    the integer fields as int64; ``probs`` as float64 [records, classes]."""
     columns = [np.array(table.dataset)]
     for name in TEXT_FIELDS:
         values, codes = np.unique(getattr(table, name), return_inverse=True)
@@ -310,23 +313,7 @@ def write_columns(table: PredictionTable, dest) -> None:
         columns += [np.array(values.tolist(), dtype=str), codes.astype(np.int32)]
     columns += [np.asarray(getattr(table, name), dtype=np.int64) for name in INT_FIELDS]
     columns.append(np.ascontiguousarray(table.probs, dtype=np.float64))
-    with open_binary(dest, "wb") as fh:
-        for column in columns:
-            np.save(fh, column, allow_pickle=False)
-
-
-def _load_column(fh, dtype: str, ndim: int) -> np.ndarray:
-    """The next array of a column file; ``dtype`` "text" takes text of any width."""
-    try:
-        column = np.load(fh, allow_pickle=False)
-    except (ValueError, EOFError) as exc:  # not .npy, or the file ends early
-        raise RecordError(f"unreadable column file: {exc}") from None
-    if not isinstance(column, np.ndarray) or column.ndim != ndim or (
-        column.dtype.kind != "U" if dtype == "text" else column.dtype != dtype
-    ):
-        found = f"{column.dtype} {column.shape}" if isinstance(column, np.ndarray) else "an archive"
-        raise RecordError(f"column file holds {found} where {ndim}-d {dtype} is due")
-    return column
+    write_arrays(columns, dest)
 
 
 def read_columns(
@@ -337,26 +324,25 @@ def read_columns(
     """Load a table ``write_columns`` wrote and check it as ``read_records``
     checks a log after its parse: the class count, then ``validate_records``.
 
-    A file of another layout is refused: an array of another type or rank,
-    codes outside their values, columns of different lengths, or bytes after
-    the last column.
+    A file that ``_io.read_arrays`` refuses, codes outside their values and
+    columns of different lengths raise RecordError.
     """
-    with open_binary(src) as fh:
-        dataset = _load_column(fh, "text", 0).item()
-        texts = {}
-        for name in TEXT_FIELDS:
-            values, codes = _load_column(fh, "text", 1), _load_column(fh, "int32", 1)
-            if ((codes < 0) | (codes >= values.size)).any():
-                raise RecordError(f"{name} codes outside its {values.size} values")
-            texts[name] = values[codes]
-        ints = {name: _load_column(fh, "int64", 1) for name in INT_FIELDS}
-        probs = _load_column(fh, "float64", 2)
-        if fh.read(1):
-            raise RecordError("column file holds bytes after its last column")
+    schema = [("text", 0), *[("text", 1), ("int32", 1)] * len(TEXT_FIELDS),
+              *[("int64", 1)] * len(INT_FIELDS), ("float64", 2)]  # write_columns' arrays
+    try:
+        dataset, *columns, probs = read_arrays(src, schema)
+    except ValueError as exc:
+        raise RecordError(str(exc)) from None
+    texts = {}
+    for name, values, codes in zip(TEXT_FIELDS, columns[0::2], columns[1::2]):
+        if ((codes < 0) | (codes >= values.size)).any():
+            raise RecordError(f"{name} codes outside its {values.size} values")
+        texts[name] = values[codes]
+    ints = dict(zip(INT_FIELDS, columns[2 * len(TEXT_FIELDS):]))
     lengths = {name: column.shape[0] for name, column in [*texts.items(), *ints.items()]}
     if set(lengths.values()) - {len(probs)}:
         raise RecordError(f"columns of different lengths: {lengths}, probs {len(probs)}")
-    table = PredictionTable(dataset, **texts, **ints, probs=probs)
+    table = PredictionTable(dataset.item(), **texts, **ints, probs=probs)
     k = probs.shape[1]
     if len(table) and k < 2:
         raise RecordError("probs must hold at least two classes", 0)

@@ -231,6 +231,11 @@ class _Rows:
                     f"expected {width} cells, found {len(row)}", line=lineno
                 )
             subject, session, label_cell = row[0], row[1], row[2]
+            # numpy text drops a trailing NUL, so "s\0" would group as "s".
+            if "\0" in subject or "\0" in session:
+                raise CanonicalFormatError(
+                    f"subject {subject!r} or session {session!r} holds U+0000", line=lineno
+                )
             try:
                 label = int(label_cell)
             except ValueError:

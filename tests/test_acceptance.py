@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from haraudit.cli import main as cli_main
-from haraudit.baseline import loss_and_gradients
+from haraudit.baseline import TrainConfig, loss_and_gradients
 from haraudit.confusion import confusion_table
 from haraudit.ifc import CorrectnessMatrix, compute_ifc, run_lengths
 from haraudit.mask import CLEAN, MAJOR, MINOR, build_mask
@@ -206,7 +206,9 @@ def test_c08_end_to_end_synthetic_recovery():
     recordings, annotations = generate_corpus(spec, num_subjects=4)
     dataset = slice_corpus(recordings, WindowConfig(200, 100))
     plan = plan_folds(dataset.windows, max_k=10)
-    records = baseline_prediction_records(dataset, plan, dataset_id="synthetic", runs=4)
+    records = baseline_prediction_records(
+        dataset, plan, dataset_id="synthetic", config=TrainConfig(runs=4)
+    )
     result = audit_records(
         records,
         dataset.windows.bounds,

@@ -81,6 +81,11 @@ class TestGradients:
 
 
 class TestTraining:
+    @pytest.mark.parametrize("runs", [0, -2])
+    def test_a_config_without_runs_is_refused(self, runs):
+        with pytest.raises(ValueError, match=f"runs must be at least 1, got {runs}"):
+            TrainConfig(runs=runs)
+
     def separable_dataset(self):
         spec = ScenarioSpec(
             num_classes=2,

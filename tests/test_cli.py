@@ -926,6 +926,31 @@ class TestLineage:
                 f"{len(means)} windows" in capsys.readouterr().err)
         assert snapshot(out) == before
 
+    @pytest.mark.parametrize("damage, message", [
+        ("float32", "{path} holds float32 {shape} where 2-d float64 is due"),
+        ("trailing-byte", "{path} holds bytes after its last column"),
+        ("truncated", "unreadable {path}: "),
+    ])
+    def test_plot_refuses_a_damaged_window_means_file(
+        self, tmp_path, full_run, capsys, damage, message
+    ):
+        # Before, plot took float32 means, and ignored a trailing byte.
+        out = tmp_path / "run"
+        shutil.copytree(full_run, out)
+        path = out / "window_means.npy"
+        means, data = np.load(path), path.read_bytes()
+        if damage == "float32":
+            with open(path, "wb") as fh:
+                np.save(fh, means.astype(np.float32))
+        else:
+            path.write_bytes(data + b"\0" if damage == "trailing-byte" else data[:-1])
+        record_edit(out, "window_means.npy")
+        before = snapshot(out)
+        capsys.readouterr()
+        assert run(out, ["plot"]) == 1
+        assert message.format(path=path, shape=means.shape) in capsys.readouterr().err
+        assert snapshot(out) == before
+
     def test_a_plan_that_would_test_a_fold_on_its_training_windows_is_refused(
         self, tmp_path, full_run, capsys
     ):

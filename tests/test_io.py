@@ -2,11 +2,15 @@
 
 import dataclasses
 import io
+import re
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import haraudit
+from haraudit.baseline import TrainConfig
 from haraudit.confusion import (
     chord_edges,
     confusion_table,
@@ -42,7 +46,7 @@ def audit():
     recordings, _ = generate_corpus(default_scenario(), num_subjects=4)
     dataset = slice_corpus(recordings, WindowConfig())
     plan = plan_folds(dataset.windows)
-    records = baseline_prediction_records(dataset, plan, runs=2)
+    records = baseline_prediction_records(dataset, plan, config=TrainConfig(runs=2))
     bounds = dataset.windows.bounds
     result = audit_records(
         records, bounds, dataset.windows.label, dataset.total_samples,
@@ -120,3 +124,11 @@ def test_path_and_stream_routes_agree(name, audit, tmp_path):
     assert path.read_bytes() == text.encode("utf-8")
     if read is not None:
         assert plain(read(str(path))) == plain(read(io.StringIO(text)))
+
+
+def test_only_io_reads_and_writes_npy():
+    # One writer and one checked reader for every binary artifact.
+    src = Path(haraudit.__file__).parent
+    callers = [path.name for path in sorted(src.glob("*.py"))
+               if re.search(r"\bnp\.(savez?|load|lib\.format)\b", path.read_text(encoding="utf-8"))]
+    assert callers == ["_io.py"]

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from haraudit import windowing
-from haraudit.baseline import extract_feature_matrix, predict_proba, train_baseline
+from haraudit.baseline import (
+    TrainConfig, extract_feature_matrix, predict_proba, train_baseline,
+)
 from haraudit.confusion import chord_edges, confusion_table
 from haraudit.pipeline import audit_records, baseline_prediction_records
 from haraudit.predictions import RecordError, merge_runs
@@ -32,7 +34,7 @@ def small_audit():
 
 def test_every_window_predicted_once_per_run(small_audit):
     ds, plan = small_audit
-    records = baseline_prediction_records(ds, plan, runs=2)
+    records = baseline_prediction_records(ds, plan, config=TrainConfig(runs=2))
     for run in (0, 1):
         windows = sorted(records.window[records.run == run].tolist())
         assert windows == list(range(ds.num_windows))
@@ -40,7 +42,7 @@ def test_every_window_predicted_once_per_run(small_audit):
 
 def test_predictions_come_from_the_held_out_fold(small_audit):
     ds, plan = small_audit
-    records = baseline_prediction_records(ds, plan, runs=1)
+    records = baseline_prediction_records(ds, plan)
     test_fold = {
         w: i for i, f in enumerate(plan.folds) for w in f.test_window_ids
     }
@@ -49,7 +51,7 @@ def test_predictions_come_from_the_held_out_fold(small_audit):
 
 def test_runs_are_identical_under_deterministic_training(small_audit):
     ds, plan = small_audit
-    records = baseline_prediction_records(ds, plan, runs=2)
+    records = baseline_prediction_records(ds, plan, config=TrainConfig(runs=2))
     run0, run1 = records.take(records.run == 0), records.take(records.run == 1)
     assert np.array_equal(run0.window, run1.window)
     assert np.array_equal(run0.probs, run1.probs)
@@ -172,7 +174,7 @@ def test_composite_overlap_windows_land_in_the_intersect():
     )
     recordings, annotations = generate_corpus(spec, num_subjects=4)
     ds = slice_corpus(recordings, WindowConfig(200, 100))
-    records = baseline_prediction_records(ds, plan_folds(ds.windows), runs=1)
+    records = baseline_prediction_records(ds, plan_folds(ds.windows))
     result = audit_records(
         records, ds.windows.bounds, ds.windows.label, ds.total_samples,
         num_classes=ds.num_classes,
@@ -208,7 +210,7 @@ def test_merge_policy_monotonicity_propagates_to_ifc():
 
 def test_clean_pct_complements_ifc(small_audit):
     ds, plan = small_audit
-    records = baseline_prediction_records(ds, plan, runs=1)
+    records = baseline_prediction_records(ds, plan)
     result = audit_records(
         records, ds.windows.bounds, ds.windows.label, ds.total_samples,
         num_classes=ds.num_classes,

@@ -161,6 +161,17 @@ class TestValidationRules:
                                               f"{value} does not fit in int64"):
             read_back(rows)
 
+    @pytest.mark.parametrize("field, value", [
+        ("model", "m\0"), ("config", "c\0c"), ("dataset", "\0"),
+    ])
+    def test_ids_must_hold_no_nul(self, field, value):
+        # numpy text drops a trailing NUL: before, models "m" and "m\0" were
+        # refused as a duplicate key, and a lone model "n\0" read back as "n".
+        rows = [rec(), {**rec(window=1), field: value}]
+        with pytest.raises(RecordError) as raised:
+            read_back(rows)
+        assert str(raised.value) == f"record 1: malformed record: {field} {value!r} holds U+0000"
+
     @pytest.mark.parametrize("probs, message", [
         ("[true, 0]", "probs[0] True is not a JSON number"),
         ("[0, false]", "probs[1] False is not a JSON number"),
@@ -473,7 +484,12 @@ class TestColumns:
     @pytest.mark.parametrize("damage, message", [
         (lambda data: data + b"\0", "bytes after its last column"),
         (lambda data: data[:-1], "unreadable column file"),
-    ], ids=["trailing-byte", "truncated"])
+        # numpy itself raises tokenize.TokenError for the unclosed header; the
+        # 0x80 lands in the high byte of the dataset id's first code point.
+        (lambda data: data.replace(b"}", b" ", 1), "unreadable column file: .*EOF"),
+        (lambda data: data[:data.index(b"\n") + 4] + b"\x80" + data[data.index(b"\n") + 5:],
+         "column file holds text with a code point above U\\+10FFFF"),
+    ], ids=["trailing-byte", "truncated", "unclosed-header", "code-point-above-unicode"])
     def test_a_damaged_file_is_refused(self, damage, message):
         buf = io.BytesIO()
         write_columns(table_of(ODD_IDS[0]), buf)

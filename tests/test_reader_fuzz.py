@@ -7,6 +7,10 @@ random rows of a canonical file, rows after the first batch among them, and
 requires the normal read to give exactly what the reference alone gives: the
 same arrays bit for bit, or the same error.
 
+The binary column files share one reader, ``_io.read_arrays``, so their fuzz
+damages a small file (truncates it, appends bytes or flips a bit) and requires
+that it loads or is refused with its reader's own error, and nothing else.
+
 Each format runs ``FUZZ_CASES`` cases (default 150); set it higher for a
 longer run, e.g. ``FUZZ_CASES=2000 python -m pytest tests/test_reader_fuzz.py``.
 """
@@ -20,7 +24,7 @@ import warnings
 import numpy as np
 import pytest
 
-from haraudit import predictions, recordings
+from haraudit import _io, predictions, recordings
 
 CASES = int(os.environ.get("FUZZ_CASES", "150"))
 
@@ -260,3 +264,80 @@ def test_a_fuzzed_recordings_csv_reads_as_the_per_cell_reference_reads_it(tmp_pa
         assert got[0] == got[1] == got[2], (case, planted, [g[:2] for g in got])
         outcomes.add(got[0][0] == "CanonicalFormatError")
     assert outcomes == {True, False}  # both recordings and errors were compared
+
+
+# ------------------------------------------------------------- column files
+
+def damage(rng, data):
+    """``data`` truncated, with 1 to 16 bytes appended, or with one bit flipped."""
+    kind = rng.choice(["truncate", "append", "flip"])
+    if kind == "truncate":
+        return data[:rng.randrange(len(data))]
+    if kind == "append":
+        return data + rng.randbytes(rng.randint(1, 16))
+    i = rng.randrange(len(data))
+    return data[:i] + bytes([data[i] ^ 1 << rng.randrange(8)]) + data[i + 1:]
+
+
+def small_table(rng):
+    """A valid table of 1 to 4 records with short, some non-ASCII, ids."""
+    n, k = rng.randint(1, 4), rng.choice([2, 3])
+    ids = ["m", "cnn", "模型", "σ=0.1", ""]
+    probs = np.random.default_rng(rng.getrandbits(32)).dirichlet(np.ones(k), size=n)
+    return predictions.PredictionTable(
+        rng.choice(ids), np.array([rng.choice(ids) for _ in range(n)]),
+        np.array([rng.choice(ids) for _ in range(n)]), np.zeros(n, dtype=np.int64),
+        np.zeros(n, dtype=np.int64), np.arange(n), np.array([rng.randrange(k) for _ in range(n)]),
+        probs,
+    )
+
+
+def small_means(rng):
+    return np.random.default_rng(rng.getrandbits(32)).normal(
+        size=(rng.randint(0, 5), rng.randint(1, 3)))
+
+
+def write_means(means, dest):
+    _io.write_arrays([means], dest)
+
+
+def load_columns(source):
+    table = predictions.read_columns(source)
+    # Text with a code point above U+10FFFF would load, then fail here.
+    return str(table.dataset), table.model.tolist(), table.config.tolist()
+
+
+def load_means(source):
+    return _io.read_arrays(source, [("float64", 2)])[0].tolist()
+
+
+# name -> (make a value, write it, load it back, the error that refuses a file)
+COLUMN_FILES = {
+    "predictions": (small_table, predictions.write_columns, load_columns,
+                    predictions.RecordError),
+    "window_means": (small_means, write_means, load_means, ValueError),
+}
+
+
+@pytest.mark.parametrize("name", COLUMN_FILES)
+def test_a_damaged_column_file_loads_or_is_refused(tmp_path, name):
+    make, write, load, refusal = COLUMN_FILES[name]
+    rng = random.Random(28)
+    outcomes = set()
+    for case in range(CASES):
+        buf = io.BytesIO()
+        write(make(rng), buf)
+        data = damage(rng, buf.getvalue())
+        path = tmp_path / "damaged.npy"
+        path.write_bytes(data)
+        # numpy reads a real file and a stream by different routes.
+        source = path if case % 2 else io.BytesIO(data)
+        # Warnings may pass: a damaged header can name a deprecated dtype alias.
+        try:
+            load(source)
+            outcomes.add("loaded")
+        except refusal:
+            outcomes.add("refused")
+        except Exception as exc:
+            pytest.fail(f"case {case}: {type(exc).__module__}.{type(exc).__name__}: {exc}")
+    assert outcomes == {"loaded", "refused"}

@@ -266,10 +266,10 @@ def test_refusals_name_what_python_refuses(tmp_path, text, message):
     assert parse_both(tmp_path, text) == message
 
 
-@pytest.mark.parametrize("subject", ["s\0", "s" * (csv.field_size_limit() + 1)],
-                         ids=["nul", "over-the-field-limit"])
+@pytest.mark.parametrize("subject", ["s" * (csv.field_size_limit() + 1)],
+                         ids=["over-the-field-limit"])
 def test_ids_csv_reader_may_refuse_read_as_it_reads_them(tmp_path, subject):
-    # csv.reader refuses a NUL before Python 3.11, and a field over its size limit.
+    # csv.reader refuses a field over its size limit.
     text = HEAD + f"{subject},r1,0,1,2\n"
     try:
         list(csv.reader(io.StringIO(text)))
@@ -281,6 +281,24 @@ def test_ids_csv_reader_may_refuse_read_as_it_reads_them(tmp_path, subject):
                 parse_canonical(source)
     else:
         assert parse_both(tmp_path, text) == ([recording(subject, "r1", [0], [[1, 2]])], 0)
+
+
+@pytest.mark.parametrize("row", ["s\0,r1", "s,r1\0"], ids=["subject", "session"])
+def test_a_nul_in_an_id_is_refused(tmp_path, row):
+    # numpy text drops a trailing NUL, so "s" and "s\0" would be two recordings
+    # whose windows share the group key "s". csv.reader refuses a line with a
+    # NUL before Python 3.11; from 3.11 the per-cell read refuses it.
+    text = HEAD + "s,r1,0,1,2\n" + row + ",1,3,4\n"
+    try:
+        list(csv.reader(io.StringIO(text)))
+    except csv.Error as exc:
+        with pytest.raises(csv.Error, match=re.escape(str(exc))):
+            parse_canonical(io.StringIO(text))
+    else:
+        subject, session = row.split(",")
+        assert parse_both(tmp_path, text) == (
+            f"line 3: subject {subject!r} or session {session!r} holds U+0000"
+        )
 
 
 def test_a_file_already_iterated_with_next_is_still_read(tmp_path):
