@@ -38,10 +38,16 @@ label = window % 3
 correct = rng.random(len(keys)) < np.array([QUALITY[m, c] for m, c, _, _ in keys])
 probs = np.full((len(keys), 3), 0.1)
 probs[np.arange(len(keys)), np.where(correct, label, (label + 1) % 3)] = 0.8
+# A table holds model and config as int32 codes into their ids in ascending
+# order, so the codes sort as the ids do; text appears only where an id is printed.
+model_names, model = np.unique(model, return_inverse=True)
+config_names, config = np.unique(config, return_inverse=True)
 records = PredictionTable(
-    dataset="demo", model=model, config=config, run=run,
+    dataset="demo", model=model.astype(np.int32), config=config.astype(np.int32), run=run,
     fold=window % 4, window=window, label=label, probs=probs,
+    model_names=tuple(model_names.tolist()), config_names=tuple(config_names.tolist()),
 )
+print(f"models {records.model_names} are codes {sorted(set(records.model.tolist()))}")
 
 # ---------------------------------------------------------------------------
 # The JSONL round trip is exact; validation rejects malformed records.
@@ -50,6 +56,7 @@ buf = io.StringIO()
 write_records(records, buf)
 buf.seek(0)
 back = read_records(buf)
+assert (back.model_names, back.config_names) == (records.model_names, records.config_names)
 assert all(np.array_equal(getattr(back, name), getattr(records, name))
            for name in ("model", "config", "run", "window", "label", "probs"))
 print(f"{len(records)} records round-tripped losslessly")

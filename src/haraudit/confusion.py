@@ -92,7 +92,7 @@ def fuse_probabilities(
         i = failed[0]
         if not covered[i].any():
             raise ValueError(f"flagged window {flagged[i]} has no records")
-        missing = all_models[~covered[i]].tolist()
+        missing = [table.model_names[m] for m in all_models[~covered[i]].tolist()]
         raise ValueError(f"flagged window {flagged[i]} lacks records from models {missing}")
     means = np.zeros((flagged.size, table.probs.shape[1]))
     for i, here in enumerate(per_window[:flagged.size]):

@@ -62,13 +62,13 @@ def baseline_prediction_records(
     run, fold, window, probs = (np.concatenate(column) for column in zip(*blocks))
     return PredictionTable(
         dataset=dataset_id,
-        model=np.full(window.size, "baseline"),
-        config=np.full(window.size, f"gd_lr{config.step_size}_ep{config.epochs}"),
+        model=np.zeros(window.size, dtype=np.int32), config=np.zeros(window.size, dtype=np.int32),
         run=run,
         fold=fold,
         window=window,
         label=labels[window],
         probs=probs,
+        model_names=("baseline",), config_names=(f"gd_lr{config.step_size}_ep{config.epochs}",),
     )
 
 

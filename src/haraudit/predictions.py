@@ -8,10 +8,11 @@ format is one object per line:
      "fold": 0, "window": 123, "label": 4, "probs": [...]}
 
 In memory a log is a ``PredictionTable``: one array per wire field, row i
-holding record i, and the dataset id once, since a log holds one dataset (and
-one class count). Config choice, run merging and metrics work on whole columns
-and loop in Python only over (model, config) groups. ``write_columns`` stores a
-validated table as binary columns, which ``read_columns`` loads without a parse.
+holding record i (``model`` and ``config`` as int32 codes into sorted ids), and
+the dataset id once, since a log holds one dataset (and one class count). Config
+choice, run merging and metrics work on whole columns and loop in Python only
+over (model, config) groups. ``write_columns`` stores a validated table as
+binary columns, which ``read_columns`` loads without a parse.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from __future__ import annotations
 import json
 import re
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import chain
 from typing import Iterable
 
@@ -52,7 +53,8 @@ class RecordError(ValueError):
 @dataclass(eq=False)  # arrays have no single truth value; tables compare by identity
 class PredictionTable:
     """A prediction log as columns, ``probs`` [records, classes] float64, and
-    ``dataset``, the log's one id ("" for a log without records)."""
+    ``dataset``, the log's one id ("" for a log without records); ``model`` and
+    ``config`` index the ascending ids ``model_names`` and ``config_names``."""
 
     dataset: str
     model: np.ndarray
@@ -62,6 +64,8 @@ class PredictionTable:
     window: np.ndarray
     label: np.ndarray
     probs: np.ndarray
+    model_names: tuple[str, ...]
+    config_names: tuple[str, ...]
 
     def __len__(self) -> int:
         return int(self.label.size)
@@ -73,7 +77,12 @@ class PredictionTable:
 
     def take(self, rows) -> PredictionTable:
         """The records at ``rows`` (indices or a boolean mask) as a new table."""
-        return PredictionTable(self.dataset, **{n: getattr(self, n)[rows] for n in COLUMNS})
+        return replace(self, **{n: getattr(self, n)[rows] for n in COLUMNS})
+
+    def values(self, name: str, rows=slice(None)) -> list:
+        """Column ``name`` at ``rows`` as Python values, a text field's as ids."""
+        values, names = getattr(self, name)[rows].tolist(), getattr(self, f"{name}_names", None)
+        return values if names is None else [names[code] for code in values]
 
 
 def _group(*columns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -82,6 +91,12 @@ def _group(*columns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Returns each row's group number and the first row of every group.
     """
     code = np.zeros(len(columns[0]), dtype=np.int64)
+    spans = [int(c.max()) - int(c.min()) + 1 for c in columns] if code.size else []
+    if np.prod(spans, dtype=object) < 2**63:  # one mixed-radix key, else column by column
+        for column, span in zip(columns, spans):
+            code = code * span + (column - column.min())
+        _, first, code = np.unique(code, return_index=True, return_inverse=True)
+        return code, first
     for column in columns:
         values, inverse = np.unique(column, return_inverse=True)
         _, first, code = np.unique(
@@ -93,8 +108,7 @@ def _group(*columns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _config_groups(table: PredictionTable):
     """(model, config) groups: row group numbers, first rows, and keys."""
     group, first = _group(table.model, table.config)
-    keys = list(zip(table.model[first].tolist(), table.config[first].tolist()))
-    return group, first, keys
+    return group, first, list(zip(table.values("model", first), table.values("config", first)))
 
 
 def validate_records(
@@ -107,9 +121,8 @@ def validate_records(
     check. The class count is checked while reading, since a table holds one.
     """
     sums = table.probs.sum(axis=1)
-    key = [getattr(table, name) for name in KEY_FIELDS]
     duplicate = np.ones(len(table), dtype=bool)
-    duplicate[_group(*key)[1]] = False
+    duplicate[_group(*(getattr(table, name) for name in KEY_FIELDS))[1]] = False
     unknown = np.zeros(len(table), dtype=bool)
     if valid_window_ids is not None:
         unknown = ~np.isin(table.window, np.fromiter(valid_window_ids, dtype=np.int64))
@@ -120,7 +133,7 @@ def validate_records(
         ((table.label < 0) | (table.label >= table.probs.shape[1]),
          lambda i: f"label {table.label[i]} outside class range"),
         (duplicate, lambda i: f"duplicate ({', '.join(KEY_FIELDS)}) key "
-                              f"{tuple(column[i].item() for column in key)}"),
+                              f"{tuple(table.values(name, [i])[0] for name in KEY_FIELDS)}"),
         (unknown, lambda i: f"unknown window_id {table.window[i]}"),
     ]
     bad = np.logical_or.reduce([failed for failed, _ in checks])
@@ -217,9 +230,7 @@ class _Log:
             return False
         self.dataset, self.num_classes = first, k
         for (codes, column), texts in zip(self.texts.values(), (model, config)):
-            for text in dict.fromkeys(texts):
-                codes.setdefault(text, len(codes))
-            column.extend(map(codes.__getitem__, texts))
+            column.extend(codes.setdefault(text, len(codes)) for text in texts)
         for column, texts in zip(self.ints.values(), ints):
             parsed = np.fromstring(",".join(texts), np.int64, sep=",")
             column.frombytes(memoryview(parsed).cast("B"))
@@ -280,10 +291,13 @@ class _Log:
 
     def table(self) -> PredictionTable:
         """The records taken, as a table; the buffers back its number columns."""
+        texts = {}
+        for name, (codes, column) in self.texts.items():
+            texts[f"{name}_names"] = names = tuple(sorted(codes))  # code point order, as numpy's
+            rank = np.argsort([codes[value] for value in names]).astype(np.int32)
+            texts[name] = rank[np.frombuffer(column, dtype=np.int64)]
         return PredictionTable(
-            self.dataset or "",
-            **{name: np.array(list(codes), dtype=str)[np.frombuffer(column, dtype=np.int64)]
-               for name, (codes, column) in self.texts.items()},
+            self.dataset or "", **texts,
             **{name: np.frombuffer(column, dtype=np.int64) for name, column in self.ints.items()},
             probs=np.frombuffer(self.probs).reshape(self.count, self.num_classes or 0),
         )
@@ -297,20 +311,19 @@ def write_records(table: PredictionTable, dest) -> None:
         # as Python objects.
         for start in range(0, len(table), 4096):
             part = table.take(slice(start, start + 4096))
-            for row in zip(*(getattr(part, name).tolist() for name in COLUMNS)):
+            for row in zip(*(part.values(name) for name in COLUMNS)):
                 fh.write(json.dumps({"dataset": table.dataset, **dict(zip(COLUMNS, row))}) + "\n")
 
 
 def write_columns(table: PredictionTable, dest) -> None:
     """Write a table as a column file (``_io.write_arrays``), in this order: the
-    dataset id (0-d text); for each text field its sorted distinct values and
-    then each record's int32 code into them, so codes sort as the values do;
-    the integer fields as int64; ``probs`` as float64 [records, classes]."""
+    dataset id (0-d text); for each text field the names its records use, in
+    ascending order, and then each record's int32 code into them; the integer
+    fields as int64; ``probs`` as float64 [records, classes]."""
     columns = [np.array(table.dataset)]
     for name in TEXT_FIELDS:
-        values, codes = np.unique(getattr(table, name), return_inverse=True)
-        # The width of the longest value, as read_records gives it, whatever the table's.
-        columns += [np.array(values.tolist(), dtype=str), codes.astype(np.int32)]
+        codes, first = _group(getattr(table, name))  # a take() may leave names unused
+        columns += [np.array(table.values(name, first), dtype=str), codes.astype(np.int32)]
     columns += [np.asarray(getattr(table, name), dtype=np.int64) for name in INT_FIELDS]
     columns.append(np.ascontiguousarray(table.probs, dtype=np.float64))
     write_arrays(columns, dest)
@@ -324,8 +337,8 @@ def read_columns(
     """Load a table ``write_columns`` wrote and check it as ``read_records``
     checks a log after its parse: the class count, then ``validate_records``.
 
-    A file that ``_io.read_arrays`` refuses, codes outside their values and
-    columns of different lengths raise RecordError.
+    A file that ``_io.read_arrays`` refuses, unsorted or repeated values, codes
+    outside their values and columns of different lengths raise RecordError.
     """
     schema = [("text", 0), *[("text", 1), ("int32", 1)] * len(TEXT_FIELDS),
               *[("int64", 1)] * len(INT_FIELDS), ("float64", 2)]  # write_columns' arrays
@@ -333,16 +346,19 @@ def read_columns(
         dataset, *columns, probs = read_arrays(src, schema)
     except ValueError as exc:
         raise RecordError(str(exc)) from None
-    texts = {}
+    texts, names = dict(zip(TEXT_FIELDS, columns[1::2])), {}
     for name, values, codes in zip(TEXT_FIELDS, columns[0::2], columns[1::2]):
+        names[f"{name}_names"] = ids = tuple(values.tolist())
+        if any(a >= b for a, b in zip(ids, ids[1:])):  # code order must be id order
+            where = "column file" if hasattr(src, "read") else src
+            raise RecordError(f"{where} holds {name} values that are not strictly ascending")
         if ((codes < 0) | (codes >= values.size)).any():
             raise RecordError(f"{name} codes outside its {values.size} values")
-        texts[name] = values[codes]
     ints = dict(zip(INT_FIELDS, columns[2 * len(TEXT_FIELDS):]))
     lengths = {name: column.shape[0] for name, column in [*texts.items(), *ints.items()]}
     if set(lengths.values()) - {len(probs)}:
         raise RecordError(f"columns of different lengths: {lengths}, probs {len(probs)}")
-    table = PredictionTable(dataset.item(), **texts, **ints, probs=probs)
+    table = PredictionTable(dataset.item(), **texts, **ints, probs=probs, **names)
     k = probs.shape[1]
     if len(table) and k < 2:
         raise RecordError("probs must hold at least two classes", 0)
@@ -361,14 +377,12 @@ def best_hyperparams(table: PredictionTable) -> dict[tuple[str, str], str]:
     fold seen for its model; missing folds raise.
     """
     group, first, keys = _config_groups(table)
-    model_of_group = _group(table.model[first])[0]
-    model = model_of_group[group]
     folds = np.bincount(group[_group(group, table.fold)[1]], minlength=len(first))
-    model_folds = np.bincount(model[_group(model, table.fold)[1]])
-    lacking = np.flatnonzero(folds < model_folds[model_of_group])
+    model_folds = np.bincount(table.model[_group(table.model, table.fold)[1]])
+    lacking = np.flatnonzero(folds < model_folds[table.model[first]])
     if lacking.size:
         g = lacking[0]
-        missing = sorted(set(table.fold[model == model_of_group[g]].tolist())
+        missing = sorted(set(table.fold[table.model == table.model[first[g]]].tolist())
                          - set(table.fold[group == g].tolist()))
         raise ValueError(f"config {keys[g][1]!r} of model {keys[g][0]!r} lacks folds {missing}")
     best: dict[str, tuple[float, str]] = {}
@@ -411,8 +425,8 @@ def merge_runs(table: PredictionTable, num_windows: int, policy: str) -> Correct
             f"log covers {np.unique(window).size} windows but the dataset defines "
             f"{num_windows} dense window ids"
         )
-    models, model = np.unique(table.model, return_inverse=True)
-    names = models.tolist()
+    model, model_first = _group(table.model)
+    names = table.values("model", model_first)
 
     def first_model(failed: np.ndarray) -> int | None:
         return int(np.argmax(failed)) if failed.any() else None
@@ -420,7 +434,7 @@ def merge_runs(table: PredictionTable, num_windows: int, policy: str) -> Correct
     m = first_model(np.bincount(model[_group(model, table.config)[1]]) > 1)
     if m is not None:
         raise ValueError(
-            f"model {names[m]!r} spans configs {sorted(set(table.config[model == m].tolist()))}; "
+            f"model {names[m]!r} spans configs {sorted(set(table.values('config', model == m)))}; "
             "filter to the chosen config before merging runs"
         )
     cell, cell_first = _group(model, window)
@@ -446,7 +460,7 @@ def merge_runs(table: PredictionTable, num_windows: int, policy: str) -> Correct
         verdict = hits * 2 > runs
     else:
         verdict = hits == runs
-    values = np.zeros((models.size, num_windows), dtype=bool)
+    values = np.zeros((len(names), num_windows), dtype=bool)
     values[cell_model, window[cell_first]] = verdict
     return CorrectnessMatrix(model_ids=tuple(names), values=values)
 

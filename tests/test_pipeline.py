@@ -7,12 +7,14 @@ from haraudit.baseline import (
 )
 from haraudit.confusion import chord_edges, confusion_table
 from haraudit.pipeline import audit_records, baseline_prediction_records
-from haraudit.predictions import RecordError, merge_runs
+from haraudit.predictions import (
+    PredictionTable, RecordError, merge_runs, read_columns, write_columns,
+)
 from haraudit.recordings import SensorRecording
 from haraudit.splits import plan_folds
 from haraudit.synth import Injection, ScenarioSpec, generate_corpus
 from haraudit.windowing import WindowConfig, fit_normalizer, slice_corpus
-from prediction_rows import concat, table_of
+from prediction_rows import coded, concat, table_of
 from traced_memory import peak_bytes
 
 
@@ -109,6 +111,27 @@ def test_baseline_memory_stays_below_the_blocks():
     plan = plan_folds(ds.windows)
     _, peak = peak_bytes(lambda: baseline_prediction_records(ds, plan))
     assert peak <= 0.75 * block_bytes, peak / block_bytes
+
+
+def test_audit_of_a_column_file_holds_little_beyond_its_number_columns(tmp_path):
+    # 4 models x 2 configs x 3 runs x 1,000 windows, 6 classes. Traced, the
+    # read and the audit peaked at 2.21 times the number columns (probs and
+    # the four int64 columns); with model and config expanded to text, 3.09.
+    models, configs, runs, windows, k = 4, 2, 3, 1000, 6
+    m, c, run, window = np.indices((models, configs, runs, windows)).reshape(4, -1)
+    table = PredictionTable(
+        "d", **coded("model", np.char.add("model-", m.astype(str))),
+        **coded("config", np.char.add("cfg-", c.astype(str))), run=run, fold=window % 5,
+        window=window, label=window % k,
+        probs=np.random.default_rng(7).dirichlet(np.ones(k), m.size),
+    )
+    write_columns(table, tmp_path / "predictions.npy")
+    bounds = np.array([(10 * w, 10 * w + 10) for w in range(windows)])
+    _, peak = peak_bytes(lambda: audit_records(
+        read_columns(tmp_path / "predictions.npy"), bounds, np.arange(windows) % k,
+        10 * windows, num_classes=k))
+    number_bytes = table.probs.nbytes + 4 * len(table) * 8
+    assert peak <= 2.5 * number_bytes, peak / number_bytes
 
 
 def all_correct_records(n_windows, n_models=2):

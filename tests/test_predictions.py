@@ -6,7 +6,8 @@ import warnings
 import numpy as np
 import pytest
 
-from haraudit import predictions
+from haraudit import _io, predictions
+from haraudit.pipeline import audit_records
 from haraudit.predictions import (
     COLUMNS,
     PredictionTable,
@@ -20,7 +21,7 @@ from haraudit.predictions import (
     write_columns,
     write_records,
 )
-from prediction_rows import assert_same_table, table_of
+from prediction_rows import assert_same_table, coded, table_of, text_column
 from traced_memory import peak_bytes
 
 
@@ -203,7 +204,8 @@ class TestTypedBuffers:
         assert table.probs.shape == (0, num_classes or 0)
         assert table.dataset == ""
         for name in COLUMNS:
-            column = getattr(table, name)
+            column = text_column(table, name) if name in ("model", "config") else getattr(
+                table, name)
             assert len(column) == 0, name
             assert column.dtype.kind == {"model": "U", "config": "U",
                                          "probs": "f"}.get(name, "i"), name
@@ -211,8 +213,8 @@ class TestTypedBuffers:
     def test_text_columns_keep_the_width_of_the_longest_value(self):
         rows = [rec(model="m"), rec(window=1, model="a-long-model-id", probs=(0.5, 0.5))]
         table = read_back(rows)
-        assert table.model.tolist() == ["m", "a-long-model-id"]
-        assert table.model.dtype == np.dtype("<U15")
+        assert text_column(table, "model").tolist() == ["m", "a-long-model-id"]
+        assert text_column(table, "model").dtype == np.dtype("<U15")
 
     def test_parse_memory_scales_with_the_table(self, tmp_path):
         # About 20k records; the parse once held 2.9-3.6 times the table in
@@ -221,8 +223,8 @@ class TestTypedBuffers:
         n, k = 20_000, 6
         models = np.array(["cnn", "lstm", "mlp", "attend"])
         table = PredictionTable(
-            dataset="bench", model=models[np.arange(n) % 4],
-            config=np.full(n, "cfg-a"), run=np.zeros(n, dtype=np.int64),
+            dataset="bench", **coded("model", models[np.arange(n) % 4]),
+            **coded("config", np.full(n, "cfg-a")), run=np.zeros(n, dtype=np.int64),
             fold=np.arange(n) // 4 % 5, window=np.arange(n) // 4,
             label=rng.integers(0, k, n), probs=rng.dirichlet(np.ones(k), n),
         )
@@ -481,6 +483,17 @@ class TestColumns:
         assert writes[0] == writes[1] == (tmp_path / "log.npy").read_bytes()
         assert_identical(read_columns(tmp_path / "log.npy"), table)
 
+    def test_a_cut_table_writes_only_the_ids_its_records_use(self):
+        rows = [*ODD_IDS[0], rec(dataset="ü", window=2, model="a-long-model", config="zz")]
+        cut, whole = table_of(rows).take([0, 1]), table_of(rows[:2])
+        assert (cut.model_names, cut.config_names) != (whole.model_names, whole.config_names)
+        written = []
+        for table in (cut, whole):
+            buf = io.BytesIO()
+            write_columns(table, buf)
+            written.append(buf.getvalue())
+        assert written[0] == written[1]
+
     @pytest.mark.parametrize("damage, message", [
         (lambda data: data + b"\0", "bytes after its last column"),
         (lambda data: data[:-1], "unreadable column file"),
@@ -518,6 +531,25 @@ class TestColumns:
         buf.seek(0)
         with pytest.raises(RecordError, match=message):
             read_columns(buf)
+
+    @pytest.mark.parametrize("values", [("m2", "m1"), ("m1", "m1")], ids=["swapped", "duplicate"])
+    @pytest.mark.parametrize("to_path", [False, True], ids=["stream", "path"])
+    def test_text_values_out_of_order_are_refused(self, tmp_path, values, to_path):
+        # The codes would still index the values, but code order would no
+        # longer be id order, which the config tie rule and every key order rest on.
+        buf = io.BytesIO()
+        write_columns(table_of([rec(model="m1"), rec(window=1, model="m2")]), buf)
+        buf.seek(0)
+        arrays = _io.read_arrays(buf, [("text", 0), ("text", 1), ("int32", 1), ("text", 1),
+                                       ("int32", 1), *[("int64", 1)] * 4, ("float64", 2)])
+        arrays[1] = np.array(values)
+        dest = tmp_path / "predictions.npy" if to_path else io.BytesIO()
+        _io.write_arrays(arrays, dest)
+        src = dest if to_path else io.BytesIO(dest.getvalue())
+        where = re.escape(str(dest)) if to_path else "column file"
+        with pytest.raises(RecordError, match=f"^{where} holds model values that are not "
+                                              "strictly ascending$"):
+            read_columns(src)
 
     @pytest.mark.parametrize("rows, kwargs", [
         ([rec(probs=(0.5, 0.5)), rec(window=1, probs=(0.6, 0.5))], {}),
@@ -602,7 +634,7 @@ class TestBestHyperparams:
                            + correctness_records("m1", "B", [[0, 1, 1]]))
         chosen = best_hyperparams(records)
         kept = filter_to_configs(records, chosen)
-        assert set(kept.config.tolist()) == {chosen[("d", "m1")]}
+        assert set(kept.values("config")) == {chosen[("d", "m1")]}
         assert set(kept.window.tolist()) == set(records.window.tolist())
 
 
@@ -734,3 +766,145 @@ class TestMetrics:
         assert metrics.accuracy_mean == 0.75
         assert metrics.accuracy_std == 0.25
         assert metrics.num_runs == 2
+
+
+# Ids whose first appearance in the log differs from their code-point order,
+# which is Zeta < alpha < Ärger < é and Ab < zz < ü. Model alpha scores the same
+# under "zz", which comes first, and "Ab", and misses every window under "ü":
+# the tie goes to "Ab".
+ORDER_MODELS, ORDER_CONFIGS = ("alpha", "é", "Zeta", "Ärger"), ("zz", "Ab", "ü")
+ORDER_WINDOWS, ORDER_RUNS, ORDER_CLASSES = 12, 2, 3
+
+
+def order_rows():
+    """Every model under every config, for each run and window, as records."""
+    rng = np.random.default_rng(29)
+    probs = {(m, c, r): rng.dirichlet(np.ones(ORDER_CLASSES), ORDER_WINDOWS)
+             for m in ORDER_MODELS for c in ORDER_CONFIGS for r in range(ORDER_RUNS)}
+    wrong = np.full((ORDER_WINDOWS, ORDER_CLASSES), 0.1)
+    wrong[np.arange(ORDER_WINDOWS), (np.arange(ORDER_WINDOWS) + 1) % ORDER_CLASSES] = 0.8
+    for r in range(ORDER_RUNS):
+        probs["alpha", "Ab", r], probs["alpha", "ü", r] = probs["alpha", "zz", r], wrong
+    return [rec(window=w, label=w % ORDER_CLASSES, probs=probs[m, c, r][w].tolist(), model=m,
+                config=c, run=r, fold=w % 3)
+            for r in range(ORDER_RUNS) for w in range(ORDER_WINDOWS)
+            for m in ORDER_MODELS for c in ORDER_CONFIGS]
+
+
+def text_oracle(rows):
+    """The config choice, key orders and fused means of the majority audit,
+    computed on the text columns, grouped with np.unique."""
+    model, config = (np.array([r[name] for r in rows]) for name in ("model", "config"))
+    run, window, label = (np.array([r[name] for r in rows]) for name in ("run", "window", "label"))
+    probs = np.array([r["probs"] for r in rows])
+    correct = probs.argmax(axis=1) == label
+    models, chosen, keep = np.unique(model), {}, np.zeros(len(rows), dtype=bool)
+    for m in models.tolist():
+        configs = np.unique(config[model == m])
+        accuracy = [np.mean([correct[(model == m) & (config == c) & (run == r)].mean()
+                             for r in np.unique(run).tolist()]) for c in configs.tolist()]
+        chosen[m] = configs[int(np.argmax(accuracy))].item()  # the first of ties
+        keep |= (model == m) & (config == chosen[m])
+    right = np.zeros(ORDER_WINDOWS, dtype=int)
+    for m in models.tolist():
+        hits = np.bincount(window[keep & (model == m)], weights=correct[keep & (model == m)])
+        right += hits * 2 > ORDER_RUNS
+    flagged = np.flatnonzero(right == 0)
+    kept = np.flatnonzero(keep)
+    order = kept[np.lexsort((run[kept], config[kept], model[kept], window[kept]))]
+    means = np.array([np.mean(probs[order[window[order] == w]], axis=0) for w in flagged])
+    return dict(models=tuple(models.tolist()), configs=tuple(np.unique(config).tolist()),
+                chosen={("d", m): c for m, c in chosen.items()}, flagged=flagged,
+                pairs=[("d", *pair) for pair in sorted(set(zip(model.tolist(), config.tolist())))],
+                means=means)
+
+
+class TestCodeOrder:
+    def read_three_ways(self, tmp_path, monkeypatch):
+        """The order log read in bulk, line by line and from its column file."""
+        rows = order_rows()
+        switches = spy_on_line_reads(monkeypatch)
+        bulk = read_both(tmp_path, "".join(json.dumps(r, ensure_ascii=False) + "\n"
+                                           for r in rows))
+        assert switches == []
+        # json.dumps escapes é as \\u00e9, a spelling the bulk read leaves to json.loads.
+        lines = read_both(tmp_path, "".join(json.dumps(r) + "\n" for r in rows))
+        assert switches == [0, 0]
+        return rows, {"bulk": bulk, "lines": lines, "columns": columns_of(bulk)}
+
+    def test_each_read_gives_the_ids_in_code_point_order(self, tmp_path, monkeypatch):
+        rows, tables = self.read_three_ways(tmp_path, monkeypatch)
+        want = text_oracle(rows)
+        assert want["models"] == ("Zeta", "alpha", "Ärger", "é")
+        assert want["configs"] == ("Ab", "zz", "ü")
+        for way, table in tables.items():
+            assert (table.model_names, table.config_names) == (want["models"], want["configs"])
+            assert np.array_equal(table.model, tables["bulk"].model), way
+            assert np.array_equal(table.config, tables["bulk"].config), way
+            assert table.values("model") == [r["model"] for r in rows], way
+            assert table.values("config") == [r["config"] for r in rows], way
+
+    def test_each_read_audits_as_the_text_oracle(self, tmp_path, monkeypatch):
+        rows, tables = self.read_three_ways(tmp_path, monkeypatch)
+        want = text_oracle(rows)
+        assert want["chosen"][("d", "alpha")] == "Ab"
+        assert want["flagged"].size >= 2
+        bounds = np.array([(10 * w, 10 * w + 10) for w in range(ORDER_WINDOWS)])
+        labels = np.arange(ORDER_WINDOWS) % ORDER_CLASSES
+        for way, table in tables.items():
+            assert list(model_metrics(table)) == want["pairs"], way
+            result = audit_records(table, bounds, labels, 10 * ORDER_WINDOWS, ORDER_CLASSES)
+            assert list(result.chosen_configs.items()) == list(want["chosen"].items()), way
+            assert list(result.metrics) == [("d", m, c) for (_, m), c in want["chosen"].items()]
+            assert tuple(result.ifc.single_contribution) == want["models"], way
+            assert np.array_equal(result.fused.window, want["flagged"]), way
+            assert np.array_equal(result.fused.mean_probs.view(np.int64),
+                                  want["means"].view(np.int64)), way
+
+
+def dict_groups(*columns):
+    """_group's result from Python dicts: group numbers in sorted key order,
+    and the first row of each group."""
+    keys = list(zip(*(column.tolist() for column in columns)))
+    number = {key: i for i, key in enumerate(sorted(set(keys)))}
+    first = {}
+    for row, key in enumerate(keys):
+        first.setdefault(number[key], row)
+    return [number[key] for key in keys], [first[g] for g in range(len(number))]
+
+
+class TestGroup:
+    @pytest.mark.parametrize("runs, windows, sorts", [
+        ([0, 5, 3], [7, 2, 9], 1),
+        # Spans of 2 models, 2**31 runs and 2**31 - 1 windows: a key just below 2**63.
+        ([-2**30, 2**30 - 1, 0], [5, 2**31 + 3, 5], 1),
+        # One more window id: the product reaches 2**63, so each column is numbered.
+        ([-2**30, 2**30 - 1, 0], [4, 2**31 + 3, 5], 8),
+        ([-2**62, 2**62, 0], [2**62, -2**62, 2**62], 8),
+        ([-2**63, 2**63 - 1, 0], [0, 1, 2], 8),
+    ], ids=["small", "just-fits", "just-overflows", "near-2**62", "int64-extremes"])
+    def test_groups_match_a_dict_of_the_keys(self, monkeypatch, runs, windows, sorts):
+        rng = np.random.default_rng(31)
+        picks = rng.integers(0, 3, 200)
+        columns = (rng.integers(0, 2, 200).astype(np.int32), np.zeros(200, dtype=np.int32),
+                   np.array(runs, dtype=np.int64)[picks],
+                   np.array(windows, dtype=np.int64)[rng.permutation(picks)])
+        calls = []
+        unique = np.unique
+        monkeypatch.setattr(np, "unique", lambda *a, **k: (calls.append(1), unique(*a, **k))[1])
+        code, first = predictions._group(*columns)
+        assert (code.tolist(), first.tolist()) == dict_groups(*columns)
+        assert len(calls) == sorts  # one sort, or two per column
+
+    def test_an_empty_table_has_no_groups(self):
+        code, first = predictions._group(np.zeros(0, dtype=np.int32), np.zeros(0, dtype=np.int64))
+        assert code.size == first.size == 0
+
+    def test_a_duplicate_key_past_int64_names_its_text_ids(self):
+        rows = [rec(model="é", config="Ab", run=-2**62, window=2**62),
+                rec(model="é", config="Ab", run=2**62, window=-2**62),
+                rec(model="é", config="Ab", run=2**62, window=-2**62)]
+        with pytest.raises(RecordError, match=re.escape(
+                "record 2: duplicate (model, config, run, window) key "
+                f"('é', 'Ab', {2**62}, {-2**62})")):
+            read_back(rows)

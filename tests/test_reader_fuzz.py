@@ -25,6 +25,7 @@ import numpy as np
 import pytest
 
 from haraudit import _io, predictions, recordings
+from prediction_rows import coded
 
 CASES = int(os.environ.get("FUZZ_CASES", "150"))
 
@@ -284,11 +285,12 @@ def small_table(rng):
     n, k = rng.randint(1, 4), rng.choice([2, 3])
     ids = ["m", "cnn", "模型", "σ=0.1", ""]
     probs = np.random.default_rng(rng.getrandbits(32)).dirichlet(np.ones(k), size=n)
+    dataset = rng.choice(ids)
+    models, configs = ([rng.choice(ids) for _ in range(n)] for _ in range(2))
     return predictions.PredictionTable(
-        rng.choice(ids), np.array([rng.choice(ids) for _ in range(n)]),
-        np.array([rng.choice(ids) for _ in range(n)]), np.zeros(n, dtype=np.int64),
-        np.zeros(n, dtype=np.int64), np.arange(n), np.array([rng.randrange(k) for _ in range(n)]),
-        probs,
+        dataset, **coded("model", models), **coded("config", configs),
+        run=np.zeros(n, dtype=np.int64), fold=np.zeros(n, dtype=np.int64), window=np.arange(n),
+        label=np.array([rng.randrange(k) for _ in range(n)]), probs=probs,
     )
 
 
@@ -304,7 +306,7 @@ def write_means(means, dest):
 def load_columns(source):
     table = predictions.read_columns(source)
     # Text with a code point above U+10FFFF would load, then fail here.
-    return str(table.dataset), table.model.tolist(), table.config.tolist()
+    return str(table.dataset), table.values("model"), table.values("config")
 
 
 def load_means(source):
