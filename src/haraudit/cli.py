@@ -366,10 +366,11 @@ def cmd_import_logs(run: RunDir) -> None:
 def cmd_ifc(run: RunDir) -> None:
     run.need("predictions.jsonl")  # so a log edited since its columns were written is refused
     windows, meta = _windows(run)
-    records = _load_records(read_columns, run.need("predictions.npy"), windows, meta)
     policy = run.opt("merge_policy", "majority")
+    # No name holds the table, so audit_records can free it once configs are chosen.
     result = audit_records(
-        records, windows.bounds, windows.label, meta["total_samples"],
+        _load_records(read_columns, run.need("predictions.npy"), windows, meta),
+        windows.bounds, windows.label, meta["total_samples"],
         num_classes=meta["num_classes"], merge_policy=policy,
     )
     ifc_mod.write_ifc_windows_csv(
@@ -379,7 +380,7 @@ def cmd_ifc(run: RunDir) -> None:
     conf.write_fused_jsonl(result.fused, run.file("fused.jsonl"))
     write_json(
         {
-            "dataset_id": records.dataset,
+            "dataset_id": next(iter(result.chosen_configs))[0],  # the log's one dataset id
             "chosen_configs": {
                 f"{d}/{m}": c for (d, m), c in sorted(result.chosen_configs.items())
             },

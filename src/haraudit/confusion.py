@@ -74,7 +74,6 @@ def fuse_probabilities(
     """
     # return_inverse keeps np.unique off its hash path, which in numpy 2 imports numpy.ma.
     flagged = np.unique(np.fromiter(flagged_window_ids, dtype=np.int64), return_inverse=True)[0]
-    all_models, model = np.unique(table.model, return_inverse=True)
     rows = np.flatnonzero(np.isin(table.window, flagged))
     # Sort by window, then in a canonical order within the window, so each
     # mean is bit-for-bit independent of record order.
@@ -84,15 +83,16 @@ def fuse_probabilities(
     window = table.window[rows]
     per_window = np.split(rows, np.searchsorted(window, flagged[1:]))
     labels = np.asarray(labels, dtype=np.int64)[flagged]
-    # One pass over the coverage of every flagged window; the first that fails is named.
-    covered = np.zeros((flagged.size, all_models.size), dtype=bool)
-    covered[np.searchsorted(flagged, window), model[rows]] = True
-    failed = np.flatnonzero(~covered.all(axis=1) | ~covered.any(axis=1))
+    # Coverage by model code; a window without records fails in a table without models too.
+    covered = np.zeros((flagged.size, len(table.model_names)), dtype=bool)
+    covered[np.searchsorted(flagged, window), table.model[rows]] = True
+    lacking = (np.bincount(table.model, minlength=len(table.model_names)) > 0) & ~covered
+    failed = np.flatnonzero(lacking.any(axis=1) | ~covered.any(axis=1))
     if failed.size:
         i = failed[0]
         if not covered[i].any():
             raise ValueError(f"flagged window {flagged[i]} has no records")
-        missing = [table.model_names[m] for m in all_models[~covered[i]].tolist()]
+        missing = [table.model_names[m] for m in np.flatnonzero(lacking[i]).tolist()]
         raise ValueError(f"flagged window {flagged[i]} lacks records from models {missing}")
     means = np.zeros((flagged.size, table.probs.shape[1]))
     for i, here in enumerate(per_window[:flagged.size]):

@@ -111,10 +111,10 @@ def audit_records(
         )
     check_labels(records, labels)
     chosen = best_hyperparams(records)
-    kept = filter_to_configs(records, chosen)
-    matrix = merge_runs(kept, labels.size, policy=merge_policy)
+    records = filter_to_configs(records, chosen)  # frees the full table unless a caller holds it
+    matrix = merge_runs(records, labels.size, policy=merge_policy)
     summary = compute_ifc(matrix)
-    fused = fuse_probabilities(kept, np.flatnonzero(summary.ifc_flags), labels)
+    fused = fuse_probabilities(records, np.flatnonzero(summary.ifc_flags), labels)
     mask = build_mask(
         summary.ifc_flags,
         fused,
@@ -126,5 +126,5 @@ def audit_records(
         fused=fused,
         mask=mask,
         chosen_configs=chosen,
-        metrics=model_metrics(kept),
+        metrics=model_metrics(records),
     )

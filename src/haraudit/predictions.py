@@ -412,7 +412,10 @@ def merge_runs(table: PredictionTable, num_windows: int, policy: str) -> Correct
     ``all`` needs every run. Column w is window w: the log must cover exactly
     windows 0..num_windows-1. Records must already be filtered to one config
     per model, every window of a model must carry the same run count, and
-    every model must cover every window.
+    every model must cover every window. A (model, window) cell's runs are its
+    records: a validated table has unique keys, so one config per model leaves
+    one record per run, and a record repeated in a table nobody validated
+    shows as a differing run count.
     """
     if policy not in MERGE_POLICIES:
         raise ValueError(f"unknown merge policy {policy!r}")
@@ -420,48 +423,34 @@ def merge_runs(table: PredictionTable, num_windows: int, policy: str) -> Correct
         raise ValueError("no models to build a matrix from")
     window = table.window
     inside = (window >= 0) & (window < num_windows)
+    # Checked first: a window past the end would count in the next model's row of the grid.
     if not inside.all() or not np.bincount(window, minlength=num_windows).all():
         raise ValueError(
             f"log covers {np.unique(window).size} windows but the dataset defines "
             f"{num_windows} dense window ids"
         )
-    model, model_first = _group(table.model)
-    names = table.values("model", model_first)
-
-    def first_model(failed: np.ndarray) -> int | None:
-        return int(np.argmax(failed)) if failed.any() else None
-
-    m = first_model(np.bincount(model[_group(model, table.config)[1]]) > 1)
-    if m is not None:
-        raise ValueError(
-            f"model {names[m]!r} spans configs {sorted(set(table.values('config', model == m)))}; "
-            "filter to the chosen config before merging runs"
-        )
-    cell, cell_first = _group(model, window)
-    cell_model = model[cell_first]
-    runs = np.bincount(cell[_group(cell, table.run)[1]])
-    m = first_model(np.bincount(cell_model[_group(cell_model, runs)[1]]) > 1)
-    if m is not None:
-        raise ValueError(
-            f"model {names[m]!r} has differing run counts per window: "
-            f"{sorted(set(runs[cell_model == m].tolist()))}"
-        )
-    m = first_model(np.bincount(cell_model) < num_windows)
-    if m is not None:
-        missing = sorted(set(range(num_windows)) - set(window[model == m].tolist()))
-        raise ValueError(
-            f"model {names[m]!r} lacks correctness for windows "
-            f"{missing[:10]}{'...' if len(missing) > 10 else ''}"
-        )
-    hits = np.bincount(cell, weights=table.correct)
-    if policy == "any":
-        verdict = hits >= 1
-    elif policy == "majority":
-        verdict = hits * 2 > runs
-    else:
-        verdict = hits == runs
-    values = np.zeros((len(names), num_windows), dtype=bool)
-    values[cell_model, window[cell_first]] = verdict
+    model, first = _group(table.model)
+    names = table.values("model", first)
+    cell = model * num_windows + window
+    runs = np.bincount(cell, minlength=len(names) * num_windows).reshape(len(names), num_windows)
+    hits = np.bincount(cell, weights=table.correct, minlength=runs.size).reshape(runs.shape)
+    configs = np.zeros((len(names), len(table.config_names)), dtype=bool)
+    configs[model, table.config] = True
+    absent = runs == 0
+    checks = [  # in this order, each naming the first model it refuses
+        (configs.sum(axis=1) > 1, lambda m: f"model {names[m]!r} spans configs "
+         f"{[table.config_names[c] for c in np.flatnonzero(configs[m])]}; "
+         "filter to the chosen config before merging runs"),
+        ((~absent & (runs != runs.max(axis=1, keepdims=True))).any(axis=1), lambda m:
+         f"model {names[m]!r} has differing run counts per window: "
+         f"{sorted(set(runs[m].tolist()) - {0})}"),
+        (absent.any(axis=1), lambda m: f"model {names[m]!r} lacks correctness for windows "
+         f"{np.flatnonzero(absent[m])[:10].tolist()}{'...' if absent[m].sum() > 10 else ''}"),
+    ]
+    for failed, message in checks:
+        if failed.any():
+            raise ValueError(message(int(np.argmax(failed))))
+    values = {"any": hits >= 1, "majority": hits * 2 > runs, "all": hits == runs}[policy]
     return CorrectnessMatrix(model_ids=tuple(names), values=values)
 
 

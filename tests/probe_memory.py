@@ -13,11 +13,13 @@ windows that overlap ``window_size / stride`` times; a copy of every window
 would show here as a peak well above ingest's. The probe exits 1 when either
 peaks above RATIO times ingest on the same machine.
 
-ensemble_log prepares its run directory with ingest, windows and split, writes
-its log with bench/gen.py, and runs import-logs and ifc, the two commands that
-hold the whole prediction table. Each must stay within split's peak plus
-LOG_RATIO times the bytes of predictions.npy; a table with model and config
-expanded to text would show here as a peak well above that.
+ensemble_log and flagged_heavy prepare their run directory with ingest,
+windows and split, write their log with bench/gen.py, and run import-logs and
+ifc, the two commands that hold the whole prediction table. Each must stay
+within split's peak plus LOG_RATIO times the bytes of predictions.npy; a table
+with model and config expanded to text, or an ifc that holds the full table
+beside the chosen configs' copy to the end of the audit, would show here as a
+peak well above that.
 
 Run with:  python tests/probe_memory.py [--workload recording_chain] [--scale 4]
 """
@@ -39,11 +41,14 @@ RATIO = 1.2
 LOG_RATIO = 2.0
 #: The corpus seed; ROADMAP's k-times measurements are at seed 1.
 SEED = 1
+#: The commands run and checked on a workload with a prediction log.
+LOG_COMMANDS = (("ingest", "windows", "split", "import-logs", "ifc"), ("import-logs", "ifc"))
 #: Per workload, the commands run and the commands checked.
 COMMANDS = {
     "recording_chain": (("ingest", "windows", "split", "train-baseline"),
                         ("windows", "train-baseline")),
-    "ensemble_log": (("ingest", "windows", "split", "import-logs", "ifc"), ("import-logs", "ifc")),
+    "ensemble_log": LOG_COMMANDS,
+    "flagged_heavy": LOG_COMMANDS,
 }
 #: As in the benchmark: one BLAS thread, so no thread buffers differ by host.
 THREAD_ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
@@ -61,6 +66,7 @@ def main(argv: list[str] | None = None) -> int:
     workload = SPEC["workloads"][args.workload]
     shape = {**workload["shape"], "subjects": workload["shape"]["subjects"] * args.scale}
     ran, checked = COMMANDS[args.workload]
+    log_shape = workload.get("log")
     gen = load_bench_module("gen")
     peaks = {}
     try:
@@ -70,7 +76,9 @@ def main(argv: list[str] | None = None) -> int:
             gen.write_recordings_csv(inputs / "recordings.csv", SEED, shape)
             for command in (c for c in workload["prepare"] + workload["chain"] if c[0] in ran):
                 if command[0] == "import-logs":
-                    gen.write_ensemble_log(inputs / "log.jsonl", out, SEED, workload["log"])
+                    write_log = (gen.write_ensemble_log if log_shape["kind"] == "ensemble"
+                                 else gen.write_flagged_log)
+                    write_log(inputs / "log.jsonl", out, SEED, log_shape)
                 argv = [a.replace("{inputs}", str(inputs)) for a in command]
                 request = {"argv": [sys.executable, "-m", "haraudit.cli", *argv, "--out", str(out)],
                            "log": str(log), "timeout": 600}
@@ -82,13 +90,13 @@ def main(argv: list[str] | None = None) -> int:
                     return 1
                 peaks[command[0]] = reply["rss_mb"]
                 print(f"{command[0]:<15} {reply['rss_mb']:6.1f} MiB  {reply['wall_s']:6.2f} s")
-            if args.workload == "ensemble_log":
+            if log_shape is not None:
                 table_mb = (out / "predictions.npy").stat().st_size / 2**20
     finally:
         launcher.stdin.close()
         launcher.wait()
         launcher.stdout.close()
-    if args.workload == "ensemble_log":
+    if log_shape is not None:
         limit = peaks["split"] + LOG_RATIO * table_mb
         print(f"limit {limit:.1f} MiB: split plus {LOG_RATIO} times the {table_mb:.1f} MiB of "
               f"predictions.npy at {args.scale}x, seed {SEED}")

@@ -42,6 +42,11 @@ class TestFeatures:
         for i in range(7):
             assert np.allclose(mat[i], extract_features(blocks[i]))
 
+    @pytest.mark.parametrize("shape", [(4, 3), (2, 4, 3, 1)], ids=["2-d", "4-d"])
+    def test_blocks_must_be_three_dimensional(self, shape):
+        with pytest.raises(ValueError, match=r"^blocks must be \[num_windows, size, channels\]$"):
+            extract_feature_matrix(np.zeros(shape))
+
 
 class TestGradients:
     def finite_difference(self, weights, bias, features, labels, h=1e-5):
@@ -138,6 +143,11 @@ class TestTraining:
         labels = np.array([0, 1, bad, 2])
         with pytest.raises(ValueError, match=f"label {bad} outside 0..2"):
             train_baseline(features, labels, 3)
+
+    @pytest.mark.parametrize("features", [np.zeros(4), np.zeros((3, 2))], ids=["1-d", "3-rows"])
+    def test_features_must_align_with_labels(self, features):
+        with pytest.raises(ValueError, match=r"^features must be \[n, f\] aligned with labels$"):
+            train_baseline(features, np.array([0, 1, 2, 0]), 3)
 
     def test_training_is_deterministic(self):
         features, labels = self.separable_dataset()

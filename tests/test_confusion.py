@@ -1,4 +1,5 @@
 import io
+import re
 
 import numpy as np
 import pytest
@@ -127,6 +128,13 @@ class TestFusion:
         with pytest.raises(ValueError, match="lacks records"):
             fuse(records, [0, 1])
 
+    @pytest.mark.parametrize("rows", [[rec(0, (0.8, 0.2), model="a"), rec(1, (0.8, 0.2))], []],
+                             ids=["records-elsewhere", "no-records"])
+    def test_flagged_window_without_records_rejected(self, rows):
+        table = table_of(rows) if rows else read_records(io.StringIO(""))
+        with pytest.raises(ValueError, match=r"^flagged window 2 has no records$"):
+            fuse_probabilities(table, [2], [0, 0, 0])
+
     def test_permutation_invariance(self):
         rng = np.random.default_rng(3)
         records = [
@@ -213,6 +221,17 @@ class TestConfusionTable:
         flags = rng.random(333) < 0.3
         rows = confusion_table(flags, labels, num_classes=8)
         assert abs(sum(r.dist_pct for r in rows) - 100.0) <= 1e-9
+
+    @pytest.mark.parametrize("flags, labels, error, message", [
+        ([True, False], [0], ValueError, "ifc_flags and labels must align"),
+        ([], [], ValueError, "no windows"),
+        # bincount counts class 3, which the table has no row for.
+        ([True, False, False], [0, 1, 3], RuntimeError,
+         "class distribution sums to 66.66666666666667, not 100"),
+    ], ids=["misaligned", "no-windows", "label-outside"])
+    def test_refusals(self, flags, labels, error, message):
+        with pytest.raises(error, match=re.escape(message) + "$"):
+            confusion_table(np.array(flags, dtype=bool), labels, num_classes=3)
 
     def test_absolute_sums_to_flag_share(self):
         rng = np.random.default_rng(30)

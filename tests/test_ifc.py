@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -74,6 +76,14 @@ class TestBuildMatrix:
     def test_missing_cell_rejected(self):
         with pytest.raises(ValueError, match="lacks correctness"):
             merge_runs(verdict_table({"a": {0: True, 1: True}, "b": {0: True}}), 2, "majority")
+
+    @pytest.mark.parametrize("values, message", [
+        ([True, False], "matrix shape (2,) does not match 1 models"),
+        ([[True], [False]], "matrix shape (2, 1) does not match 1 models"),
+    ], ids=["1-d", "two-rows"])
+    def test_values_must_hold_one_row_per_model(self, values, message):
+        with pytest.raises(ValueError, match=re.escape(message) + "$"):
+            CorrectnessMatrix(model_ids=("a",), values=values)
 
     def test_six_model_shape(self):
         by_model = {f"m{i}": {w: True for w in range(40)} for i in range(6)}
@@ -187,6 +197,10 @@ class TestRunLengths:
     def test_all_false(self):
         hist = run_lengths(np.zeros(10, dtype=bool))
         assert hist.segments == [] and hist.bins == []
+
+    def test_recording_indices_must_align(self):
+        with pytest.raises(ValueError, match="^recording_indices must align with ifc_flags$"):
+            run_lengths(np.ones(3, dtype=bool), [0, 0])
 
     def test_segments_cover_all_flagged_windows(self):
         rng = np.random.default_rng(4)

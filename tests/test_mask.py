@@ -111,6 +111,12 @@ class TestBuildMask:
         with pytest.raises(ValueError, match="no fused"):
             build_mask(np.array([True]), fused_of([], np.zeros((0, 3))), bounds, 200)
 
+    @pytest.mark.parametrize("bounds", [[[0, 200]], [[0, 200, 400], [100, 300, 500]]],
+                             ids=["one-row", "three-columns"])
+    def test_bounds_must_align_with_the_flags(self, bounds):
+        with pytest.raises(ValueError, match="^window_bounds must align with ifc_flags$"):
+            build_mask(np.array([False, False]), fused_of([], np.zeros((0, 3))), bounds, 500)
+
     def test_severity_merge_is_monotone(self):
         # raising one window's category must never lower any sample category
         bounds = np.array([[i * 100, i * 100 + 200] for i in range(10)])

@@ -518,7 +518,8 @@ class TestColumns:
          re.escape("column file holds float32 (2, 2) where 2-d float64 is due")),
         (0, lambda dataset: dataset.reshape(1),
          re.escape("column file holds <U1 (1,) where 0-d text is due")),
-    ], ids=["short-column", "code-outside", "float32-probs", "1-d-dataset"])
+        (9, lambda probs: probs[:, :1], "^record 0: probs must hold at least two classes$"),
+    ], ids=["short-column", "code-outside", "float32-probs", "1-d-dataset", "one-class"])
     def test_a_file_of_another_layout_is_refused(self, at, edit, message):
         buf = io.BytesIO()
         write_columns(table_of(ODD_IDS[0]), buf)
@@ -691,6 +692,135 @@ class TestMergeRuns:
         shuffled = list(records)
         rng.shuffle(shuffled)
         assert merged(records) == merged(shuffled)
+
+    @pytest.mark.parametrize("rows, num_windows, policy, message", [
+        ([rec()], 1, "median", "unknown merge policy 'median'"),
+        ([], 1, "majority", "no models to build a matrix from"),
+        ([rec(window=w) for w in range(3, 20)] + [rec(model="m2", window=w) for w in range(20)],
+         20, "all", "model 'm1' lacks correctness for windows [0, 1, 2]"),
+        ([rec(window=w) for w in range(11, 20)] + [rec(model="m2", window=w) for w in range(20)],
+         20, "any", "model 'm1' lacks correctness for windows [0, 1, 2, 3, 4, 5, 6, 7, 8, 9]..."),
+    ], ids=["unknown-policy", "empty", "three-missing", "eleven-missing"])
+    def test_refusals_name_their_cause(self, rows, num_windows, policy, message):
+        with pytest.raises(ValueError, match=re.escape(message) + "$"):
+            merge_runs(merge_table(rows), num_windows, policy)
+        assert merge_oracle(rows, num_windows, policy) == message
+
+    def test_random_tables_merge_as_a_dict_oracle_merges_them(self):
+        rng = np.random.default_rng(30)
+        refused = set()
+        for _ in range(200):
+            rows, num_windows, policy = random_merge_case(rng, max_windows=60)
+            table, want = merge_table(rows), merge_oracle(rows, num_windows, policy)
+            try:
+                got = merge_runs(table, num_windows, policy)
+            except ValueError as exc:
+                got = str(exc)
+                refused.add(next(kind for kind in MERGE_REFUSALS if kind in got))
+            else:
+                assert got.model_ids == tuple(sorted({row["model"] for row in rows}))
+                got = got.values.tolist()
+            assert got == want, (rows, num_windows, policy)
+        assert refused >= set(MERGE_REFUSALS) - {"no models"}, refused
+
+    def test_a_repeated_record_is_a_differing_run_count(self):
+        """A validated table has no repeated key; in one nobody validated, a
+        repeat counts as a run, whether or not the cell's other runs were right."""
+        rows = correctness_records("m1", "c", [[1, 1, 1], [1, 1, 1]])
+        rows.append(rows[1])
+        message = "model 'm1' has differing run counts per window: [2, 3]"
+        with pytest.raises(ValueError, match=re.escape(message) + "$"):
+            merge_runs(table_of(rows), 3, "all")
+        assert merge_oracle(rows, 3, "all") == message
+
+    def test_one_grouping_sort(self, monkeypatch):
+        rows = correctness_records("m1", "c", [[1, 0, 1], [0, 0, 1]])
+        rows += correctness_records("m2", "c", [[1, 1, 0]])
+        calls = []
+        group = predictions._group
+        monkeypatch.setattr(predictions, "_group", lambda *a: (calls.append(1), group(*a))[1])
+        matrix = merge_runs(table_of(rows), 3, "majority")
+        assert matrix.values.tolist() == [[False, False, True], [True, True, False]]
+        assert len(calls) == 1  # numbering the models; the counts are taken on the grid
+
+
+MERGE_REFUSALS = ("no models", "log covers", "spans configs", "differing run counts",
+                  "lacks correctness")
+
+
+def merge_table(rows):
+    """``table_of(rows)``, and for no rows an empty table."""
+    return table_of(rows or [rec()]).take(slice(len(rows)))
+
+
+def merge_oracle(rows, num_windows, policy):
+    """merge_runs from Python dicts over the rows: the verdicts per model in id
+    order, or the message of the first refusal, in merge_runs' check order."""
+    if policy not in ("any", "majority", "all"):
+        return f"unknown merge policy {policy!r}"
+    if not rows:
+        return "no models to build a matrix from"
+    windows = {row["window"] for row in rows}
+    if windows != set(range(num_windows)):
+        return (f"log covers {len(windows)} windows but the dataset defines "
+                f"{num_windows} dense window ids")
+    configs, cells = {}, {}  # model -> its configs; (model, window) -> each record's correctness
+    for row in rows:
+        configs.setdefault(row["model"], set()).add(row["config"])
+        probs = row["probs"]
+        top = max(range(len(probs)), key=probs.__getitem__)  # the first of tied maxima
+        cells.setdefault((row["model"], row["window"]), []).append(top == row["label"])
+    models = sorted(configs)
+    for m in models:
+        if len(configs[m]) > 1:
+            return (f"model {m!r} spans configs {sorted(configs[m])}; "
+                    "filter to the chosen config before merging runs")
+    for m in models:
+        runs = sorted({len(hits) for (model, _), hits in cells.items() if model == m})
+        if len(runs) > 1:
+            return f"model {m!r} has differing run counts per window: {runs}"
+    for m in models:
+        missing = [w for w in range(num_windows) if (m, w) not in cells]
+        if missing:
+            return (f"model {m!r} lacks correctness for windows "
+                    f"{missing[:10]}{'...' if len(missing) > 10 else ''}")
+    rule = {"any": lambda hits, runs: hits >= 1, "majority": lambda hits, runs: 2 * hits > runs,
+            "all": lambda hits, runs: hits == runs}[policy]
+    return [[rule(sum(cells[m, w]), len(cells[m, w])) for w in range(num_windows)]
+            for m in models]
+
+
+def random_merge_case(rng, max_windows):
+    """Rows of 1-4 models, each with 1-3 runs over all of 1..max_windows
+    windows, then, each with some chance, spoiled: records dropped; one
+    model's records on some windows dropped; a second config or an extra run
+    on some windows of that model; a window past the end. Every (model,
+    config, run, window) key stays unique."""
+    num_windows, k = int(rng.integers(1, max_windows + 1)), int(rng.integers(2, 4))
+    models = int(rng.integers(1, 5))
+    rows = []
+    for m in range(models):
+        for run in range(int(rng.integers(1, 4))):
+            for w in range(num_windows):
+                weights = rng.integers(1, 4, k)  # small integers, so argmax ties happen
+                rows.append(rec(model=f"m{m}", config="c1", run=run, window=w,
+                                label=int(rng.integers(k)), probs=tuple(weights / weights.sum())))
+    model = f"m{rng.integers(models)}"
+    if rng.random() < 0.3:
+        kept = rng.random(len(rows)) >= rng.random() * 0.6
+        rows = [row for row, keep in zip(rows, kept) if keep]
+    if rng.random() < 0.15:
+        lost = set(rng.choice(num_windows, int(rng.integers(1, num_windows + 1))).tolist())
+        rows = [row for row in rows if row["model"] != model or row["window"] not in lost]
+    if rng.random() < 0.15:
+        rows += [{**row, "config": "c2"} for row in rows
+                 if row["model"] == model and rng.random() < 0.5]
+    if rng.random() < 0.15:
+        rows += [{**row, "run": 9} for row in rows
+                 if row["model"] == model and row["run"] == 0 and rng.random() < 0.5]
+    if rng.random() < 0.1:
+        rows.append(rec(window=int(rng.choice([-1, num_windows])), probs=(1 / k,) * k))
+    return rows, num_windows, str(rng.choice(["any", "majority", "all"]))
 
 
 def run_metrics(y_true, y_pred, num_classes):

@@ -461,6 +461,28 @@ def test_invariants_enforced_on_construction():
             session_id="r",
             channel_names=["a", "b"],
         )
+    for channels, labels, names, message in [
+        (np.zeros(3), [0, 0, 0], ["a"], "channels must be a 2-D [samples x channels] array"),
+        (np.zeros((3, 0)), [0, 0, 0], [], "a recording needs at least one channel"),
+        (np.zeros((3, 1)), [0, -1, 0], ["a"], "labels must be non-negative class ids"),
+    ]:
+        with pytest.raises(ValueError, match=re.escape(message) + "$"):
+            SensorRecording(channels=channels, labels=np.array(labels), subject_id="s",
+                            session_id="r", channel_names=names)
+
+
+@pytest.mark.parametrize("layouts, message", [
+    ([], "nothing to write"),
+    ([["a"], ["b"]], "all recordings must share one channel layout"),
+], ids=["no-recordings", "mixed-layouts"])
+def test_write_canonical_refusals(layouts, message):
+    recs = [SensorRecording(channels=np.zeros((2, 1)), labels=np.zeros(2, dtype=int),
+                            subject_id="s", session_id=f"r{i}", channel_names=names)
+            for i, names in enumerate(layouts)]
+    buf = io.StringIO()
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        write_canonical(recs, buf)
+    assert buf.getvalue() == ""
 
 
 def test_corpus_num_classes_requires_contiguous_ids():
@@ -479,3 +501,7 @@ def test_corpus_num_classes_requires_contiguous_ids():
         corpus_num_classes([rec([0, 2])])
     with pytest.raises(ValueError, match="corpus holds one class; an audit needs at least two"):
         corpus_num_classes([rec([0, 0]), rec([0])])
+    with pytest.raises(ValueError, match="^empty corpus$"):
+        corpus_num_classes([])
+    with pytest.raises(ValueError, match="^corpus holds no labelled samples$"):
+        corpus_num_classes([rec(np.zeros(0, dtype=int))])

@@ -1,6 +1,7 @@
 import xml.etree.ElementTree as ET
 
 import numpy as np
+import pytest
 
 from haraudit.svgplot import chord_svg, condensed_view_svg, histogram_svg
 
@@ -27,6 +28,18 @@ def test_condensed_view_deterministic():
     means = np.linspace(0, 1, 20).reshape(-1, 1)
     flags = np.zeros(20, dtype=bool)
     assert condensed_view_svg(means, flags) == condensed_view_svg(means, flags)
+
+
+def test_condensed_view_flags_must_align():
+    with pytest.raises(ValueError, match="^flags must align with window_means rows$"):
+        condensed_view_svg(np.zeros((3, 2)), [True, False])
+
+
+def test_empty_views_are_valid_svg():
+    for svg, note in [(condensed_view_svg(np.zeros((0, 2)), []), " no windows "),
+                      (chord_svg([], []), " no classes ")]:
+        root = parse(svg)
+        assert len(root) == 0 and svg.count("<!--" + note + "-->") == 1
 
 
 def test_histogram_bars_match_bins():

@@ -1,4 +1,5 @@
 import io
+import re
 
 import numpy as np
 import pytest
@@ -99,6 +100,14 @@ class TestGeneration:
                 samples_per_segment=100, num_segments=3,
                 injections=[Injection("transition_shift", location=150, extent=10)],
             )
+
+    @pytest.mark.parametrize("signatures, shape", [
+        ([[0, 0], [1, 1]], (2, 2)), ([[0], [1], [2]], (3, 1)),
+    ], ids=["two-classes", "one-channel"])
+    def test_signatures_must_be_classes_by_channels(self, signatures, shape):
+        with pytest.raises(ValueError, match=re.escape(
+                f"class_signatures must be [3 x 2], got {shape}") + "$"):
+            ScenarioSpec(num_classes=3, num_channels=2, class_signatures=signatures)
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="unknown injection"):

@@ -130,6 +130,14 @@ class TestBlocks:
         with pytest.raises(ValueError, match="recording 1 has 1 channels, recording 0 has 3"):
             slice_corpus(recs, WindowConfig(4, 2))
 
+    @pytest.mark.parametrize("recs, num_classes, message", [
+        ([], None, "empty corpus"),
+        ([make_recording(10)], 1, "window label 1 outside 0..0"),
+    ], ids=["no-recordings", "label-outside"])
+    def test_corpus_refusals(self, recs, num_classes, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            slice_corpus(recs, WindowConfig(4, 2), num_classes=num_classes)
+
     def test_slicing_memory_scales_with_the_blocks(self):
         # About 20k samples; slicing once held every block twice, then once.
         rng = np.random.default_rng(9)
